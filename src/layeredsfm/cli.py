@@ -65,9 +65,11 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                   "queries_per_round": None, "solver": "family_aware"}
     if args.config is not None:
         loaded = json.loads(args.config.read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError(f"--config must hold a JSON object, got {type(loaded).__name__}")
         loaded.setdefault("mode", args.mode)
         if loaded["mode"] != args.mode:
-            raise SystemExit(f"--config mode {loaded['mode']!r} conflicts with subcommand {args.mode!r}")
+            raise ValueError(f"--config mode {loaded['mode']!r} conflicts with subcommand {args.mode!r}")
         base.update(loaded)
     overrides = {
         "n": list(args.n) if args.n is not None else None,
@@ -87,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

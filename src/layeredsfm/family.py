@@ -112,7 +112,7 @@ class LayeredInstance:
     so the minimizer is unique only up to dummies.
     """
 
-    __slots__ = ("config", "blocks", "hidden_sets", "pools", "_denoms")
+    __slots__ = ("config", "blocks", "hidden_sets", "pools")
 
     def __init__(self, config: GroundConfig, blocks: Sequence[Subset], hidden_sets: Sequence[Subset]):
         ell = config.layer_count
@@ -138,19 +138,12 @@ class LayeredInstance:
         self.blocks = list(blocks)
         self.hidden_sets = list(hidden_sets)
 
-        # pools[k-1] = still-unclassified elements when layer k opens;
-        # _denoms[k-1] = denominator of layer k's scale factor.
-        pools: list[Subset] = []
-        denoms: list[int] = []
+        # pools[k-1] = still-unclassified elements when layer k opens.
+        self.pools: list[Subset] = []
         remaining = covered
-        denom = 1
         for a in self.blocks:
-            pools.append(Subset(config.n, remaining))
-            denoms.append(denom)
-            denom *= 8 * remaining.bit_count()
+            self.pools.append(Subset(config.n, remaining))
             remaining &= ~a.bits
-        self.pools = pools
-        self._denoms = denoms
 
     @property
     def layer_count(self) -> int:
@@ -158,7 +151,7 @@ class LayeredInstance:
 
     def layer_scale(self, layer: int) -> ExactValue:
         """Product scale factor multiplying layer ``layer``'s score (1-based)."""
-        return Fraction(1, self._denoms[layer - 1])
+        return Fraction(1, self.config.scale_denominators[layer - 1])
 
     def __eq__(self, other) -> bool:
         return (
@@ -244,7 +237,7 @@ def evaluate_closed_form(inst: LayeredInstance, s: Subset) -> ExactValue:
         inst.hidden_sets[i].bits,
         pool.bits,
         len(pool),
-        inst._denoms[i],
+        inst.config.scale_denominators[i],
         s.bits,
     )
 
@@ -293,6 +286,39 @@ def minimizer_is_unique(inst: LayeredInstance) -> bool:
     return inst.config.divides_evenly
 
 
+def lowest_first(items: Sequence[int], count: int) -> list[int]:
+    """Pick rule of canonical completions: the ``count`` first (lowest) items."""
+    return list(items[:count])
+
+
+def complete_instance(
+    config: GroundConfig,
+    prefix: Iterable[tuple[Subset, Subset]],
+    pick: Callable[[Sequence[int], int], list[int]],
+) -> LayeredInstance:
+    """Extend ``prefix`` (pinned (block, hidden) pairs) to a full instance.
+
+    Each remaining layer takes ``pick(pool, 2r)`` as its block and
+    ``pick(block, r)`` as its hidden set, where ``pool`` lists the
+    unclassified elements in increasing order.
+    """
+    blocks: list[Subset] = []
+    hidden_sets: list[Subset] = []
+    pool = list(range(config.effective_size))
+    for a, r in prefix:
+        blocks.append(a)
+        hidden_sets.append(r)
+        pool = [e for e in pool if e not in a]
+    for _ in range(config.layer_count - len(blocks)):
+        a_idx = pick(pool, 2 * config.r)
+        r_idx = pick(a_idx, config.r)
+        blocks.append(Subset.from_indices(config.n, a_idx))
+        hidden_sets.append(Subset.from_indices(config.n, r_idx))
+        chosen = set(a_idx)
+        pool = [e for e in pool if e not in chosen]
+    return LayeredInstance(config, blocks, hidden_sets)
+
+
 def sample_instance(
     config: GroundConfig,
     seed: int,
@@ -306,22 +332,7 @@ def sample_instance(
     pairs; the remaining layers are sampled uniformly, which yields a
     uniform draw among the instances extending that prefix.
     """
-    rng = SplitMix64(seed)
-    blocks: list[Subset] = []
-    hidden_sets: list[Subset] = []
-    pool = list(range(config.effective_size))
-    for a, r in prefix:
-        blocks.append(a)
-        hidden_sets.append(r)
-        pool = [e for e in pool if e not in a]
-    for _ in range(config.layer_count - len(blocks)):
-        a_idx = rng.sample(pool, 2 * config.r)
-        r_idx = rng.sample(a_idx, config.r)
-        blocks.append(Subset.from_indices(config.n, a_idx))
-        hidden_sets.append(Subset.from_indices(config.n, r_idx))
-        chosen = set(a_idx)
-        pool = [e for e in pool if e not in chosen]
-    return LayeredInstance(config, blocks, hidden_sets)
+    return complete_instance(config, prefix, SplitMix64(seed).sample)
 
 
 def canonical_instance(
@@ -330,17 +341,4 @@ def canonical_instance(
 ) -> LayeredInstance:
     """Lowest-index completion: each remaining layer takes the smallest
     pool indices as its block and the smallest of those as hidden."""
-    blocks: list[Subset] = []
-    hidden_sets: list[Subset] = []
-    pool = list(range(config.effective_size))
-    for a, r in prefix:
-        blocks.append(a)
-        hidden_sets.append(r)
-        pool = [e for e in pool if e not in a]
-    for _ in range(config.layer_count - len(blocks)):
-        a_idx = pool[: 2 * config.r]
-        r_idx = a_idx[: config.r]
-        blocks.append(Subset.from_indices(config.n, a_idx))
-        hidden_sets.append(Subset.from_indices(config.n, r_idx))
-        pool = pool[2 * config.r :]
-    return LayeredInstance(config, blocks, hidden_sets)
+    return complete_instance(config, prefix, lowest_first)

@@ -28,8 +28,10 @@ from .rationals import ExactValue, format_value
 from .rng import SplitMix64
 from .sets import GroundConfig, Subset
 from .solvers import (
+    QUERY_BUDGET_ALPHA,
     SOLVERS,
     brute_force_minimize,
+    classify_singleton,
     family_aware_minimize,
     singleton_parallel_minimize,
 )
@@ -39,9 +41,6 @@ MODES = ("verify", "duel", "parallel", "hiding", "bench")
 
 # Exact-hiding triples checked by every hiding run.
 HIDING_TRIPLES = 1000
-
-# Query budget asserted by bench runs: queries <= BENCH_ALPHA * n * log2(n).
-BENCH_ALPHA = 8
 
 
 @dataclass(frozen=True)
@@ -66,6 +65,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        ints = [*self.n, self.r, self.seed, self.trials]
+        if self.queries_per_round is not None:
+            ints.append(self.queries_per_round)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in ints):
+            raise ValueError("n, r, seed, trials and queries_per_round must be integers")
         if not self.n or any(v < 1 for v in self.n):
             raise ValueError("n must be one or more positive integers")
         if len(self.n) != 1 and self.mode != "bench":
@@ -74,7 +78,7 @@ class ExperimentConfig:
             raise ValueError("r and trials must be positive, seed non-negative")
         if self.queries_per_round is not None and self.queries_per_round < 1:
             raise ValueError("queries_per_round must be positive")
-        if self.solver not in SOLVERS:
+        if not isinstance(self.solver, str) or self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {sorted(SOLVERS)}")
         for n in self.n:
             if 2 * self.r > n:
@@ -104,14 +108,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
+        """Build from a JSON object; malformed input raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+        missing = [key for key in ("mode", "n") if key not in data]
+        if missing:
+            raise ValueError(f"config is missing {', '.join(missing)}")
         n = data["n"]
-        if isinstance(n, int):
-            n = (n,)
-        else:
-            n = tuple(n)
         return cls(
             mode=data["mode"],
-            n=n,
+            n=tuple(n) if isinstance(n, (list, tuple)) else (n,),
             r=data.get("r", 1),
             seed=data.get("seed", 0),
             trials=data.get("trials", 10),
@@ -299,10 +305,9 @@ def _naive_random_batch(
     n, r = config.n, config.r
     prefix = Subset(n)
     pool = Subset.from_indices(n, range(config.effective_size))
-    denom = 1
     lucky = 0
     rounds = 0
-    for _ in range(config.layer_count):
+    for denom in config.scale_denominators:
         pool_size = len(pool)
         oracle.begin_round()
         rounds += 1
@@ -312,17 +317,15 @@ def _naive_random_batch(
                 lucky += 1
         hidden: list[int] = []
         deeper: list[int] = []
-        passthrough = Fraction(2 * pool_size + 1, denom * 2 * pool_size)
         for e in pool.indices():
             value = oracle.answer(prefix | Subset.from_indices(n, [e]))
-            v = value * denom
-            if (r >= 2 and v == 1) or (r == 1 and v < Fraction(1, 2)):
+            label = classify_singleton(value, denom, pool_size, r)
+            if label == "hidden":
                 hidden.append(e)
-            elif value == passthrough:
+            elif label == "deeper":
                 deeper.append(e)
         prefix = prefix | Subset.from_indices(n, hidden)
         pool = Subset.from_indices(n, deeper)
-        denom *= 8 * pool_size
     return rounds, lucky, prefix == true_minimizer(inst)
 
 
@@ -548,7 +551,7 @@ def run_bench(config: ExperimentConfig) -> Report:
                 {"n": n, "trial": trial, "seed": seed, "queries": result.queries,
                  "rounds": result.rounds, "correct": good}
             )
-        budget = BENCH_ALPHA * n * math.log2(max(n, 2))
+        budget = QUERY_BUDGET_ALPHA * n * math.log2(max(n, 2))
         alpha_here = max(q / (n * math.log2(max(n, 2))) for q in queries)
         alpha_max = max(alpha_max, alpha_here)
         if max(queries) > budget:
@@ -565,7 +568,7 @@ def run_bench(config: ExperimentConfig) -> Report:
     report.check(
         "query_budget",
         within_budget,
-        f"measured alpha {alpha_max:.3f} <= {BENCH_ALPHA}",
+        f"measured alpha {alpha_max:.3f} <= {QUERY_BUDGET_ALPHA}",
     )
     return report
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
+
 from .family import (
     LayeredInstance,
     _layer_value,
-    canonical_instance,
+    complete_instance,
     evaluate_closed_form,
-    sample_instance,
+    lowest_first,
 )
 from .rationals import ExactValue, format_value, parse_value
 from .rng import SplitMix64
@@ -100,16 +100,16 @@ class Transcript:
         return out
 
 
-class _Counter:
+class _Oracle:
     """Query/round bookkeeping shared by both oracles.
 
     Rounds are opened explicitly with ``begin_round``; queries issued
-    before any round was opened fall into an implicit round 1.
+    before any round was opened fall into an implicit round 1.  Counting
+    is synchronized.
     """
 
-    __slots__ = ("queries", "rounds", "_lock")
-
-    def __init__(self):
+    def __init__(self, config: GroundConfig):
+        self.config = config
         self.queries = 0
         self.rounds = 0
         self._lock = threading.Lock()
@@ -118,15 +118,20 @@ class _Counter:
         with self._lock:
             self.rounds += 1
 
-    def count_query(self) -> tuple[int, int]:
+    def _count_query(self) -> tuple[int, int]:
+        """Count one query; return its (1-based index, round)."""
         with self._lock:
             if self.rounds == 0:
                 self.rounds = 1
             self.queries += 1
             return self.queries, self.rounds
 
+    def stats(self) -> tuple[int, int]:
+        """(queries answered, rounds opened)."""
+        return self.queries, self.rounds
 
-class HonestOracle:
+
+class HonestOracle(_Oracle):
     """Evaluation oracle over a fixed instance, with query/round counters.
 
     ``answer`` may be called concurrently within a round; counting is
@@ -134,20 +139,12 @@ class HonestOracle:
     """
 
     def __init__(self, inst: LayeredInstance):
+        super().__init__(inst.config)
         self.instance = inst
-        self.config = inst.config
-        self._counter = _Counter()
-
-    def begin_round(self) -> None:
-        self._counter.begin_round()
 
     def answer(self, s: Subset) -> ExactValue:
-        self._counter.count_query()
+        self._count_query()
         return evaluate_closed_form(self.instance, s)
-
-    def stats(self) -> tuple[int, int]:
-        """(queries answered, rounds opened)."""
-        return self._counter.queries, self._counter.rounds
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,7 @@ class LayerCommit:
     cause: str
 
 
-class HalvingAdversary:
+class HalvingAdversary(_Oracle):
     """Adaptive oracle that commits the instance as late as possible (r = 1).
 
     Supports the same ``answer``/``begin_round``/``stats`` surface as the
@@ -181,16 +178,15 @@ class HalvingAdversary:
             raise ValueError("the halving adversary supports r = 1 only")
         if config.n % 2 != 0:
             raise ValueError("the halving adversary needs an even ground size")
-        self.config = config
+        super().__init__(config)
         self.transcript = Transcript(config)
-        self._counter = _Counter()
         self.commits: list[LayerCommit] = []
         # engaged_layers[i]: active layer engaged by record i+1, or None when the
         # query diverged at an already-committed layer (or the instance was full).
         self.engaged_layers: list[int | None] = []
         self._pool = Subset.full(config.n)
+        self._pool_masks: list[int] = []  # pool bits of each committed layer
         self._active_u = Subset.full(config.n)
-        self._denom = 1  # denominator of the active layer's scale factor
         self._engaged_count = 0  # engaging queries since the active layer opened
         self._instance: LayeredInstance | None = None
 
@@ -209,12 +205,6 @@ class HalvingAdversary:
     def fully_committed(self) -> bool:
         return self._instance is not None
 
-    def begin_round(self) -> None:
-        self._counter.begin_round()
-
-    def stats(self) -> tuple[int, int]:
-        return self._counter.queries, self._counter.rounds
-
     # -- core mechanics -----------------------------------------------------
 
     def _commit(self, block_bits: int, hidden_bits: int, cause: str) -> None:
@@ -231,7 +221,7 @@ class HalvingAdversary:
                 cause=cause,
             )
         )
-        self._denom *= 8 * len(self._pool)
+        self._pool_masks.append(self._pool.bits)
         self._pool = self._pool - block
         self._active_u = self._pool
         self._engaged_count = 0
@@ -244,15 +234,14 @@ class HalvingAdversary:
 
     def _committed_layer_value(self, layer: int, s_bits: int) -> ExactValue:
         c = self.commits[layer - 1]
-        denom = 1
-        for prev in self.commits[: layer - 1]:
-            denom *= 8 * prev.pool_size
-        pool_card = c.pool_size
-        # Reconstruct the pool mask: ground minus all earlier blocks.
-        pool_bits = (1 << self.config.n) - 1
-        for prev in self.commits[: layer - 1]:
-            pool_bits &= ~prev.block.bits
-        return _layer_value(c.block.bits, c.hidden.bits, pool_bits, pool_card, denom, s_bits)
+        return _layer_value(
+            c.block.bits,
+            c.hidden.bits,
+            self._pool_masks[layer - 1],
+            c.pool_size,
+            self.config.scale_denominators[layer - 1],
+            s_bits,
+        )
 
     def answer(self, s: Subset) -> ExactValue:
         """Answer one query, committing layers only when forced.
@@ -270,7 +259,7 @@ class HalvingAdversary:
         """
         if s.size != self.config.n:
             raise ValueError(f"query must live on the {self.config.n}-element ground set")
-        index, round_no = self._counter.count_query()
+        index, round_no = self._count_query()
         s_bits = s.bits
 
         value: ExactValue
@@ -294,38 +283,42 @@ class HalvingAdversary:
         return value
 
     def _engage_active(self, s_bits: int) -> ExactValue:
+        """Answer a query that matches every committed layer.
+
+        The answer is the honest value under the lowest-index candidate
+        block left in the new active set U (hidden = its lowest element).
+        Every candidate in U gives the same value, so this is also the
+        value under whichever block U later commits to.
+        """
         u_bits = self._active_u.bits
-        u_card = u_bits.bit_count()
         inter = u_bits & s_bits
-        inter_card = inter.bit_count()
-        pool_bits = self._pool.bits
-        pool_card = pool_bits.bit_count()
-        in_pool = (s_bits & pool_bits).bit_count()
-        denom = self._denom
         self._engaged_count += 1
-
-        if u_card == 2 and inter_card == 1:
+        cause = None
+        if u_bits.bit_count() == 2 and inter.bit_count() == 1:
             # Endgame: the pool has exactly two elements left, so the block is
-            # forced; pin the hidden element to the one the query missed and
-            # answer honestly (the query is incomparable to the hidden set).
-            block_bits = u_bits
-            hidden_bits = u_bits & ~s_bits
-            self._commit(block_bits, hidden_bits, "endgame")
-            return Fraction(2, denom)
-
-        if 2 * inter_card >= u_card:
-            # "Both": every remaining block candidate lies inside the query.
-            value = Fraction(2 * pool_card - (in_pool - 2), denom * 2 * pool_card)
-            new_u = inter
+            # forced; pin the hidden element to the one the query missed (the
+            # query is incomparable to the hidden set).
+            block_bits, hidden_bits, cause = u_bits, u_bits & ~s_bits, "endgame"
         else:
-            # "None": every remaining block candidate misses the query.
-            value = Fraction(2 * pool_card + in_pool, denom * 2 * pool_card)
-            new_u = u_bits & ~s_bits
-
-        self._active_u = Subset(self.config.n, new_u)
-        if new_u.bit_count() <= 3:
-            lowest_two = _lowest_bits(new_u, 2)
-            self._commit(lowest_two, _lowest_bits(lowest_two, 1), "halving")
+            if 2 * inter.bit_count() >= u_bits.bit_count():
+                new_u = inter  # "both": every candidate block lies inside the query
+            else:
+                new_u = u_bits & ~s_bits  # "none": every candidate block misses it
+            self._active_u = Subset(self.config.n, new_u)
+            block_bits = _lowest_bits(new_u, 2)
+            hidden_bits = _lowest_bits(block_bits, 1)
+            if new_u.bit_count() <= 3:
+                cause = "halving"
+        value = _layer_value(
+            block_bits,
+            hidden_bits,
+            self._pool.bits,
+            len(self._pool),
+            self.config.scale_denominators[len(self.commits)],
+            s_bits,
+        )
+        if cause is not None:
+            self._commit(block_bits, hidden_bits, cause)
         return value
 
     def finalize(self, seed: int | None = None) -> LayeredInstance:
@@ -339,36 +332,26 @@ class HalvingAdversary:
         raises :class:`ReplayMismatchError` if any value disagrees.
         """
         if self._instance is None:
-            if seed is None:
-                block_bits = _lowest_bits(self._active_u.bits, 2)
-                self._commit(block_bits, _lowest_bits(block_bits, 1), "finalize")
-                if self._instance is None:
-                    prefix = [(c.block, c.hidden) for c in self.commits]
-                    completed = canonical_instance(self.config, prefix)
-                    self._adopt_completion(completed)
-            else:
-                rng = SplitMix64(seed)
-                a_idx = rng.sample(self._active_u.indices(), 2)
-                r_idx = rng.sample(a_idx, 1)
-                self._commit(
-                    Subset.from_indices(self.config.n, a_idx).bits,
-                    Subset.from_indices(self.config.n, r_idx).bits,
-                    "finalize",
-                )
-                if self._instance is None:
-                    prefix = [(c.block, c.hidden) for c in self.commits]
-                    completed = sample_instance(self.config, rng.next(), prefix)
-                    self._adopt_completion(completed)
+            rng = None if seed is None else SplitMix64(seed)
+            pick = lowest_first if rng is None else rng.sample
+            a_idx = pick(self._active_u.indices(), 2)
+            self._commit(
+                Subset.from_indices(self.config.n, a_idx).bits,
+                Subset.from_indices(self.config.n, pick(a_idx, 1)).bits,
+                "finalize",
+            )
+            if self._instance is None:
+                if rng is not None:
+                    # Untouched layers draw from a child stream, as sample_instance does.
+                    pick = SplitMix64(rng.next()).sample
+                completed = complete_instance(self.config, self.committed, pick)
+                while len(self.commits) < self.config.layer_count:
+                    k = len(self.commits)
+                    self._commit(completed.blocks[k].bits, completed.hidden_sets[k].bits, "finalize")
         instance = self._instance
         assert instance is not None
         self.transcript.replay(instance)
         return instance
-
-    def _adopt_completion(self, completed: LayeredInstance) -> None:
-        """Register finalize-time commits for the layers no query ever touched."""
-        while len(self.commits) < self.config.layer_count:
-            k = len(self.commits)
-            self._commit(completed.blocks[k].bits, completed.hidden_sets[k].bits, "finalize")
 
 
 def _lowest_bits(bits: int, count: int) -> int:

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 ExactValue = Fraction
 
-_VALUE_RE = re.compile(r"^(-?\d+)(?:/(\d+))$|^(-?\d+)$")
+# ASCII digits only: ``\d`` would also match other Unicode decimal digits.
+_VALUE_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))$|^(-?[0-9]+)$")
 
 
 def format_value(v: ExactValue) -> str:

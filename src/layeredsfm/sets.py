@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator
 
 # Bit-vector capacity; large enough for every experiment in the harness.
@@ -68,6 +69,17 @@ class GroundConfig:
         if not 1 <= layer <= self.layer_count:
             raise ValueError(f"layer must be in 1..{self.layer_count}, got {layer}")
         return self.effective_size - 2 * self.r * (layer - 1)
+
+    @cached_property
+    def scale_denominators(self) -> tuple[int, ...]:
+        """``(d_1, .., d_L)``: layer k's values are scaled by ``1/d_k``, with
+        ``d_1 = 1`` and ``d_{k+1} = d_k * 8 * pool_size(k)``.  The growth hides
+        every deeper layer until a query matches layer k.
+        """
+        denoms = [1]
+        for layer in range(1, self.layer_count):
+            denoms.append(denoms[-1] * 8 * self.pool_size(layer))
+        return tuple(denoms)
 
 
 class Subset:

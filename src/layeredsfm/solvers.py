@@ -105,7 +105,8 @@ def decode_layer_answer(
         return LayerAnswer(relation=Relation.INCOMPARABLE, outside_block=None, layer=layer)
     if v == 1:
         return LayerAnswer(relation=None, outside_block=0, layer=layer)
-    if v < Fraction(1, 2):
+    if v <= Fraction(1, 4 * pool_size):
+        # An exact match's residual (deeper layers' value) is at most 1/(4 * pool).
         return LayerAnswer(relation=Relation.EQUAL, outside_block=None, layer=layer)
     if v > 1:
         rel, count = Relation.STRICT_SUBSET, 2 * pool_size * (v - 1)
@@ -199,10 +200,10 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
 
     prefix = Subset(n)
     pool = Subset.from_indices(n, range(config.effective_size))
-    scale = Fraction(1)
 
     for layer in range(1, config.layer_count + 1):
         pool_size = len(pool)
+        scale = Fraction(1, config.scale_denominators[layer - 1])
 
         def decode(value: ExactValue, queried_in_pool: int) -> LayerAnswer:
             ans = decode_layer_answer(value, scale, pool_size, layer)
@@ -262,58 +263,64 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
         hidden_set = Subset.from_indices(n, hidden)
         prefix = prefix | hidden_set
         pool = (accepted - hidden_set)
-        scale = scale / (8 * pool_size)
 
     value = ask(prefix)
     return SolverResult("family_aware", prefix, value, counter.queries, counter.rounds)
+
+
+def classify_singleton(value: ExactValue, denom: int, pool_size: int, r: int) -> str | None:
+    """Class of pool element e from the value of prefix + {e} at a layer
+    with scale denominator ``denom``, where prefix matches every earlier layer.
+
+    The normalized value is 2 for a block element outside the hidden set
+    ("off_block"); 1 (r >= 2) or below 1/2 (r = 1) for a hidden element
+    ("hidden"); exactly 1 + 1/(2 * pool) for a deeper element ("deeper");
+    anything else gives None.
+    """
+    # The normalized value as num/den (den > 0), compared without reducing.
+    num, den = value.numerator * denom, value.denominator
+    if num == 2 * den:
+        return "off_block"
+    if (num == den) if r >= 2 else (2 * num < den):
+        return "hidden"
+    if 2 * pool_size * num == (2 * pool_size + 1) * den:
+        return "deeper"
+    return None
 
 
 def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
     """Solve one layer per batched round via singleton queries.
 
     Round k queries prefix + {e} for every unclassified element e and
-    classifies e from the normalized value alone: 2 means e is a block
-    element outside the hidden set; 1 means e is hidden (only possible for
-    r >= 2); below 1/2 means e is the hidden singleton (r = 1); exactly
-    1 + 1/(2 * pool) means e belongs to deeper layers.  Uses exactly one
-    round per layer and pool-many queries per round; requires an honest
-    oracle over a known-(n, r) instance.
+    classifies e from its value alone (:func:`classify_singleton`).  Uses
+    exactly one round per layer and pool-many queries per round; requires
+    an honest oracle over a known-(n, r) instance.
     """
     counter = _QueryCounter(oracle)
     n, r = config.n, config.r
     prefix = Subset(n)
     pool = Subset.from_indices(n, range(config.effective_size))
-    denom = 1
 
     for layer in range(1, config.layer_count + 1):
         pool_size = len(pool)
+        denom = config.scale_denominators[layer - 1]
         counter.begin_round()
         answers = [(e, counter.ask(prefix | Subset.from_indices(n, [e]))) for e in pool.indices()]
-        hidden: list[int] = []
-        off_block: list[int] = []
-        deeper: list[int] = []
-        passthrough = Fraction(2 * pool_size + 1, denom * 2 * pool_size)
+        classes: dict[str, list[int]] = {"hidden": [], "off_block": [], "deeper": []}
         for e, value in answers:
-            v = value * denom
-            if v == 2:
-                off_block.append(e)
-            elif r >= 2 and v == 1:
-                hidden.append(e)
-            elif r == 1 and v < Fraction(1, 2):
-                hidden.append(e)
-            elif value == passthrough:
-                deeper.append(e)
-            else:
+            label = classify_singleton(value, denom, pool_size, r)
+            if label is None:
                 raise CorruptedOracleError(
                     f"layer {layer}: singleton value {format_value(value)} matches no class"
                 )
+            classes[label].append(e)
+        hidden, off_block, deeper = classes["hidden"], classes["off_block"], classes["deeper"]
         if len(hidden) != r or len(off_block) != r:
             raise CorruptedOracleError(
                 f"layer {layer}: classified {len(hidden)} hidden / {len(off_block)} off-block, expected {r} each"
             )
         prefix = prefix | Subset.from_indices(n, hidden)
         pool = Subset.from_indices(n, deeper)
-        denom *= 8 * pool_size
 
     # Every layer matched, so the minimum value is exactly 0 by construction.
     return SolverResult("singleton_parallel", prefix, Fraction(0), counter.queries, counter.rounds)

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,20 @@ class TestConfigValidation:
     def test_json_round_trip(self):
         c = cfg(mode="bench", n=(8, 16), trials=3)
         assert ExperimentConfig.from_json(c.to_json()) == c
+
+    @pytest.mark.parametrize("data", [
+        {"n": [6]},
+        {"mode": "verify"},
+        {"mode": "verify", "n": "abc"},
+        {"mode": "verify", "n": None},
+        {"mode": "verify", "n": [6], "r": "1"},
+        {"mode": "verify", "n": [6], "trials": True},
+        {"mode": "verify", "n": [6], "solver": ["family_aware"]},
+        ["verify", 6],
+    ])
+    def test_from_json_rejects_malformed(self, data):
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_json(data)
 
 
 class TestRunVerify:
@@ -219,10 +235,21 @@ class TestCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ['{"n": "abc"}', '{"n": [6], "trials": 1.5}', '[6]', '{"n": ['])
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, content):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(content)
+        assert cli_main(["verify", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_entry_point_runs_as_module(self):
+        # The subprocess does not inherit pytest's pythonpath setting.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "layeredsfm.cli", "verify", "--n", "4", "--trials", "2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0

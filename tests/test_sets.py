@@ -23,6 +23,7 @@ class TestGroundConfig:
         assert not cfg.divides_evenly
         assert cfg.pool_size(1) == 8
         assert cfg.pool_size(2) == 4
+        assert cfg.scale_denominators == (1, 8 * 8)
 
     def test_even_division(self):
         cfg = GroundConfig(8, 2)

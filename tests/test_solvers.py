@@ -97,6 +97,13 @@ class TestDecode:
         ans = decode_layer_answer(Fraction(1, 32), Fraction(1), 4, 1)
         assert ans.relation is Relation.EQUAL
 
+    def test_rejects_residual_above_exact_match_bound(self):
+        # An exact match's residual is at most 1/(4 * pool): 1/32 at pool 8.
+        assert decode_layer_answer(Fraction(1, 32), Fraction(1), 8, 1).relation is Relation.EQUAL
+        for v in (Fraction(1, 31), Fraction(1, 3)):
+            with pytest.raises(CorruptedOracleError):
+                decode_layer_answer(v, Fraction(1), 8, 1)
+
     def test_strict_superset_with_count(self):
         ans = decode_layer_answer(Fraction(7, 8), Fraction(1), 4, 1)
         assert ans.relation is Relation.STRICT_SUPERSET
