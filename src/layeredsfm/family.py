@@ -183,9 +183,13 @@ class LayeredInstance:
 
     @classmethod
     def from_json(cls, data: dict) -> "LayeredInstance":
-        config = GroundConfig(n=data["n"], r=data["r"])
-        blocks = [Subset.from_json(config.n, layer["A"]) for layer in data["layers"]]
-        hidden = [Subset.from_json(config.n, layer["R"]) for layer in data["layers"]]
+        """Inverse of :meth:`to_json`; malformed input raises ValueError."""
+        try:
+            config = GroundConfig(n=data["n"], r=data["r"])
+            blocks = [Subset.from_json(config.n, layer["A"]) for layer in data["layers"]]
+            hidden = [Subset.from_json(config.n, layer["R"]) for layer in data["layers"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed instance JSON: {exc!r}") from exc
         return cls(config, blocks, hidden)
 
 

@@ -86,17 +86,25 @@ class Transcript:
 
     @classmethod
     def from_json(cls, data: dict) -> "Transcript":
-        config = GroundConfig(n=data["config"]["n"], r=data["config"]["r"])
-        out = cls(config)
-        for rec in data["records"]:
-            out.append(
-                QueryRecord(
-                    index=rec["index"],
-                    round=rec["round"],
-                    query=Subset.from_json(config.n, rec["query"]),
-                    value=parse_value(rec["value"]),
+        """Inverse of :meth:`to_json`; malformed input raises ValueError."""
+        try:
+            config = GroundConfig(n=data["config"]["n"], r=data["config"]["r"])
+            out = cls(config)
+            for rec in data["records"]:
+                index, round_ = rec["index"], rec["round"]
+                if not all(type(v) is int and v >= 1 for v in (index, round_)):  # no bools
+                    raise ValueError(f"record index and round must be positive integers, "
+                                     f"got {index!r} and {round_!r}")
+                out.append(
+                    QueryRecord(
+                        index=index,
+                        round=round_,
+                        query=Subset.from_json(config.n, rec["query"]),
+                        value=parse_value(rec["value"]),
+                    )
                 )
-            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed transcript JSON: {exc!r}") from exc
         return out
 
 

@@ -42,6 +42,8 @@ class GroundConfig:
     r: int
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.n, self.r)):
+            raise ValueError(f"n and r must be integers, got n={self.n!r}, r={self.r!r}")
         if self.n < 1:
             raise ValueError(f"ground size must be positive, got {self.n}")
         if self.n > MAX_GROUND_SIZE:

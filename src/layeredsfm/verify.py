@@ -187,7 +187,7 @@ def check_function_properties(fn: SetFunction, n: int, predicted_min: Subset) ->
     lowest = min(values)
     argmin = [bits for bits, v in enumerate(values) if v == lowest]
     unique_min_ok = len(argmin) == 1 and argmin[0] == predicted_min.bits
-    witness = check_submodular_pairs(fn, n)
+    witness = check_submodular_pairs(lambda s: values[s.bits], n)
     return PropertyReport(
         range_ok=range_ok,
         unique_min_ok=unique_min_ok,

@@ -61,6 +61,7 @@ class TestConfigValidation:
         {"mode": "verify", "n": [6], "trials": True},
         {"mode": "verify", "n": [6], "solver": ["family_aware"]},
         ["verify", 6],
+        {"mode": "bench", "n": [2048]},
     ])
     def test_from_json_rejects_malformed(self, data):
         with pytest.raises(ValueError):
@@ -116,6 +117,30 @@ class TestRunDuel:
         assert report.aggregate["queries"] >= 128
 
 
+    def test_query_floor_evidence_only_on_failure(self, monkeypatch):
+        from layeredsfm.harness import SOLVERS
+        from layeredsfm.sets import Subset
+        from layeredsfm.solvers import SolverResult
+
+        def floor_entry(report):
+            return next(a for a in report.assertions if a["name"] == "query_floor")
+
+        passing = floor_entry(run_duel(cfg(mode="duel", n=16)))
+        assert passing["passed"] and "evidence" not in passing
+
+        oracles = []
+
+        def one_query(oracle, config):
+            oracles.append(oracle)
+            value = oracle.answer(Subset(config.n))
+            return SolverResult("stub", Subset(config.n), value, 1, 1)
+
+        monkeypatch.setitem(SOLVERS, "family_aware", one_query)
+        failing = floor_entry(run_duel(cfg(mode="duel", n=16)))
+        assert not failing["passed"]
+        assert failing["evidence"] == oracles[0].transcript.to_json()
+
+
 class TestRunParallel:
     def test_rounds_and_correctness(self):
         report = run_parallel(cfg(mode="parallel", n=16, r=2, trials=10, queries_per_round=16))
@@ -127,6 +152,34 @@ class TestRunParallel:
         report = run_parallel(cfg(mode="parallel", n=8, r=4, trials=5, queries_per_round=4))
         assert report.passed
         assert report.aggregate["layers"] == 1
+
+    def test_lucky_hits_replay_from_seed(self):
+        # Replay each trial's random draws and count the queries matching the
+        # frontier layer's hidden set; the baseline shares the solver's rounds.
+        from layeredsfm.family import sample_instance, true_minimizer
+        from layeredsfm.rng import SplitMix64
+        from layeredsfm.sets import GroundConfig, Subset
+
+        report = run_parallel(cfg(mode="parallel", n=8, r=1, trials=5, queries_per_round=16))
+        assert report.passed
+        ground = GroundConfig(8, 1)
+        total = 0
+        for trial in report.trials:
+            inst = sample_instance(ground, trial["seed"])
+            rng = SplitMix64(trial["seed"])
+            prefix = Subset(8)
+            hits = 0
+            for pool, block, hidden in zip(inst.pools, inst.blocks, inst.hidden_sets):
+                for _ in range(16):
+                    s = prefix | rng.subset_of(pool)
+                    hits += (s & block) == hidden
+                prefix = prefix | hidden
+            assert trial["naive"]["lucky_hits"] == hits
+            assert trial["naive"]["rounds"] == trial["result"]["rounds"]
+            solver_correct = trial["result"]["minimizer"] == true_minimizer(inst).to_json()
+            assert trial["naive"]["correct"] == solver_correct
+            total += hits
+        assert total > 0
 
     def test_minimizers_match_brute_force(self):
         # Re-derive each trial's instance from its recorded seed and compare
@@ -241,6 +294,14 @@ class TestCli:
         config_path.write_text(content)
         assert cli_main(["verify", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_ground_size_above_capacity_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({"mode": "bench", "n": [2048]}))
+        for argv in (["bench", "--config", str(config_path)], ["bench", "--n", "2048", "--trials", "1"]):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "capacity" in err
 
     def test_entry_point_runs_as_module(self):
         # The subprocess does not inherit pytest's pythonpath setting.

@@ -35,6 +35,12 @@ class TestGroundConfig:
         with pytest.raises(ValueError):
             GroundConfig(n, r)
 
+    @pytest.mark.parametrize("n,r", [("4", 1), (4.0, 1), (4, True), (None, 1), (4, [1])],
+                             ids=["str-n", "float-n", "bool-r", "none-n", "list-r"])
+    def test_rejects_non_integer_parameters(self, n, r):
+        with pytest.raises(ValueError):
+            GroundConfig(n, r)
+
     def test_layer_count_at_least_one(self):
         assert GroundConfig(2, 1).layer_count == 1
         assert GroundConfig(1024, 512).layer_count == 1

@@ -134,6 +134,22 @@ class TestPropertyReports:
         for seed in rng.spawn_seeds(100):
             assert check_instance_properties(sample_instance(cfg, seed)).all_ok
 
+    def test_each_subset_evaluated_once(self):
+        from collections import Counter
+
+        from layeredsfm.family import evaluate_closed_form, true_minimizer
+
+        inst = sample_instance(GroundConfig(8, 2), 5)
+        calls = Counter()
+
+        def counting(s):
+            calls[s.bits] += 1
+            return evaluate_closed_form(inst, s)
+
+        assert check_function_properties(counting, 8, true_minimizer(inst)).all_ok
+        assert len(calls) == 1 << 8
+        assert set(calls.values()) == {1}
+
     def test_corrupted_evaluator_caught(self):
         cfg = GroundConfig(6, 1)
         inst = sample_instance(cfg, 2)

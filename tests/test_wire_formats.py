@@ -1,0 +1,111 @@
+"""The instance and transcript JSON parsers are total: malformed input
+raises ValueError, anything accepted round-trips through ``to_json``."""
+
+import copy
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from layeredsfm.family import LayeredInstance, canonical_instance, sample_instance
+from layeredsfm.oracles import HalvingAdversary, Transcript
+from layeredsfm.rng import SplitMix64
+from layeredsfm.sets import GroundConfig, Subset
+
+
+def _transcript_json(n, queries, seed):
+    adv = HalvingAdversary(GroundConfig(n, 1))
+    rng = SplitMix64(seed)
+    for _ in range(queries):
+        adv.begin_round()
+        adv.answer(rng.subset_of(Subset.full(n)))
+    return adv.transcript.to_json()
+
+
+VALID_INSTANCES = [
+    canonical_instance(GroundConfig(4, 1)).to_json(),
+    sample_instance(GroundConfig(7, 1), 3).to_json(),
+    sample_instance(GroundConfig(8, 2), 4).to_json(),
+]
+VALID_TRANSCRIPTS = [_transcript_json(4, 2, 1), _transcript_json(8, 5, 2)]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "r", "A", "R", "x"]), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def near_valid(draw, docs):
+    """A valid document with one node replaced by arbitrary JSON or removed,
+    or (rarely) arbitrary JSON on its own."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        parent = node
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        node = node[key]
+    if parent is None:
+        return draw(json_values) if draw(st.booleans()) else doc
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(json_values)
+    return doc
+
+
+def _same_transcript(a, b):
+    return a.config == b.config and a.records == b.records
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_valid(VALID_INSTANCES))
+def test_instance_parser_is_total(data):
+    try:
+        inst = LayeredInstance.from_json(data)
+    except ValueError:
+        return
+    assert LayeredInstance.from_json(inst.to_json()) == inst
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_valid(VALID_TRANSCRIPTS))
+def test_transcript_parser_is_total(data):
+    try:
+        transcript = Transcript.from_json(data)
+    except ValueError:
+        return
+    assert _same_transcript(Transcript.from_json(transcript.to_json()), transcript)
+
+
+def _record(**changes):
+    record = {"index": 1, "round": 1, "query": [0], "value": "1"}
+    record.update(changes)
+    return {k: v for k, v in record.items() if v is not None}
+
+
+@pytest.mark.parametrize("parse,data", [
+    (LayeredInstance.from_json, {"n": 4}),
+    (LayeredInstance.from_json, {"n": "4", "r": 1, "layers": []}),
+    (LayeredInstance.from_json, {"n": 4, "r": 1, "layers": [{"A": [0, 1]}, {"A": [2, 3], "R": [2]}]}),
+    (LayeredInstance.from_json, [4, 1]),
+    (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(round=None)]}),
+    (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(index="1")]}),
+    (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(query=["0"])]}),
+    (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(round=True)]}),
+    (Transcript.from_json, {"records": []}),
+], ids=["instance-missing-r", "instance-str-n", "instance-layer-without-R", "instance-not-object",
+        "record-without-round", "record-str-index", "record-str-query", "record-bool-round",
+        "transcript-without-config"])
+def test_malformed_input_raises_value_error(parse, data):
+    with pytest.raises(ValueError):
+        parse(data)
+
+
+def test_valid_documents_round_trip():
+    for data in VALID_INSTANCES:
+        assert LayeredInstance.from_json(data).to_json() == data
+    for data in VALID_TRANSCRIPTS:
+        assert Transcript.from_json(data).to_json() == data
