@@ -112,7 +112,7 @@ class LayeredInstance:
     so the minimizer is unique only up to dummies.
     """
 
-    __slots__ = ("config", "blocks", "hidden_sets", "pools")
+    __slots__ = ("config", "blocks", "hidden_sets", "pools", "prefix_unions", "hidden_union")
 
     def __init__(self, config: GroundConfig, blocks: Sequence[Subset], hidden_sets: Sequence[Subset]):
         ell = config.layer_count
@@ -138,12 +138,18 @@ class LayeredInstance:
         self.blocks = list(blocks)
         self.hidden_sets = list(hidden_sets)
 
-        # pools[k-1] = still-unclassified elements when layer k opens.
+        # pools[k-1] = still-unclassified elements when layer k opens;
+        # prefix_unions[k-1] = A_1 | .. | A_k and hidden_union = R_1 | .. | R_L,
+        # the masks of the layer lookup (:func:`_divergent_layer`).
         self.pools: list[Subset] = []
+        self.prefix_unions: list[int] = []
+        self.hidden_union = 0
         remaining = covered
-        for a in self.blocks:
+        for a, r in zip(self.blocks, self.hidden_sets):
             self.pools.append(Subset(config.n, remaining))
             remaining &= ~a.bits
+            self.prefix_unions.append(covered & ~remaining)
+            self.hidden_union |= r.bits
 
     @property
     def layer_count(self) -> int:
@@ -193,13 +199,32 @@ class LayeredInstance:
         return cls(config, blocks, hidden)
 
 
+def _divergent_layer(prefix_unions: Sequence[int], mismatch: int) -> int | None:
+    """Smallest k (1-based) with ``mismatch & prefix_unions[k-1] != 0``, or None.
+
+    With ``prefix_unions[k-1] = A_1 | .. | A_k`` over disjoint blocks and
+    ``mismatch = s ^ (R_1 | .. | R_L)``, that k is the first layer with
+    ``s cap A_k != R_k``: the mismatch meets A_k exactly when layer k
+    diverges.  The test is monotone in k, so bisection finds k in
+    O(log L) big-int ANDs.  Bits outside every block (dummies, or layers
+    not yet committed) never count.
+    """
+    hi = len(prefix_unions)
+    if hi == 0 or not mismatch & prefix_unions[-1]:
+        return None
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mismatch & prefix_unions[mid - 1]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def first_divergent_layer(inst: LayeredInstance, s: Subset) -> int | None:
     """Smallest layer k (1-based) with ``s cap A_k != R_k``, or None if all match."""
-    s_bits = s.bits
-    for k, (a, r) in enumerate(zip(inst.blocks, inst.hidden_sets), start=1):
-        if s_bits & a.bits != r.bits:
-            return k
-    return None
+    return _divergent_layer(inst.prefix_unions, s.bits ^ inst.hidden_union)
 
 
 def _layer_value(
@@ -226,8 +251,9 @@ def _layer_value(
 def evaluate_closed_form(inst: LayeredInstance, s: Subset) -> ExactValue:
     """Value of the instance at ``s`` via the first-divergent-layer formula.
 
-    Costs O(layers + n) bit operations plus one rational reduction; this is
-    the production path.  Agrees exactly with :func:`evaluate_recursive`.
+    Costs O(log layers) big-int ANDs plus O(n) bit work and one rational
+    reduction; this is the production path.  Agrees exactly with
+    :func:`evaluate_recursive`.
     """
     if s.size != inst.config.n:
         raise ValueError(f"query must live on the {inst.config.n}-element ground set")
@@ -280,10 +306,7 @@ def true_minimizer(inst: LayeredInstance) -> Subset:
     Unique when 2r divides n; otherwise it is the minimal minimizer over
     the effective prefix (adding dummies never changes the value).
     """
-    bits = 0
-    for r in inst.hidden_sets:
-        bits |= r.bits
-    return Subset(inst.config.n, bits)
+    return Subset(inst.config.n, inst.hidden_union)
 
 
 def minimizer_is_unique(inst: LayeredInstance) -> bool:

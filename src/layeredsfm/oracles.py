@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .family import (
     LayeredInstance,
+    _divergent_layer,
     _layer_value,
     complete_instance,
     evaluate_closed_form,
@@ -194,6 +195,9 @@ class HalvingAdversary(_Oracle):
         self.engaged_layers: list[int | None] = []
         self._pool = Subset.full(config.n)
         self._pool_masks: list[int] = []  # pool bits of each committed layer
+        # Layer lookup masks over the committed layers, as in LayeredInstance.
+        self._prefix_unions: list[int] = []
+        self._hidden_union = 0
         self._active_u = Subset.full(config.n)
         self._engaged_count = 0  # engaging queries since the active layer opened
         self._instance: LayeredInstance | None = None
@@ -230,6 +234,9 @@ class HalvingAdversary(_Oracle):
             )
         )
         self._pool_masks.append(self._pool.bits)
+        union = self._prefix_unions[-1] if self._prefix_unions else 0
+        self._prefix_unions.append(union | block_bits)
+        self._hidden_union |= hidden_bits
         self._pool = self._pool - block
         self._active_u = self._pool
         self._engaged_count = 0
@@ -275,11 +282,7 @@ class HalvingAdversary(_Oracle):
         if self._instance is not None:
             value = evaluate_closed_form(self._instance, s)
         else:
-            divergent = None
-            for k, c in enumerate(self.commits, start=1):
-                if s_bits & c.block.bits != c.hidden.bits:
-                    divergent = k
-                    break
+            divergent = _divergent_layer(self._prefix_unions, s_bits ^ self._hidden_union)
             if divergent is not None:
                 value = self._committed_layer_value(divergent, s_bits)
             else:

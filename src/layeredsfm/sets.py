@@ -114,7 +114,9 @@ class Subset:
         return cls(size, (1 << size) - 1)
 
     def indices(self) -> list[int]:
-        return [i for i in range(self.size) if (self.bits >> i) & 1]
+        # Scans the mask's binary digits (lowest first) instead of testing
+        # each of the ``size`` positions with a shift.
+        return [i for i, c in enumerate(reversed(bin(self.bits)[2:])) if c == "1"]
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices())
@@ -175,7 +177,13 @@ class Subset:
         return self.indices()
 
     @classmethod
-    def from_json(cls, size: int, data: Iterable[int]) -> "Subset":
+    def from_json(cls, size: int, data: list[int]) -> "Subset":
+        """Inverse of :meth:`to_json`: a strictly increasing list of ``int``
+        indices (no ``bool``); anything else raises ValueError."""
+        if type(data) is not list or any(type(i) is not int for i in data):
+            raise ValueError("subset must be a list of integer indices")
+        if any(a >= b for a, b in zip(data, data[1:])):
+            raise ValueError("subset indices must strictly increase")
         return cls.from_indices(size, data)
 
 

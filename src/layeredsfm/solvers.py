@@ -98,23 +98,29 @@ def decode_layer_answer(
     """
     if layer_scale <= 0 or pool_size <= 0:
         raise ValueError("layer scale and pool size must be positive")
-    v = Fraction(value) / layer_scale
-    if v < 0 or v > 2:
-        raise CorruptedOracleError(f"normalized value {format_value(v)} outside [0, 2]")
-    if v == 2:
+    # v = value / layer_scale, held as num/den (den > 0) and compared without
+    # reducing: a gcd of the deep layers' long denominators costs more than
+    # the integer cross-multiplications below.
+    num = value.numerator * layer_scale.denominator
+    den = value.denominator * layer_scale.numerator
+    if num < 0 or num > 2 * den:
+        raise CorruptedOracleError(f"normalized value {format_value(Fraction(num, den))} outside [0, 2]")
+    if num == 2 * den:
         return LayerAnswer(relation=Relation.INCOMPARABLE, outside_block=None, layer=layer)
-    if v == 1:
+    if num == den:
         return LayerAnswer(relation=None, outside_block=0, layer=layer)
-    if v <= Fraction(1, 4 * pool_size):
+    if 4 * pool_size * num <= den:
         # An exact match's residual (deeper layers' value) is at most 1/(4 * pool).
         return LayerAnswer(relation=Relation.EQUAL, outside_block=None, layer=layer)
-    if v > 1:
-        rel, count = Relation.STRICT_SUBSET, 2 * pool_size * (v - 1)
+    # 2 * pool * |v - 1| counts the queried pool elements below the block.
+    if num > den:
+        rel, cnum = Relation.STRICT_SUBSET, 2 * pool_size * (num - den)
     else:
-        rel, count = Relation.STRICT_SUPERSET, 2 * pool_size * (1 - v)
-    if count.denominator != 1 or count > pool_size:
-        raise CorruptedOracleError(f"normalized value {format_value(v)} matches no layer case")
-    return LayerAnswer(relation=rel, outside_block=int(count), layer=layer)
+        rel, cnum = Relation.STRICT_SUPERSET, 2 * pool_size * (den - num)
+    count, rest = divmod(cnum, den)
+    if rest or count > pool_size:
+        raise CorruptedOracleError(f"normalized value {format_value(Fraction(num, den))} matches no layer case")
+    return LayerAnswer(relation=rel, outside_block=count, layer=layer)
 
 
 def brute_force_minimize(oracle) -> SolverResult:
@@ -129,14 +135,14 @@ def brute_force_minimize(oracle) -> SolverResult:
     oracle.begin_round()
     best: Subset | None = None
     best_value: ExactValue | None = None
-    best_key: tuple[int, ...] | None = None
     queries = 0
     for s in enumerate_subsets(n):
         value = oracle.answer(s)
         queries += 1
-        key = tuple(s.indices())
-        if best_value is None or value < best_value or (value == best_value and key < best_key):
-            best, best_value, best_key = s, value, key
+        if best_value is None or value < best_value:
+            best, best_value = s, value
+        elif value == best_value and s.indices() < best.indices():
+            best = s
     assert best is not None and best_value is not None
     return SolverResult("brute_force", best, best_value, queries, 1)
 
@@ -305,7 +311,7 @@ def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
         pool_size = len(pool)
         denom = config.scale_denominators[layer - 1]
         counter.begin_round()
-        answers = [(e, counter.ask(prefix | Subset.from_indices(n, [e]))) for e in pool.indices()]
+        answers = [(e, counter.ask(Subset(n, prefix.bits | 1 << e))) for e in pool.indices()]
         classes: dict[str, list[int]] = {"hidden": [], "off_block": [], "deeper": []}
         for e, value in answers:
             label = classify_singleton(value, denom, pool_size, r)

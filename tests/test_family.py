@@ -15,6 +15,7 @@ from layeredsfm.family import (
     submodularizer,
     true_minimizer,
 )
+from layeredsfm.rng import SplitMix64
 from layeredsfm.sets import GroundConfig, Subset, enumerate_subsets
 
 
@@ -126,6 +127,34 @@ class TestEvaluators:
         assert first_divergent_layer(inst, subset(4, 0, 2)) is None
         assert first_divergent_layer(inst, Subset(4)) == 1
         assert first_divergent_layer(inst, subset(4, 0, 3)) == 2
+
+    @pytest.mark.parametrize("n,r", [(2, 1), (5, 2), (6, 3), (7, 1), (11, 3), (16, 1), (23, 2), (64, 1)])
+    def test_first_divergent_layer_matches_linear_scan(self, n, r):
+        # Covers L = 1, 2r not dividing n (dummy bits set in the query), a
+        # divergence at every depth, random queries and the minimizer itself.
+        def linear_scan(inst, s):
+            for k, (a, h) in enumerate(zip(inst.blocks, inst.hidden_sets), start=1):
+                if s.bits & a.bits != h.bits:
+                    return k
+            return None
+
+        cfg = GroundConfig(n, r)
+        dummies = Subset.full(n) - Subset.from_indices(n, range(cfg.effective_size))
+        rng = SplitMix64(100 * n + r)
+        for seed in range(3):
+            inst = sample_instance(cfg, seed)
+            minimizer = true_minimizer(inst)
+            assert first_divergent_layer(inst, minimizer) is None
+            assert first_divergent_layer(inst, minimizer | dummies) is None
+            for k in range(1, cfg.layer_count + 1):
+                deeper = inst.pools[k - 1] - inst.blocks[k - 1]
+                for e in inst.blocks[k - 1]:
+                    noise = rng.subset_of(deeper | dummies)
+                    s = Subset(n, (minimizer.bits ^ 1 << e) & ~deeper.bits) | noise
+                    assert first_divergent_layer(inst, s) == k == linear_scan(inst, s)
+            for _ in range(50):
+                s = rng.subset_of(Subset.full(n))
+                assert first_divergent_layer(inst, s) == linear_scan(inst, s)
 
     @pytest.mark.parametrize("n,r,seeds", [(4, 1, 5), (6, 1, 5), (8, 2, 5), (12, 3, 2), (12, 1, 2)])
     def test_closed_form_equals_recursion_exhaustive(self, n, r, seeds):

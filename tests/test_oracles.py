@@ -6,6 +6,7 @@ import pytest
 
 from layeredsfm.family import (
     LayeredInstance,
+    _layer_value,
     evaluate_closed_form,
     true_minimizer,
 )
@@ -120,6 +121,39 @@ class TestAdversaryAnswers:
         # Diverges at layer 1 (contains 1 but not as {0}): exact value.
         value = adv.answer(subset(8, 1, 5))
         assert value == Fraction(2)
+
+    @pytest.mark.parametrize("n", [2, 8, 16, 64])
+    def test_committed_answers_match_linear_scan(self, n):
+        # Half the queries match every committed layer and engage the active
+        # one; the rest keep a random number of committed layers matched, so
+        # they diverge at every committed depth.
+        cfg = GroundConfig(n, 1)
+        adv = HalvingAdversary(cfg)
+        rng = SplitMix64(n)
+        ground = Subset.full(n)
+        depths = set()
+        for _ in range(8 * n):
+            keep = rng.below(len(adv.commits) + 1) if rng.below(2) else len(adv.commits)
+            matched = Subset(n)
+            pool = ground
+            for c in adv.commits[:keep]:
+                matched, pool = matched | c.hidden, pool - c.block
+            s = matched | rng.subset_of(pool)
+            k = next((c.layer for c in adv.commits if s.bits & c.block.bits != c.hidden.bits), None)
+            value = adv.answer(s)
+            if k is not None:
+                c = adv.commits[k - 1]
+                pool_bits = ground.bits
+                for earlier in adv.commits[: k - 1]:
+                    pool_bits &= ~earlier.block.bits
+                assert value == _layer_value(
+                    c.block.bits, c.hidden.bits, pool_bits, c.pool_size,
+                    cfg.scale_denominators[k - 1], s.bits,
+                )
+                assert adv.engaged_layers[-1] is None
+                depths.add(k)
+        assert depths == set(range(1, cfg.layer_count + 1))
+        adv.finalize()  # raises on any replay mismatch
 
     def test_becomes_honest_once_fully_committed(self):
         adv = HalvingAdversary(GroundConfig(4, 1))

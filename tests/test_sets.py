@@ -122,6 +122,19 @@ class TestAlgebra:
         s = subset(8, 0, 2, 5)
         assert s.to_json() == [0, 2, 5]
         assert Subset.from_json(8, [0, 2, 5]) == s
+        assert Subset.from_json(8, []) == Subset(8)
+
+    @pytest.mark.parametrize("data", [
+        [2, 0], [0, 2, 2], [0, True], [False], [0, 1.0], ["1"], (0, 2), "02", {"0": 1}, None, [8], [-1],
+    ])
+    def test_from_json_rejects_what_to_json_never_writes(self, data):
+        with pytest.raises(ValueError):
+            Subset.from_json(8, data)
+
+    @given(st.integers(0, 70).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
+    def test_indices_are_the_set_bits_ascending(self, args):
+        n, bits = args
+        assert Subset(n, bits).indices() == [i for i in range(n) if (bits >> i) & 1]
 
 
 class TestEnumerateSubsets:

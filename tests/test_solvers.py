@@ -11,9 +11,11 @@ from layeredsfm.family import (
     true_minimizer,
 )
 from layeredsfm.oracles import HalvingAdversary, HonestOracle
+from layeredsfm.rationals import format_value
 from layeredsfm.sets import GroundConfig, Relation, Subset, enumerate_subsets
 from layeredsfm.solvers import (
     CorruptedOracleError,
+    LayerAnswer,
     brute_force_minimize,
     decode_layer_answer,
     family_aware_minimize,
@@ -79,8 +81,71 @@ class TestBruteForce:
         res = brute_force_minimize(Flat())
         assert res.minimizer == Subset(3)
 
+    def test_tie_break_prefers_later_least_index_list(self):
+        # {1} is enumerated before {0, 2} but [0, 2] < [1] wins the tie.
+        class TwoMinima:
+            config = GroundConfig(3, 1)
+
+            def begin_round(self):
+                pass
+
+            def answer(self, s):
+                return Fraction(0) if s.indices() in ([1], [0, 2]) else Fraction(1)
+
+        res = brute_force_minimize(TwoMinima())
+        assert res.minimizer == subset(3, 0, 2)
+
+
+def _reference_decode(value, layer_scale, pool_size, layer):
+    """The decoder by Fraction division, kept as the reference."""
+    v = Fraction(value) / layer_scale
+    if v < 0 or v > 2:
+        raise CorruptedOracleError(f"normalized value {format_value(v)} outside [0, 2]")
+    if v == 2:
+        return LayerAnswer(relation=Relation.INCOMPARABLE, outside_block=None, layer=layer)
+    if v == 1:
+        return LayerAnswer(relation=None, outside_block=0, layer=layer)
+    if v <= Fraction(1, 4 * pool_size):
+        return LayerAnswer(relation=Relation.EQUAL, outside_block=None, layer=layer)
+    if v > 1:
+        rel, count = Relation.STRICT_SUBSET, 2 * pool_size * (v - 1)
+    else:
+        rel, count = Relation.STRICT_SUPERSET, 2 * pool_size * (1 - v)
+    if count.denominator != 1 or count > pool_size:
+        raise CorruptedOracleError(f"normalized value {format_value(v)} matches no layer case")
+    return LayerAnswer(relation=rel, outside_block=int(count), layer=layer)
+
 
 class TestDecode:
+    @pytest.mark.parametrize("n,r,layer", [(6, 1, 2), (16, 2, 3), (1024, 1, 400), (1024, 1, 512)])
+    def test_matches_fraction_reference(self, n, r, layer):
+        # The value set of one layer (normalized): 2, 1 +- c/(2 pool) for
+        # c <= pool, and exact-match residuals (the next layer's values over
+        # 8 pool); plus values just off it and counts above the pool.
+        cfg = GroundConfig(n, r)
+        pool = cfg.pool_size(layer)
+        scale = Fraction(1, cfg.scale_denominators[layer - 1])
+        sides = [1 + Fraction(c, 2 * pool) for c in range(-pool - 2, pool + 3)]
+        deeper = max(pool - 2 * r, 1)
+        residuals = [(1 + Fraction(c, 2 * deeper)) / (8 * pool) for c in range(-deeper, deeper + 1)]
+        exact = [Fraction(0), Fraction(2), Fraction(1, 4 * pool), *sides, *residuals]
+        eps = Fraction(1, 64 * pool * pool)
+        outcomes = []
+        for v in exact:
+            for w in (v, v - eps, v + eps):
+                value = w * scale
+                try:
+                    want = _reference_decode(value, scale, pool, layer)
+                except CorruptedOracleError as exc:
+                    with pytest.raises(CorruptedOracleError) as got:
+                        decode_layer_answer(value, scale, pool, layer)
+                    assert str(got.value) == str(exc)
+                    outcomes.append(False)
+                else:
+                    assert decode_layer_answer(value, scale, pool, layer) == want
+                    outcomes.append(True)
+        assert any(outcomes) and not all(outcomes)
+
     def test_strict_subset_with_count(self):
         ans = decode_layer_answer(Fraction(9, 8), Fraction(1), 4, 1)
         assert ans.relation is Relation.STRICT_SUBSET

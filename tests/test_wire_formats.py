@@ -91,12 +91,19 @@ def _record(**changes):
     (LayeredInstance.from_json, {"n": "4", "r": 1, "layers": []}),
     (LayeredInstance.from_json, {"n": 4, "r": 1, "layers": [{"A": [0, 1]}, {"A": [2, 3], "R": [2]}]}),
     (LayeredInstance.from_json, [4, 1]),
+    (LayeredInstance.from_json, {"n": 4, "r": 1, "layers": [{"A": [1, 0, True], "R": [False]},
+                                                            {"A": [3, 2], "R": [2, 2]}]}),
+    (LayeredInstance.from_json, {"n": 4, "r": 1, "layers": [{"A": [1, 0], "R": [0]},
+                                                            {"A": [2, 3], "R": [2]}]}),
+    (LayeredInstance.from_json, {"n": 4, "r": 1, "layers": [{"A": [0, 1], "R": [0, 0]},
+                                                            {"A": [2, 3], "R": [2]}]}),
     (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(round=None)]}),
     (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(index="1")]}),
     (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(query=["0"])]}),
     (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(round=True)]}),
     (Transcript.from_json, {"records": []}),
 ], ids=["instance-missing-r", "instance-str-n", "instance-layer-without-R", "instance-not-object",
+        "instance-bool-and-unsorted-indices", "instance-unsorted-block", "instance-duplicate-index",
         "record-without-round", "record-str-index", "record-str-query", "record-bool-round",
         "transcript-without-config"])
 def test_malformed_input_raises_value_error(parse, data):
