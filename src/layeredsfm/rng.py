@@ -75,13 +75,22 @@ class SplitMix64:
 
     def subset_of(self, carrier: Subset) -> Subset:
         """Uniform subset of ``carrier``: each member kept independently at 1/2."""
-        members = carrier.indices()
+        return Subset(carrier.size, self.mask_of(carrier.indices()))
+
+    def mask_of(self, members: Sequence[int]) -> int:
+        """Bit mask of a uniform subset of ``members`` (ascending indices).
+
+        One ``bits(len(members))`` draw; its bit ``pos`` keeps
+        ``members[pos]``.  Callers that draw many subsets of one carrier
+        list its members once and call this directly.
+        """
         keep = self.bits(len(members))
-        picked = 0
-        for pos, idx in enumerate(members):
-            if (keep >> pos) & 1:
-                picked |= 1 << idx
-        return Subset(carrier.size, picked)
+        if not members:
+            return 0
+        chars = ["0"] * (members[-1] + 1)
+        for idx, c in zip(members, bin(keep)[:1:-1]):
+            chars[idx] = c
+        return int("".join(reversed(chars)), 2)
 
     def spawn_seeds(self, count: int) -> list[int]:
         """Independent child seeds, e.g. one per experiment trial."""

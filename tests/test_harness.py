@@ -62,6 +62,8 @@ class TestConfigValidation:
         {"mode": "verify", "n": [6], "solver": ["family_aware"]},
         ["verify", 6],
         {"mode": "bench", "n": [2048]},
+        {"mode": "verify", "n": [7], "r": 1},
+        {"mode": "verify", "n": [5], "r": 2},
     ])
     def test_from_json_rejects_malformed(self, data):
         with pytest.raises(ValueError):
@@ -302,6 +304,15 @@ class TestCli:
             assert cli_main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "capacity" in err
+
+    @pytest.mark.parametrize("n,r", [("7", "1"), ("5", "2")])
+    def test_verify_with_dummies_exits_2(self, capsys, n, r):
+        # Dummy elements make the minimizer non-unique, so the run would
+        # report a false failure; the config is refused instead.
+        assert cli_main(["verify", "--n", n, "--r", r, "--trials", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "2*r | n" in captured.err
+        assert "[FAIL]" not in captured.out
 
     def test_entry_point_runs_as_module(self):
         # The subprocess does not inherit pytest's pythonpath setting.

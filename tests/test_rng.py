@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from layeredsfm.rng import SplitMix64
 from layeredsfm.sets import Subset
@@ -57,3 +58,30 @@ def test_subset_of_respects_carrier():
     for _ in range(50):
         s = rng.subset_of(carrier)
         assert s.is_subset_of(carrier)
+
+
+def _reference_subset_of(rng, carrier):
+    # One bits() draw over the listed members; bit pos keeps members[pos].
+    members = carrier.indices()
+    keep = rng.bits(len(members))
+    picked = 0
+    for pos, idx in enumerate(members):
+        if (keep >> pos) & 1:
+            picked |= 1 << idx
+    return Subset(carrier.size, picked)
+
+
+@given(
+    st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))),
+    st.integers(0, (1 << 64) - 1),
+)
+def test_subset_draws_match_per_member_reference(shape, seed):
+    n, bits = shape
+    carrier = Subset(n, bits)
+    members = carrier.indices()
+    ref, via_carrier, via_members = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+    for _ in range(3):
+        expected = _reference_subset_of(ref, carrier)
+        assert via_carrier.subset_of(carrier) == expected
+        assert via_members.mask_of(members) == expected.bits
+    assert ref.next() == via_carrier.next() == via_members.next()

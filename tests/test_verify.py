@@ -4,12 +4,15 @@ import pytest
 
 from layeredsfm.family import (
     containment_score,
+    evaluate_closed_form,
     sample_instance,
     submodularizer,
 )
 from layeredsfm.rng import SplitMix64
 from layeredsfm.sets import GroundConfig, Subset
 from layeredsfm.verify import (
+    _diamonds_hold,
+    _tabulate,
     check_block_properties,
     check_function_properties,
     check_instance_properties,
@@ -59,6 +62,66 @@ class TestPairCheck:
         w1 = check_submodular_pairs(fn, 6)
         w2 = check_submodular_pairs(fn, 6)
         assert (w1.x, w1.y) == (w2.x, w2.y)
+
+
+def _reference_first_pair(ints, n):
+    # The full pairwise scan over x <= y in increasing encoding.
+    size = 1 << n
+    for x in range(size):
+        for y in range(x, size):
+            if ints[x] + ints[y] < ints[x | y] + ints[x & y]:
+                return x, y
+    return None
+
+
+def _instance_tables():
+    # 2r does not divide n in (5, 1), (6, 2), (7, 1) and (8, 3): dummies.
+    for n, r in [(4, 1), (5, 1), (6, 1), (6, 2), (7, 1), (8, 2), (8, 3)]:
+        for seed in range(2):
+            inst = sample_instance(GroundConfig(n, r), seed)
+            yield n, _tabulate(lambda s: evaluate_closed_form(inst, s), n)[0]
+
+
+def _shifted_tables():
+    # One entry off by +-1 in the common-denominator integers breaks only
+    # the tight diamonds through that entry.  The empty and the full set
+    # are always shifted: at the full set every diamond has its top there.
+    rng = SplitMix64(5)
+    for n, ints in _instance_tables():
+        size = 1 << n
+        for at in {0, size - 1, *(rng.below(size) for _ in range(6))}:
+            for delta in (1, -1):
+                shifted = list(ints)
+                shifted[at] += delta
+                yield n, shifted
+
+
+def _random_tables():
+    rng = SplitMix64(31)
+    for n in range(1, 7):
+        for _ in range(40):
+            yield n, [rng.below(3) for _ in range(1 << n)]
+
+
+class TestDiamondScan:
+    @pytest.mark.parametrize("tables", [_instance_tables, _shifted_tables, _random_tables],
+                             ids=["instances", "shifted", "random"])
+    def test_matches_pairwise_reference(self, tables):
+        verdicts = set()
+        for n, ints in tables():
+            first = _reference_first_pair(ints, n)
+            assert _diamonds_hold(ints, n) == (first is None)
+            witness = check_submodular_pairs(lambda s: Fraction(ints[s.bits]), n)
+            if first is None:
+                assert witness is None
+            else:
+                assert (witness.x.bits, witness.y.bits) == first
+                assert witness.reverify(lambda s: Fraction(ints[s.bits]))
+            verdicts.add(first is None)
+        if tables is _instance_tables:
+            assert verdicts == {True}
+        else:
+            assert verdicts == {True, False}
 
 
 class TestMarginalCheck:

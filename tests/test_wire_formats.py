@@ -1,5 +1,6 @@
-"""The instance and transcript JSON parsers are total: malformed input
-raises ValueError, anything accepted round-trips through ``to_json``."""
+"""The instance, transcript and experiment-config JSON parsers are total:
+malformed input raises ValueError, anything accepted round-trips through
+``to_json``."""
 
 import copy
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layeredsfm.family import LayeredInstance, canonical_instance, sample_instance
+from layeredsfm.harness import ExperimentConfig
 from layeredsfm.oracles import HalvingAdversary, Transcript
 from layeredsfm.rng import SplitMix64
 from layeredsfm.sets import GroundConfig, Subset
@@ -28,6 +30,13 @@ VALID_INSTANCES = [
     sample_instance(GroundConfig(8, 2), 4).to_json(),
 ]
 VALID_TRANSCRIPTS = [_transcript_json(4, 2, 1), _transcript_json(8, 5, 2)]
+VALID_CONFIGS = [
+    ExperimentConfig("verify", (6,), r=1, seed=1, trials=5).to_json(),
+    ExperimentConfig("duel", (16,), solver="brute_force").to_json(),
+    ExperimentConfig("parallel", (8,), r=2, trials=3, queries_per_round=64).to_json(),
+    ExperimentConfig("hiding", (7,), r=2, trials=1000).to_json(),
+    ExperimentConfig("bench", (8, 16, 32), trials=3).to_json(),
+]
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 9) | st.floats(allow_nan=False) | st.text(max_size=3),
@@ -80,6 +89,16 @@ def test_transcript_parser_is_total(data):
     assert _same_transcript(Transcript.from_json(transcript.to_json()), transcript)
 
 
+@settings(max_examples=300, deadline=None)
+@given(near_valid(VALID_CONFIGS))
+def test_config_parser_is_total(data):
+    try:
+        config = ExperimentConfig.from_json(data)
+    except ValueError:
+        return
+    assert ExperimentConfig.from_json(config.to_json()) == config
+
+
 def _record(**changes):
     record = {"index": 1, "round": 1, "query": [0], "value": "1"}
     record.update(changes)
@@ -116,3 +135,5 @@ def test_valid_documents_round_trip():
         assert LayeredInstance.from_json(data).to_json() == data
     for data in VALID_TRANSCRIPTS:
         assert Transcript.from_json(data).to_json() == data
+    for data in VALID_CONFIGS:
+        assert ExperimentConfig.from_json(data).to_json() == data
