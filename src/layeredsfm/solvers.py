@@ -166,9 +166,20 @@ class _QueryCounter:
         return self.oracle.answer(s)
 
 
-def _split_block(indices: list[int]) -> tuple[list[int], list[int]]:
-    mid = len(indices) // 2
-    return indices[:mid], indices[mid:]
+def _split_mask(w: int) -> tuple[int, int]:
+    """Split a block mask at its median set bit: the ``popcount // 2``
+    lowest elements, then the rest (the halves of the ascending index list).
+    """
+    half = w.bit_count() // 2
+    lo, hi = 0, w.bit_length()
+    while lo < hi:  # least p with ``half`` set bits below position p
+        mid = (lo + hi) // 2
+        if (w & ((1 << mid) - 1)).bit_count() < half:
+            lo = mid + 1
+        else:
+            hi = mid
+    low = w & ((1 << lo) - 1)
+    return low, w ^ low
 
 
 def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
@@ -190,6 +201,11 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
     layer repeats.  Every query gets its own round (the procedure is fully
     adaptive).  Query use is asserted against the fixed engineering budget
     of ``QUERY_BUDGET_ALPHA * n * log2(max(n, 2))``.
+
+    The group testing works on ``int`` bit masks: prefix, pool, T and
+    every block are masks, a block splits at its median set bit (its lower
+    half is its ``popcount // 2`` lowest elements), and a :class:`Subset`
+    is built only for each query handed to the oracle.
     """
     counter = _QueryCounter(oracle)
     n, r = config.n, config.r
@@ -204,11 +220,11 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
             )
         return value
 
-    prefix = Subset(n)
-    pool = Subset.from_indices(n, range(config.effective_size))
+    prefix = 0
+    pool = (1 << config.effective_size) - 1
 
     for layer in range(1, config.layer_count + 1):
-        pool_size = len(pool)
+        pool_size = pool.bit_count()
         scale = Fraction(1, config.scale_denominators[layer - 1])
 
         def decode(value: ExactValue, queried_in_pool: int) -> LayerAnswer:
@@ -218,60 +234,59 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
             return ans
 
         # Phase A: classify away the block elements outside the hidden set.
-        accepted = Subset(n)
-        bad: list[int] = []
-        blocks = [pool.indices()]
-        while blocks and len(bad) < r:
+        accepted = 0
+        bad = 0
+        blocks = [pool]
+        while blocks and bad < r:
             w = blocks.pop()
-            s = prefix | accepted | Subset.from_indices(n, w)
-            ans = decode(ask(s), len(accepted) + len(w))
+            s = Subset(n, prefix | accepted | w)
+            ans = decode(ask(s), accepted.bit_count() + w.bit_count())
             if ans.relation in (Relation.EQUAL, Relation.STRICT_SUBSET):
-                accepted = accepted | Subset.from_indices(n, w)
-            elif len(w) == 1:
-                bad.append(w[0])
+                accepted |= w
+            elif w & (w - 1) == 0:
+                bad += 1
             else:
-                first, second = _split_block(w)
+                first, second = _split_mask(w)
                 blocks.append(second)
                 blocks.append(first)
-        if len(bad) != r:
+        if bad != r:
             raise CorruptedOracleError(
-                f"layer {layer}: found {len(bad)} off-pattern block elements, expected {r}"
+                f"layer {layer}: found {bad} off-pattern block elements, expected {r}"
             )
         while blocks:  # remaining blocks are clean once all r bads are known
-            accepted = accepted | Subset.from_indices(n, blocks.pop())
+            accepted |= blocks.pop()
 
         # Phase B: extract the hidden set from T by group-tested removal.
-        hidden: list[int] = []
-        blocks = [accepted.indices()]
-        while blocks and len(hidden) < r:
+        hidden = 0
+        blocks = [accepted]
+        while blocks and hidden.bit_count() < r:
             w = blocks.pop()
-            removed = Subset.from_indices(n, w)
-            s = prefix | (accepted - removed)
-            ans = decode(ask(s), len(accepted) - len(w))
+            s = Subset(n, prefix | (accepted & ~w))
+            ans = decode(ask(s), accepted.bit_count() - w.bit_count())
             if ans.relation is Relation.EQUAL:
                 pass  # W misses the hidden set entirely
             elif ans.relation is Relation.STRICT_SUBSET:
-                if len(w) == 1:
-                    hidden.append(w[0])
+                if w & (w - 1) == 0:
+                    hidden |= w
                 else:
-                    first, second = _split_block(w)
+                    first, second = _split_mask(w)
                     blocks.append(second)
                     blocks.append(first)
             else:
                 raise CorruptedOracleError(
                     f"layer {layer}: removal query decoded as {ans.relation}"
                 )
-        if len(hidden) != r:
+        if hidden.bit_count() != r:
             raise CorruptedOracleError(
-                f"layer {layer}: found {len(hidden)} hidden elements, expected {r}"
+                f"layer {layer}: found {hidden.bit_count()} hidden elements, expected {r}"
             )
 
-        hidden_set = Subset.from_indices(n, hidden)
-        prefix = prefix | hidden_set
-        pool = (accepted - hidden_set)
+        prefix |= hidden
+        pool = accepted & ~hidden
 
-    value = ask(prefix)
-    return SolverResult("family_aware", prefix, value, counter.queries, counter.rounds)
+    minimizer = Subset(n, prefix)
+    value = ask(minimizer)
+    return SolverResult("family_aware", minimizer, value, counter.queries, counter.rounds)
 
 
 def classify_singleton(value: ExactValue, denom: int, pool_size: int, r: int) -> str | None:
@@ -304,32 +319,32 @@ def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
     """
     counter = _QueryCounter(oracle)
     n, r = config.n, config.r
-    prefix = Subset(n)
-    pool = Subset.from_indices(n, range(config.effective_size))
+    prefix = 0
+    pool = Subset(n, (1 << config.effective_size) - 1)
 
     for layer in range(1, config.layer_count + 1):
         pool_size = len(pool)
         denom = config.scale_denominators[layer - 1]
         counter.begin_round()
-        answers = [(e, counter.ask(Subset(n, prefix.bits | 1 << e))) for e in pool.indices()]
-        classes: dict[str, list[int]] = {"hidden": [], "off_block": [], "deeper": []}
+        answers = [(e, counter.ask(Subset(n, prefix | 1 << e))) for e in pool.indices()]
+        classes = {"hidden": 0, "off_block": 0, "deeper": 0}
         for e, value in answers:
             label = classify_singleton(value, denom, pool_size, r)
             if label is None:
                 raise CorruptedOracleError(
                     f"layer {layer}: singleton value {format_value(value)} matches no class"
                 )
-            classes[label].append(e)
-        hidden, off_block, deeper = classes["hidden"], classes["off_block"], classes["deeper"]
-        if len(hidden) != r or len(off_block) != r:
+            classes[label] |= 1 << e
+        hidden, off_block = classes["hidden"].bit_count(), classes["off_block"].bit_count()
+        if hidden != r or off_block != r:
             raise CorruptedOracleError(
-                f"layer {layer}: classified {len(hidden)} hidden / {len(off_block)} off-block, expected {r} each"
+                f"layer {layer}: classified {hidden} hidden / {off_block} off-block, expected {r} each"
             )
-        prefix = prefix | Subset.from_indices(n, hidden)
-        pool = Subset.from_indices(n, deeper)
+        prefix |= classes["hidden"]
+        pool = Subset(n, classes["deeper"])
 
     # Every layer matched, so the minimum value is exactly 0 by construction.
-    return SolverResult("singleton_parallel", prefix, Fraction(0), counter.queries, counter.rounds)
+    return SolverResult("singleton_parallel", Subset(n, prefix), Fraction(0), counter.queries, counter.rounds)
 
 
 SOLVERS = {

@@ -77,8 +77,8 @@ class ViolationWitness:
 
 
 def _tabulate(fn: SetFunction, n: int) -> tuple[list[int], int]:
-    """All 2^n values as integers over a common denominator (exact)."""
-    values = [Fraction(fn(Subset(n, bits))) for bits in range(1 << n)]
+    """All 2^n values (``Fraction`` or ``int``) as integers over a common denominator."""
+    values = [fn(Subset(n, bits)) for bits in range(1 << n)]
     den = 1
     for v in values:
         den = den * v.denominator // math.gcd(den, v.denominator)
@@ -98,6 +98,26 @@ def _diamonds_hold(ints: list[int], n: int) -> bool:
     return True
 
 
+def _first_violating_pair(ints: list[int], den: int, n: int) -> ViolationWitness | None:
+    """Exhaustive verdict over a :func:`_tabulate` table: None when every
+    diamond holds, else the first violating pair in increasing encoding."""
+    if _diamonds_hold(ints, n):
+        return None
+    size = 1 << n
+    for x in range(size):
+        vx = ints[x]
+        for y in range(x, size):
+            if vx + ints[y] < ints[x | y] + ints[x & y]:
+                return ViolationWitness(
+                    x=Subset(n, x),
+                    y=Subset(n, y),
+                    element=None,
+                    lhs=Fraction(vx + ints[y], den),
+                    rhs=Fraction(ints[x | y] + ints[x & y], den),
+                )
+    return None
+
+
 def check_submodular_pairs(
     fn: SetFunction, n: int, *, samples: int = 10_000, seed: int = 0
 ) -> ViolationWitness | None:
@@ -112,21 +132,7 @@ def check_submodular_pairs(
     """
     if n <= EXHAUSTIVE_PAIR_CAP:
         ints, den = _tabulate(fn, n)
-        if _diamonds_hold(ints, n):
-            return None
-        size = 1 << n
-        for x in range(size):
-            vx = ints[x]
-            for y in range(x, size):
-                if vx + ints[y] < ints[x | y] + ints[x & y]:
-                    return ViolationWitness(
-                        x=Subset(n, x),
-                        y=Subset(n, y),
-                        element=None,
-                        lhs=Fraction(vx + ints[y], den),
-                        rhs=Fraction(ints[x | y] + ints[x & y], den),
-                    )
-        return None
+        return _first_violating_pair(ints, den, n)
 
     rng = SplitMix64(seed)
     full = (1 << n) - 1
@@ -203,12 +209,12 @@ def check_function_properties(fn: SetFunction, n: int, predicted_min: Subset) ->
     """Range/minimizer/submodularity verdict for an arbitrary evaluator (n <= 12)."""
     if n > EXHAUSTIVE_PAIR_CAP:
         raise ValueError(f"exhaustive verification capped at n={EXHAUSTIVE_PAIR_CAP}")
-    values = [fn(Subset(n, bits)) for bits in range(1 << n)]
-    range_ok = all(0 <= v <= 2 for v in values)
-    lowest = min(values)
-    argmin = [bits for bits, v in enumerate(values) if v == lowest]
+    ints, den = _tabulate(fn, n)  # F(S) = ints[S] / den, den > 0
+    range_ok = all(0 <= v <= 2 * den for v in ints)
+    lowest = min(ints)
+    argmin = [bits for bits, v in enumerate(ints) if v == lowest]
     unique_min_ok = len(argmin) == 1 and argmin[0] == predicted_min.bits
-    witness = check_submodular_pairs(lambda s: values[s.bits], n)
+    witness = _first_violating_pair(ints, den, n)
     return PropertyReport(
         range_ok=range_ok,
         unique_min_ok=unique_min_ok,

@@ -1,7 +1,11 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
+
+from layeredsfm import solvers
 
 from layeredsfm.family import (
     LayeredInstance,
@@ -16,7 +20,10 @@ from layeredsfm.sets import GroundConfig, Relation, Subset, enumerate_subsets
 from layeredsfm.solvers import (
     CorruptedOracleError,
     LayerAnswer,
+    SolverResult,
+    _split_mask,
     brute_force_minimize,
+    classify_singleton,
     decode_layer_answer,
     family_aware_minimize,
     singleton_parallel_minimize,
@@ -333,3 +340,280 @@ def test_solver_result_json(two_layer_instance):
         "queries": 16,
         "rounds": 1,
     }
+
+
+def _reference_family_aware(oracle, config):
+    """The list-based solver (index-list blocks split by slicing), kept as
+    the reference for the bit-mask one."""
+    n, r = config.n, config.r
+    budget = 8 * n * math.log2(max(n, 2))
+    queries = 0
+
+    def ask(s):
+        nonlocal queries
+        oracle.begin_round()
+        queries += 1
+        value = oracle.answer(s)
+        if queries > budget:
+            raise RuntimeError(f"query budget exceeded: {queries} > {budget:.0f} at n={n}, r={r}")
+        return value
+
+    def split(indices):
+        mid = len(indices) // 2
+        return indices[:mid], indices[mid:]
+
+    prefix = Subset(n)
+    pool = Subset.from_indices(n, range(config.effective_size))
+    for layer in range(1, config.layer_count + 1):
+        pool_size = len(pool)
+        scale = Fraction(1, config.scale_denominators[layer - 1])
+
+        def decode(value, queried_in_pool):
+            ans = decode_layer_answer(value, scale, pool_size, layer)
+            return ans.disambiguate(queried_in_pool, r) if ans.relation is None else ans
+
+        accepted = Subset(n)
+        bad = []
+        blocks = [pool.indices()]
+        while blocks and len(bad) < r:
+            w = blocks.pop()
+            ans = decode(ask(prefix | accepted | Subset.from_indices(n, w)), len(accepted) + len(w))
+            if ans.relation in (Relation.EQUAL, Relation.STRICT_SUBSET):
+                accepted = accepted | Subset.from_indices(n, w)
+            elif len(w) == 1:
+                bad.append(w[0])
+            else:
+                first, second = split(w)
+                blocks += [second, first]
+        if len(bad) != r:
+            raise CorruptedOracleError(
+                f"layer {layer}: found {len(bad)} off-pattern block elements, expected {r}"
+            )
+        while blocks:
+            accepted = accepted | Subset.from_indices(n, blocks.pop())
+
+        hidden = []
+        blocks = [accepted.indices()]
+        while blocks and len(hidden) < r:
+            w = blocks.pop()
+            s = prefix | (accepted - Subset.from_indices(n, w))
+            ans = decode(ask(s), len(accepted) - len(w))
+            if ans.relation is Relation.EQUAL:
+                pass
+            elif ans.relation is Relation.STRICT_SUBSET:
+                if len(w) == 1:
+                    hidden.append(w[0])
+                else:
+                    first, second = split(w)
+                    blocks += [second, first]
+            else:
+                raise CorruptedOracleError(f"layer {layer}: removal query decoded as {ans.relation}")
+        if len(hidden) != r:
+            raise CorruptedOracleError(
+                f"layer {layer}: found {len(hidden)} hidden elements, expected {r}"
+            )
+        hidden_set = Subset.from_indices(n, hidden)
+        prefix = prefix | hidden_set
+        pool = accepted - hidden_set
+
+    value = ask(prefix)
+    return SolverResult("family_aware", prefix, value, queries, queries)
+
+
+def _reference_singleton_parallel(oracle, config):
+    """The list-based singleton-parallel solver, kept as the reference."""
+    n, r = config.n, config.r
+    prefix = Subset(n)
+    pool = Subset.from_indices(n, range(config.effective_size))
+    queries = rounds = 0
+    for layer in range(1, config.layer_count + 1):
+        pool_size = len(pool)
+        denom = config.scale_denominators[layer - 1]
+        oracle.begin_round()
+        rounds += 1
+        classes = {"hidden": [], "off_block": [], "deeper": []}
+        for e in pool.indices():
+            queries += 1
+            value = oracle.answer(Subset(n, prefix.bits | 1 << e))
+            label = classify_singleton(value, denom, pool_size, r)
+            if label is None:
+                raise CorruptedOracleError(
+                    f"layer {layer}: singleton value {format_value(value)} matches no class"
+                )
+            classes[label].append(e)
+        hidden, off_block = classes["hidden"], classes["off_block"]
+        if len(hidden) != r or len(off_block) != r:
+            raise CorruptedOracleError(
+                f"layer {layer}: classified {len(hidden)} hidden / {len(off_block)} off-block, expected {r} each"
+            )
+        prefix = prefix | Subset.from_indices(n, hidden)
+        pool = Subset.from_indices(n, classes["deeper"])
+    return SolverResult("singleton_parallel", prefix, Fraction(0), queries, rounds)
+
+
+class _Recording:
+    """Forwards to an oracle, logging every round opened and every query set."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.log = []
+
+    def begin_round(self):
+        self.log.append("round")
+        self.oracle.begin_round()
+
+    def answer(self, s):
+        self.log.append((s.size, s.bits))
+        return self.oracle.answer(s)
+
+
+def _run_recorded(solve, oracle, cfg):
+    recorder = _Recording(oracle)
+    try:
+        outcome = solve(recorder, cfg)
+    except CorruptedOracleError as exc:
+        outcome = str(exc)
+    return recorder.log, outcome
+
+
+SOLVER_REFERENCES = [
+    (family_aware_minimize, _reference_family_aware),
+    (singleton_parallel_minimize, _reference_singleton_parallel),
+]
+
+
+class TestMaskSolversMatchListReference:
+    """The bit-mask solvers ask the same query sets, in the same order and
+    rounds, and return the same result as the list-based reference."""
+
+    @pytest.mark.parametrize("solve,reference", SOLVER_REFERENCES)
+    @pytest.mark.parametrize(
+        "n,r", [(2, 1), (11, 1), (16, 2), (12, 3), (23, 2), (64, 8), (256, 1)]
+    )
+    def test_honest_instances(self, solve, reference, n, r):
+        cfg = GroundConfig(n, r)
+        for seed in range(3):
+            inst = sample_instance(cfg, seed)
+            log, result = _run_recorded(solve, HonestOracle(inst), cfg)
+            want_log, want = _run_recorded(reference, HonestOracle(inst), cfg)
+            assert log == want_log
+            assert result == want
+            assert result.minimizer == true_minimizer(inst)
+
+    @pytest.mark.parametrize("solve,reference", SOLVER_REFERENCES)
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_halving_adversary_transcripts(self, solve, reference, n):
+        cfg = GroundConfig(n, 1)
+        adversary, ref_adversary = HalvingAdversary(cfg), HalvingAdversary(cfg)
+        log, result = _run_recorded(solve, adversary, cfg)
+        want_log, want = _run_recorded(reference, ref_adversary, cfg)
+        assert log == want_log
+        assert result == want
+        assert adversary.transcript.to_json() == ref_adversary.transcript.to_json()
+        assert adversary.finalize().to_json() == ref_adversary.finalize().to_json()
+
+
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=0, max_value=(1 << 1024) - 1),
+        st.sets(st.integers(min_value=0, max_value=1023), max_size=40).map(_mask),
+    )
+)
+def test_median_split_matches_list_halves(w):
+    indices = [i for i in range(w.bit_length()) if w >> i & 1]
+    mid = len(indices) // 2
+    assert _split_mask(w) == (_mask(indices[:mid]), _mask(indices[mid:]))
+
+
+class _Rewrite(HonestOracle):
+    """Honest answers, except for the query masks listed in ``values``."""
+
+    def __init__(self, inst, values):
+        super().__init__(inst)
+        self.values = values
+
+    def answer(self, s):
+        value = super().answer(s)
+        return self.values.get(s.bits, value)
+
+
+class TestFamilyAwareErrorExits:
+    # n = 2, block {0, 1}, hidden {1}: the honest run asks {0, 1} (superset,
+    # split), {0} (incomparable: the off-pattern element), then removes {1}
+    # from T = {1}, asking {} (strict subset: 1 is hidden), and finally {1}.
+    @pytest.fixture
+    def inst(self):
+        return LayeredInstance(GroundConfig(2, 1), [subset(2, 0, 1)], [subset(2, 1)])
+
+    def test_honest_query_sequence(self, inst):
+        log, result = _run_recorded(family_aware_minimize, HonestOracle(inst), inst.config)
+        assert [q for q in log if q != "round"] == [(2, 0b11), (2, 0b01), (2, 0), (2, 0b10)]
+        assert result.minimizer == subset(2, 1)
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            # {0, 1} answered as an exact match: the whole pool is accepted.
+            ({0b11: Fraction(0)}, "layer 1: found 0 off-pattern block elements, expected 1"),
+            ({0: Fraction(2)}, "layer 1: removal query decoded as Relation.INCOMPARABLE"),
+            # Removing {1} answered as an exact match: 1 looks clean.
+            ({0: Fraction(0)}, "layer 1: found 0 hidden elements, expected 1"),
+        ],
+    )
+    def test_corrupted_answers_raise(self, inst, values, message):
+        with pytest.raises(CorruptedOracleError) as exc:
+            family_aware_minimize(_Rewrite(inst, values), inst.config)
+        assert str(exc.value) == message
+
+    def test_query_budget_is_enforced_at_its_edge(self, monkeypatch):
+        cfg = GroundConfig(64, 1)
+        inst = sample_instance(cfg, 0)
+        queries = family_aware_minimize(HonestOracle(inst), cfg).queries
+        scale = cfg.n * math.log2(cfg.n)
+        monkeypatch.setattr(solvers, "QUERY_BUDGET_ALPHA", (queries + 0.5) / scale)
+        assert family_aware_minimize(HonestOracle(inst), cfg).queries == queries
+        monkeypatch.setattr(solvers, "QUERY_BUDGET_ALPHA", (queries - 0.5) / scale)
+        with pytest.raises(RuntimeError, match=f"^query budget exceeded: {queries} > "):
+            family_aware_minimize(HonestOracle(inst), cfg)
+
+
+class TestNoIndexListPath:
+    """The solvers' group testing never builds or reads index lists."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        from_indices, indices = Subset.from_indices.__func__, Subset.indices
+
+        def counting_from_indices(cls, size, idx):
+            calls["from_indices"] += 1
+            return from_indices(cls, size, idx)
+
+        def counting_indices(self):
+            calls["indices"] += 1
+            return indices(self)
+
+        monkeypatch.setattr(Subset, "from_indices", classmethod(counting_from_indices))
+        monkeypatch.setattr(Subset, "indices", counting_indices)
+        return calls
+
+    def test_family_aware(self, calls):
+        cfg = GroundConfig(256, 1)
+        inst = sample_instance(cfg, 0)
+        calls.clear()
+        res = family_aware_minimize(HonestOracle(inst), cfg)
+        assert res.minimizer == true_minimizer(inst)
+        assert calls == Counter()
+
+    def test_singleton_parallel_lists_each_pool_once(self, calls):
+        cfg = GroundConfig(256, 1)
+        inst = sample_instance(cfg, 0)
+        calls.clear()
+        res = singleton_parallel_minimize(HonestOracle(inst), cfg)
+        assert res.minimizer == true_minimizer(inst)
+        assert calls["from_indices"] == 0
+        assert calls["indices"] <= cfg.layer_count
