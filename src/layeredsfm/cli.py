@@ -61,8 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    base: dict = {"mode": args.mode, "n": [8], "r": 1, "seed": 0, "trials": 10,
-                  "queries_per_round": None, "solver": "family_aware"}
+    base: dict = {"mode": args.mode, "n": [8]}
     if args.config is not None:
         loaded = json.loads(args.config.read_text())
         if not isinstance(loaded, dict):

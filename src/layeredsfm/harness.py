@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -32,9 +32,10 @@ from .solvers import (
     SOLVERS,
     brute_force_minimize,
     family_aware_minimize,
+    query_budget,
     singleton_parallel_minimize,
 )
-from .verify import check_function_properties
+from .verify import EXHAUSTIVE_PAIR_CAP, check_function_properties
 
 MODES = ("verify", "duel", "parallel", "hiding", "bench")
 
@@ -86,8 +87,8 @@ class ExperimentConfig:
                 raise ValueError("duel requires r = 1")
             if self.n[0] % 2 != 0:
                 raise ValueError("duel requires an even n")
-        if self.mode == "verify" and self.n[0] > 12:
-            raise ValueError("verify is exhaustive and capped at n = 12")
+        if self.mode == "verify" and self.n[0] > EXHAUSTIVE_PAIR_CAP:
+            raise ValueError(f"verify is exhaustive and capped at n = {EXHAUSTIVE_PAIR_CAP}")
         # With dummy elements (2r not dividing n) the minimizer is not unique,
         # so verify's unique-minimizer check would fail on correct instances.
         if self.mode in ("verify", "parallel", "bench"):
@@ -115,15 +116,8 @@ class ExperimentConfig:
         if missing:
             raise ValueError(f"config is missing {', '.join(missing)}")
         n = data["n"]
-        return cls(
-            mode=data["mode"],
-            n=tuple(n) if isinstance(n, (list, tuple)) else (n,),
-            r=data.get("r", 1),
-            seed=data.get("seed", 0),
-            trials=data.get("trials", 10),
-            queries_per_round=data.get("queries_per_round"),
-            solver=data.get("solver", "family_aware"),
-        )
+        given = {f.name: data[f.name] for f in fields(cls) if f.name not in ("mode", "n") and f.name in data}
+        return cls(mode=data["mode"], n=tuple(n) if isinstance(n, (list, tuple)) else (n,), **given)
 
 
 @dataclass
@@ -293,22 +287,17 @@ def _lucky_hits(inst: LayeredInstance, q_per_round: int, seed: int) -> int:
     batch plus ``q_per_round`` uniform random queries over layer k's pool,
     on top of the hidden sets of the earlier layers.  Only the singleton
     batch identifies the hidden set, so the baseline shares the solver's
-    rounds and minimizer and issues only its random queries here.  A random
-    query is a lucky hit when its value (normalized below 1/2) shows it
-    matched layer k's hidden set.
+    rounds and minimizer, and its random queries are read off the instance
+    rather than asked.  A random query is a lucky hit when it matches layer
+    k's hidden set, ``S cap A_k = R_k`` (the earlier hidden sets lie
+    outside A_k), which is exactly when its honest value would fall below
+    1/(2 * d_k).
     """
-    n = inst.config.n
-    oracle = HonestOracle(inst)
     rng = SplitMix64(seed)
-    prefix = 0
     lucky = 0
-    for pool, hidden, denom in zip(inst.pools, inst.hidden_sets, inst.config.scale_denominators):
+    for pool, block, hidden in zip(inst.pools, inst.blocks, inst.hidden_sets):
         members = pool.indices()
-        match_threshold = Fraction(1, 2 * denom)
-        for _ in range(q_per_round):
-            if oracle.answer(Subset(n, prefix | rng.mask_of(members))) < match_threshold:
-                lucky += 1
-        prefix |= hidden.bits
+        lucky += sum(rng.mask_of(members) & block.bits == hidden.bits for _ in range(q_per_round))
     return lucky
 
 
@@ -535,7 +524,7 @@ def run_bench(config: ExperimentConfig) -> Report:
                 {"n": n, "trial": trial, "seed": seed, "queries": result.queries,
                  "rounds": result.rounds, "correct": good}
             )
-        budget = QUERY_BUDGET_ALPHA * n * math.log2(max(n, 2))
+        budget = query_budget(n)
         alpha_here = max(q / (n * math.log2(max(n, 2))) for q in queries)
         alpha_max = max(alpha_max, alpha_here)
         if max(queries) > budget:

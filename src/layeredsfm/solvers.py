@@ -26,6 +26,11 @@ from .sets import EXHAUSTIVE_CAP, GroundConfig, Relation, Subset, enumerate_subs
 QUERY_BUDGET_ALPHA = 8
 
 
+def query_budget(n: int) -> float:
+    """Most queries :func:`family_aware_minimize` may spend at ground size ``n``."""
+    return QUERY_BUDGET_ALPHA * n * math.log2(max(n, 2))
+
+
 class CorruptedOracleError(RuntimeError):
     """An oracle answer fell outside the value set any instance can produce."""
 
@@ -147,25 +152,6 @@ def brute_force_minimize(oracle) -> SolverResult:
     return SolverResult("brute_force", best, best_value, queries, 1)
 
 
-class _QueryCounter:
-    """Local per-run accounting; oracles may be shared across runs."""
-
-    __slots__ = ("oracle", "queries", "rounds")
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self.queries = 0
-        self.rounds = 0
-
-    def begin_round(self) -> None:
-        self.oracle.begin_round()
-        self.rounds += 1
-
-    def ask(self, s: Subset) -> ExactValue:
-        self.queries += 1
-        return self.oracle.answer(s)
-
-
 def _split_mask(w: int) -> tuple[int, int]:
     """Split a block mask at its median set bit: the ``popcount // 2``
     lowest elements, then the rest (the halves of the ascending index list).
@@ -199,25 +185,24 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
     hidden set, so splitting on "strict subset" isolates the r hidden
     elements.  The 2r classified elements leave the pool and the next
     layer repeats.  Every query gets its own round (the procedure is fully
-    adaptive).  Query use is asserted against the fixed engineering budget
-    of ``QUERY_BUDGET_ALPHA * n * log2(max(n, 2))``.
+    adaptive).  Query use is asserted against :func:`query_budget`.
 
     The group testing works on ``int`` bit masks: prefix, pool, T and
     every block are masks, a block splits at its median set bit (its lower
     half is its ``popcount // 2`` lowest elements), and a :class:`Subset`
     is built only for each query handed to the oracle.
     """
-    counter = _QueryCounter(oracle)
     n, r = config.n, config.r
-    budget = QUERY_BUDGET_ALPHA * n * math.log2(max(n, 2))
+    budget = query_budget(n)
+    queries = 0  # every query opens its own round, so this counts rounds too
 
     def ask(s: Subset) -> ExactValue:
-        counter.begin_round()
-        value = counter.ask(s)
-        if counter.queries > budget:
-            raise RuntimeError(
-                f"query budget exceeded: {counter.queries} > {budget:.0f} at n={n}, r={r}"
-            )
+        nonlocal queries
+        oracle.begin_round()
+        value = oracle.answer(s)
+        queries += 1
+        if queries > budget:
+            raise RuntimeError(f"query budget exceeded: {queries} > {budget:.0f} at n={n}, r={r}")
         return value
 
     prefix = 0
@@ -286,7 +271,7 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
 
     minimizer = Subset(n, prefix)
     value = ask(minimizer)
-    return SolverResult("family_aware", minimizer, value, counter.queries, counter.rounds)
+    return SolverResult("family_aware", minimizer, value, queries, queries)
 
 
 def classify_singleton(value: ExactValue, denom: int, pool_size: int, r: int) -> str | None:
@@ -294,15 +279,16 @@ def classify_singleton(value: ExactValue, denom: int, pool_size: int, r: int) ->
     with scale denominator ``denom``, where prefix matches every earlier layer.
 
     The normalized value is 2 for a block element outside the hidden set
-    ("off_block"); 1 (r >= 2) or below 1/2 (r = 1) for a hidden element
-    ("hidden"); exactly 1 + 1/(2 * pool) for a deeper element ("deeper");
-    anything else gives None.
+    ("off_block"); 1 (r >= 2), or for r = 1 an exact match's residual in
+    [0, 1/(4 * pool)] as in :func:`decode_layer_answer`, for a hidden
+    element ("hidden"); exactly 1 + 1/(2 * pool) for a deeper element
+    ("deeper"); anything else gives None.
     """
     # The normalized value as num/den (den > 0), compared without reducing.
     num, den = value.numerator * denom, value.denominator
     if num == 2 * den:
         return "off_block"
-    if (num == den) if r >= 2 else (2 * num < den):
+    if (num == den) if r >= 2 else (0 <= 4 * pool_size * num <= den):
         return "hidden"
     if 2 * pool_size * num == (2 * pool_size + 1) * den:
         return "deeper"
@@ -317,16 +303,17 @@ def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
     exactly one round per layer and pool-many queries per round; requires
     an honest oracle over a known-(n, r) instance.
     """
-    counter = _QueryCounter(oracle)
     n, r = config.n, config.r
+    queries = 0
     prefix = 0
     pool = Subset(n, (1 << config.effective_size) - 1)
 
     for layer in range(1, config.layer_count + 1):
         pool_size = len(pool)
         denom = config.scale_denominators[layer - 1]
-        counter.begin_round()
-        answers = [(e, counter.ask(Subset(n, prefix | 1 << e))) for e in pool.indices()]
+        oracle.begin_round()
+        answers = [(e, oracle.answer(Subset(n, prefix | 1 << e))) for e in pool.indices()]
+        queries += pool_size
         classes = {"hidden": 0, "off_block": 0, "deeper": 0}
         for e, value in answers:
             label = classify_singleton(value, denom, pool_size, r)
@@ -343,8 +330,8 @@ def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
         prefix |= classes["hidden"]
         pool = Subset(n, classes["deeper"])
 
-    # Every layer matched, so the minimum value is exactly 0 by construction.
-    return SolverResult("singleton_parallel", Subset(n, prefix), Fraction(0), counter.queries, counter.rounds)
+    # Every layer matched in its one round, so the minimum value is exactly 0.
+    return SolverResult("singleton_parallel", Subset(n, prefix), Fraction(0), queries, config.layer_count)
 
 
 SOLVERS = {

@@ -155,6 +155,24 @@ class TestRunParallel:
         assert report.passed
         assert report.aggregate["layers"] == 1
 
+    def test_oracle_answers_only_the_singleton_batches(self, monkeypatch):
+        # The baseline's random queries are read off the instance, so the
+        # oracle answers each trial's singleton batches (pools 16, 12, 8, 4) only.
+        from layeredsfm.oracles import HonestOracle
+
+        calls = 0
+        answer = HonestOracle.answer
+
+        def counting_answer(self, s):
+            nonlocal calls
+            calls += 1
+            return answer(self, s)
+
+        monkeypatch.setattr(HonestOracle, "answer", counting_answer)
+        report = run_parallel(cfg(mode="parallel", n=16, r=2, trials=3, queries_per_round=16))
+        assert report.passed
+        assert calls == 3 * (16 + 12 + 8 + 4)
+
     def test_lucky_hits_replay_from_seed(self):
         # Replay each trial's random draws and count the queries matching the
         # frontier layer's hidden set; the baseline shares the solver's rounds.

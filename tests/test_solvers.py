@@ -18,6 +18,7 @@ from layeredsfm.oracles import HalvingAdversary, HonestOracle
 from layeredsfm.rationals import format_value
 from layeredsfm.sets import GroundConfig, Relation, Subset, enumerate_subsets
 from layeredsfm.solvers import (
+    SOLVERS,
     CorruptedOracleError,
     LayerAnswer,
     SolverResult,
@@ -317,6 +318,23 @@ class TestSingletonParallel:
         with pytest.raises(CorruptedOracleError):
             singleton_parallel_minimize(Corrupted(inst), cfg)
 
+    @pytest.mark.parametrize("v", [Fraction(1, 3), Fraction(-1, 5), Fraction(1, 16)])
+    def test_r1_hidden_answer_outside_residual_window_detected(self, v):
+        # n = 8, seed 3: layer 1 has block {4, 5}, hidden {5}, pool 8 and
+        # scale 1, so the query {5} must answer a residual in [0, 1/32].
+        cfg = GroundConfig(8, 1)
+        inst = sample_instance(cfg, 3)
+        with pytest.raises(CorruptedOracleError):
+            singleton_parallel_minimize(_Rewrite(inst, {inst.hidden_sets[0].bits: v}), cfg)
+
+    @pytest.mark.parametrize("v,label", [
+        (Fraction(1, 64), "hidden"), (Fraction(1, 32), "hidden"),
+        (Fraction(1, 31), None), (Fraction(-1, 64), None),
+    ])
+    def test_r1_hidden_window_is_the_exact_match_residual(self, v, label):
+        # Pool 8 at scale 1: the exact-match residual window is [0, 1/32].
+        assert classify_singleton(v, 1, 8, 1) == label
+
 
 class TestSolversAgree:
     @pytest.mark.parametrize("n,r", [(4, 1), (6, 1), (8, 2), (12, 2), (12, 1)])
@@ -329,6 +347,16 @@ class TestSolversAgree:
             res_p = singleton_parallel_minimize(HonestOracle(inst), cfg)
             assert res_b.minimizer == res_f.minimizer == res_p.minimizer
             assert res_b.min_value == res_f.min_value == res_p.min_value == 0
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_each_run_counts_only_its_own_queries(self, name):
+        # The oracle's counters add up every run it serves; a result reports its own run.
+        cfg = GroundConfig(8, 1)
+        oracle = HonestOracle(sample_instance(cfg, 0))
+        first = SOLVERS[name](oracle, cfg)
+        second = SOLVERS[name](oracle, cfg)
+        assert (second.queries, second.rounds) == (first.queries, first.rounds)
+        assert oracle.stats() == (2 * first.queries, 2 * first.rounds)
 
 
 def test_solver_result_json(two_layer_instance):
