@@ -227,13 +227,15 @@ def first_divergent_layer(inst: LayeredInstance, s: Subset) -> int | None:
     return _divergent_layer(inst.prefix_unions, s.bits ^ inst.hidden_union)
 
 
-def _layer_value(
-    block_bits: int, hidden_bits: int, pool_bits: int, pool_card: int, denom: int, s_bits: int
-) -> ExactValue:
-    """Scaled score of one divergent layer, given raw masks.
+def _layer_numerator(
+    block_bits: int, hidden_bits: int, pool_bits: int, pool_card: int, s_bits: int
+) -> int:
+    """Numerator of one divergent layer's value over ``denom * 2 * pool_card``,
+    given raw masks: ``score * 2 * pool_card + corr``.
 
-    Shared by the closed-form evaluator and the adversary's committed-layer
-    answers; assumes the query already diverges at this layer.
+    The one home of the layer rule: :func:`_layer_value` wraps it in a
+    ``Fraction`` and the honest oracle's integer batches scale it to the
+    common denominator.  Raises ValueError unless the query diverges here.
     """
     sa = s_bits & block_bits
     if sa == hidden_bits:
@@ -245,7 +247,21 @@ def _layer_value(
         score, corr = 1, -below
     else:
         score, corr = 2, 0
-    return Fraction(score * 2 * pool_card + corr, denom * 2 * pool_card)
+    return score * 2 * pool_card + corr
+
+
+def _layer_value(
+    block_bits: int, hidden_bits: int, pool_bits: int, pool_card: int, denom: int, s_bits: int
+) -> ExactValue:
+    """Scaled score of one divergent layer, given raw masks.
+
+    Shared by the closed-form evaluator and the adversary's committed-layer
+    answers; assumes the query already diverges at this layer.
+    """
+    return Fraction(
+        _layer_numerator(block_bits, hidden_bits, pool_bits, pool_card, s_bits),
+        denom * 2 * pool_card,
+    )
 
 
 def evaluate_closed_form(inst: LayeredInstance, s: Subset) -> ExactValue:

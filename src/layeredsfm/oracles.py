@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 from .family import (
     LayeredInstance,
     _divergent_layer,
+    _layer_numerator,
     _layer_value,
     complete_instance,
     evaluate_closed_form,
@@ -28,6 +31,10 @@ from .family import (
 from .rationals import ExactValue, format_value, parse_value
 from .rng import SplitMix64
 from .sets import GroundConfig, Subset
+
+
+class CorruptedOracleError(RuntimeError):
+    """An oracle answer fell outside the value set any instance can produce."""
 
 
 class ReplayMismatchError(RuntimeError):
@@ -110,11 +117,13 @@ class Transcript:
 
 
 class _Oracle:
-    """Query/round bookkeeping shared by both oracles.
+    """Query/round bookkeeping and the batch entry point shared by both oracles.
 
     Rounds are opened explicitly with ``begin_round``; queries issued
     before any round was opened fall into an implicit round 1.  Counting
-    is synchronized.
+    is synchronized.  A query is asked one at a time with ``answer(s)``,
+    which returns a ``Fraction``, or as a batch with ``answer_batch(masks)``,
+    which returns integer numerators over ``config.value_denominator``.
     """
 
     def __init__(self, config: GroundConfig):
@@ -127,13 +136,33 @@ class _Oracle:
         with self._lock:
             self.rounds += 1
 
-    def _count_query(self) -> tuple[int, int]:
-        """Count one query; return its (1-based index, round)."""
+    def _count_queries(self, count: int = 1) -> tuple[int, int]:
+        """Count ``count`` queries; return the last one's (1-based index, round)."""
         with self._lock:
             if self.rounds == 0:
                 self.rounds = 1
-            self.queries += 1
+            self.queries += count
             return self.queries, self.rounds
+
+    def answer_batch(self, masks: Sequence[int]) -> list[int]:
+        """Answer ``Subset(n, m)`` for each ``m`` in ``masks``, in order, as
+        numerators over ``D = config.value_denominator``.
+
+        This default asks :meth:`answer` once per mask, so counting, records
+        and round tags are those of the per-query loop.  An answer that is
+        not a multiple of ``1/D`` raises :class:`CorruptedOracleError`.
+        """
+        n, big_d = self.config.n, self.config.value_denominator
+        out = []
+        for m in masks:
+            value = self.answer(Subset(n, m))
+            num, rest = divmod(value.numerator * big_d, value.denominator)
+            if rest:
+                raise CorruptedOracleError(
+                    f"answer {format_value(value)} to query mask 0x{m:x} is not a multiple of 1/{big_d}"
+                )
+            out.append(num)
+        return out
 
     def stats(self) -> tuple[int, int]:
         """(queries answered, rounds opened)."""
@@ -143,8 +172,10 @@ class _Oracle:
 class HonestOracle(_Oracle):
     """Evaluation oracle over a fixed instance, with query/round counters.
 
-    ``answer`` may be called concurrently within a round; counting is
-    synchronized.
+    ``answer`` and ``answer_batch`` may be called concurrently within a
+    round; counting is synchronized.  ``answer_batch`` does not route
+    through ``answer``, so a subclass that rewrites answers must override
+    both.
     """
 
     def __init__(self, inst: LayeredInstance):
@@ -152,8 +183,48 @@ class HonestOracle(_Oracle):
         self.instance = inst
 
     def answer(self, s: Subset) -> ExactValue:
-        self._count_query()
+        self._count_queries()
         return evaluate_closed_form(self.instance, s)
+
+    @cached_property
+    def _layers(self) -> list[tuple[int, int, int, int, int]]:
+        """Per layer: block, hidden and pool masks, pool size, and the factor
+        ``D // (d_k * 2 * pool_k)`` taking its numerators to denominator D.
+
+        Built on the first batch, so an oracle that only answers single
+        queries never pays for the deep layers' long divisions."""
+        inst = self.instance
+        big_d = inst.config.value_denominator
+        return [
+            (a.bits, h.bits, p.bits, len(p), big_d // (d * 2 * len(p)))
+            for a, h, p, d in zip(inst.blocks, inst.hidden_sets, inst.pools,
+                                  inst.config.scale_denominators)
+        ]
+
+    def answer_batch(self, masks: Sequence[int]) -> list[int]:
+        """The values at ``masks`` as numerators over ``config.value_denominator``,
+        in integers: no ``Subset`` and no ``Fraction`` per query.
+
+        Every mask is checked before any is counted: one outside
+        ``[0, 2^n)`` raises ValueError and counts nothing.
+        """
+        if not masks:
+            return []
+        n = self.config.n
+        if min(masks) < 0 or max(masks) >> n:
+            raise ValueError(f"query masks must lie in [0, 2^{n})")
+        self._count_queries(len(masks))
+        prefix_unions, hidden_union = self.instance.prefix_unions, self.instance.hidden_union
+        layers = self._layers
+        out = []
+        for m in masks:
+            k = _divergent_layer(prefix_unions, m ^ hidden_union)
+            if k is None:
+                out.append(0)
+            else:
+                block, hidden, pool, pool_card, factor = layers[k - 1]
+                out.append(factor * _layer_numerator(block, hidden, pool, pool_card, m))
+        return out
 
 
 @dataclass(frozen=True)
@@ -177,9 +248,12 @@ class LayerCommit:
 class HalvingAdversary(_Oracle):
     """Adaptive oracle that commits the instance as late as possible (r = 1).
 
-    Supports the same ``answer``/``begin_round``/``stats`` surface as the
-    honest oracle so any solver can be dueled unmodified.  Strictly
-    sequential: callers must not share an adversary across threads.
+    Supports the same ``answer``/``answer_batch``/``begin_round``/``stats``
+    surface as the honest oracle so any solver can be dueled unmodified;
+    a batch is answered by the sequential default, one ``answer`` per
+    mask, so it leaves the same transcript as the per-query loop.
+    Strictly sequential: callers must not share an adversary across
+    threads.
     """
 
     def __init__(self, config: GroundConfig):
@@ -274,7 +348,7 @@ class HalvingAdversary(_Oracle):
         """
         if s.size != self.config.n:
             raise ValueError(f"query must live on the {self.config.n}-element ground set")
-        index, round_no = self._count_query()
+        index, round_no = self._count_queries()
         s_bits = s.bits
 
         value: ExactValue

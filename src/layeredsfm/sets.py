@@ -83,6 +83,14 @@ class GroundConfig:
             denoms.append(denoms[-1] * 8 * self.pool_size(layer))
         return tuple(denoms)
 
+    @cached_property
+    def value_denominator(self) -> int:
+        """``D = d_L * 2 * pool_size(L)``: every instance value is a multiple
+        of ``1/D``.  Layer k's values have denominator ``d_k * 2 * pool_size(k)``,
+        which divides ``d_{k+1} = 4 * d_k * 2 * pool_size(k)`` and so divides D.
+        """
+        return self.scale_denominators[-1] * 2 * self.pool_size(self.layer_count)
+
 
 class Subset:
     """Immutable subset of ``{0, .., size-1}`` stored as an integer bit mask."""

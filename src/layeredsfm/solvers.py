@@ -3,14 +3,17 @@
 Three solvers, exercising both sides of the query-complexity picture:
 
 * :func:`brute_force_minimize` scans the full power set in one round and
-  is the ground truth for everything else.
+  is the ground truth for everything else.  It asks that round as
+  integer batches (``oracle.answer_batch``) and compares numerators over
+  the common denominator ``GroundConfig.value_denominator``.
 * :func:`family_aware_minimize` knows only (n, r) and recovers the hidden
   sets layer by layer with adaptive group testing, in O(n log n) queries.
 * :func:`singleton_parallel_minimize` spends exactly one batched round per
   layer, classifying every remaining element from singleton queries.
 
 All three drive an oracle handle (honest or adversarial) through its
-``answer``/``begin_round`` surface and report their own query/round use.
+``begin_round`` and ``answer`` (or, for brute force, ``answer_batch``)
+surface and report their own query/round use.
 """
 
 from __future__ import annotations
@@ -19,8 +22,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .oracles import CorruptedOracleError
 from .rationals import ExactValue, format_value
-from .sets import EXHAUSTIVE_CAP, GroundConfig, Relation, Subset, enumerate_subsets
+from .sets import EXHAUSTIVE_CAP, GroundConfig, Relation, Subset
+
+# Masks per batch of brute force's one round: 4,096 numerators stay small
+# next to the process, where the whole 2^16 round at once would add ~2.4 MB.
+BRUTE_FORCE_CHUNK = 4096
 
 # Engineering budget for the family-aware solver: queries <= ALPHA * n * log2(n).
 QUERY_BUDGET_ALPHA = 8
@@ -29,10 +37,6 @@ QUERY_BUDGET_ALPHA = 8
 def query_budget(n: int) -> float:
     """Most queries :func:`family_aware_minimize` may spend at ground size ``n``."""
     return QUERY_BUDGET_ALPHA * n * math.log2(max(n, 2))
-
-
-class CorruptedOracleError(RuntimeError):
-    """An oracle answer fell outside the value set any instance can produce."""
 
 
 @dataclass(frozen=True)
@@ -133,23 +137,36 @@ def brute_force_minimize(oracle) -> SolverResult:
 
     Ties break to the lexicographically least index list.  Ground truth
     for the other solvers; capped at the exhaustive-enumeration limit.
+
+    The round goes to ``oracle.answer_batch`` in ranges of
+    :data:`BRUTE_FORCE_CHUNK` masks, and the argmin is taken on the integer
+    numerators over ``D = config.value_denominator``; index lists are built
+    only to break a tie, and one ``Fraction`` is built for the result.
     """
-    n = oracle.config.n
+    config = oracle.config
+    n = config.n
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"brute force refused for n={n} (cap is {EXHAUSTIVE_CAP})")
     oracle.begin_round()
-    best: Subset | None = None
-    best_value: ExactValue | None = None
-    queries = 0
-    for s in enumerate_subsets(n):
-        value = oracle.answer(s)
-        queries += 1
-        if best_value is None or value < best_value:
-            best, best_value = s, value
-        elif value == best_value and s.indices() < best.indices():
-            best = s
-    assert best is not None and best_value is not None
-    return SolverResult("brute_force", best, best_value, queries, 1)
+    best: int | None = None
+    best_mask = 0
+    total = 1 << n
+    for start in range(0, total, BRUTE_FORCE_CHUNK):
+        masks = range(start, min(start + BRUTE_FORCE_CHUNK, total))
+        nums = oracle.answer_batch(masks)
+        low = min(nums)
+        if best is None or low <= best:
+            tied = [m for m, v in zip(masks, nums) if v == low]
+            if low == best:
+                tied.append(best_mask)
+            # On a tie the least index list wins.
+            best_mask = min(tied, key=lambda m: Subset(n, m).indices()) if len(tied) > 1 else tied[0]
+            best = low
+        # Free this batch before asking the next, so that only one is ever
+        # held: two raise the peak RSS of an n = 16 scan by about 0.1 MB.
+        del nums
+    assert best is not None
+    return SolverResult("brute_force", Subset(n, best_mask), Fraction(best, config.value_denominator), total, 1)
 
 
 def _split_mask(w: int) -> tuple[int, int]:
@@ -269,8 +286,11 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
         prefix |= hidden
         pool = accepted & ~hidden
 
+    # The prefix matches every layer, so any consistent oracle answers 0.
     minimizer = Subset(n, prefix)
     value = ask(minimizer)
+    if value != 0:
+        raise CorruptedOracleError(f"minimizer query answered {format_value(value)}, expected 0")
     return SolverResult("family_aware", minimizer, value, queries, queries)
 
 

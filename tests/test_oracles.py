@@ -8,13 +8,17 @@ from layeredsfm.family import (
     LayeredInstance,
     _layer_value,
     evaluate_closed_form,
+    first_divergent_layer,
+    sample_instance,
     true_minimizer,
 )
 from layeredsfm.oracles import (
+    CorruptedOracleError,
     HalvingAdversary,
     HonestOracle,
     QueryRecord,
     Transcript,
+    _Oracle,
 )
 from layeredsfm.rng import SplitMix64
 from layeredsfm.sets import GroundConfig, Subset, enumerate_subsets
@@ -74,6 +78,102 @@ class TestHonestOracle:
         for t in threads:
             t.join()
         assert oracle.stats() == (2000, 1)
+
+
+def _deep_masks(inst, count, seed):
+    """Seeded masks that match a random number of leading layers, then
+    a random subset of the pool left (so every depth is queried)."""
+    rng = SplitMix64(seed)
+    layers = inst.layer_count
+    masks = []
+    for _ in range(count):
+        keep = rng.below(layers + 1)
+        matched = 0
+        for hidden in inst.hidden_sets[:keep]:
+            matched |= hidden.bits
+        rest = inst.pools[keep].bits if keep < layers else 0
+        masks.append(matched | rng.bits(inst.config.n) & rest)
+    return masks
+
+
+class TestAnswerBatch:
+    """``answer_batch`` gives the numerators of ``answer`` over one denominator."""
+
+    @pytest.mark.parametrize("n,r", [(2, 1), (4, 1), (7, 1), (8, 2), (12, 3), (16, 2)])
+    def test_matches_answer_exhaustively(self, n, r):
+        cfg = GroundConfig(n, r)
+        oracle = HonestOracle(sample_instance(cfg, n + r))
+        nums = oracle.answer_batch(range(1 << n))
+        big_d = cfg.value_denominator
+        assert nums == [oracle.answer(Subset(n, m)) * big_d for m in range(1 << n)]
+        assert oracle.stats() == (2 << n, 1)
+
+    @pytest.mark.parametrize("n,r", [(1024, 1), (512, 2)])
+    def test_matches_answer_at_every_depth(self, n, r):
+        cfg = GroundConfig(n, r)
+        assert cfg.value_denominator.bit_length() >= 1355
+        inst = sample_instance(cfg, 7)
+        oracle = HonestOracle(inst)
+        masks = _deep_masks(inst, 2000, seed=n)
+        nums = oracle.answer_batch(masks)
+        big_d = cfg.value_denominator
+        assert nums == [oracle.answer(Subset(n, m)) * big_d for m in masks]
+        depths = {first_divergent_layer(inst, Subset(n, m)) for m in masks}
+        assert None in depths and max(d for d in depths if d is not None) > cfg.layer_count // 2
+
+    def test_counts_every_mask_with_implicit_round(self, two_layer_instance):
+        oracle = HonestOracle(two_layer_instance)
+        oracle.answer_batch(range(5))
+        assert oracle.stats() == (5, 1)
+        oracle.begin_round()
+        oracle.answer_batch([3, 1])
+        assert oracle.stats() == (7, 2)
+
+    @pytest.mark.parametrize("bad", [-1, 16, 1 << 40])
+    def test_out_of_range_mask_counts_nothing(self, two_layer_instance, bad):
+        oracle = HonestOracle(two_layer_instance)
+        oracle.answer_batch([0])
+        with pytest.raises(ValueError):
+            oracle.answer_batch([0, 5, bad, 15])
+        assert oracle.stats() == (1, 1)
+
+    def test_sequential_default_rejects_off_lattice_answers(self, two_layer_instance):
+        big_d = two_layer_instance.config.value_denominator
+
+        class OffLattice(HonestOracle):
+            answer_batch = _Oracle.answer_batch
+
+            def answer(self, s):
+                value = super().answer(s)
+                return value + Fraction(1, 7 * big_d) if s.bits == 6 else value
+
+        oracle = OffLattice(two_layer_instance)
+        assert oracle.answer_batch(range(6)) == HonestOracle(two_layer_instance).answer_batch(range(6))
+        with pytest.raises(CorruptedOracleError):
+            oracle.answer_batch(range(16))
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_adversary_batch_leaves_the_per_query_transcript(self, n):
+        cfg = GroundConfig(n, 1)
+        rng = SplitMix64(n)
+        masks = [rng.bits(n) for _ in range(6 * n)]
+        batched, looped = HalvingAdversary(cfg), HalvingAdversary(cfg)
+        for adv in (batched, looped):
+            adv.begin_round()
+        nums = batched.answer_batch(masks[: 3 * n])
+        batched.begin_round()
+        nums += batched.answer_batch(masks[3 * n :])
+        values = []
+        for i, m in enumerate(masks):
+            if i == 3 * n:
+                looped.begin_round()
+            values.append(looped.answer(Subset(n, m)))
+        assert nums == [v * cfg.value_denominator for v in values]
+        assert batched.transcript.to_json() == looped.transcript.to_json()
+        assert batched.engaged_layers == looped.engaged_layers
+        assert batched.commits == looped.commits
+        assert batched.stats() == looped.stats() == (6 * n, 2)
+        assert batched.finalize() == looped.finalize()
 
 
 class TestAdversaryOpen:

@@ -14,7 +14,7 @@ from layeredsfm.family import (
     sample_instance,
     true_minimizer,
 )
-from layeredsfm.oracles import HalvingAdversary, HonestOracle
+from layeredsfm.oracles import HalvingAdversary, HonestOracle, _Oracle
 from layeredsfm.rationals import format_value
 from layeredsfm.sets import GroundConfig, Relation, Subset, enumerate_subsets
 from layeredsfm.solvers import (
@@ -83,6 +83,8 @@ class TestBruteForce:
             def begin_round(self):
                 pass
 
+            answer_batch = _Oracle.answer_batch
+
             def answer(self, s):
                 return Fraction(1)
 
@@ -97,11 +99,56 @@ class TestBruteForce:
             def begin_round(self):
                 pass
 
+            answer_batch = _Oracle.answer_batch
+
             def answer(self, s):
                 return Fraction(0) if s.indices() in ([1], [0, 2]) else Fraction(1)
 
         res = brute_force_minimize(TwoMinima())
         assert res.minimizer == subset(3, 0, 2)
+
+    @pytest.mark.parametrize("first,second,winner", [
+        ([1], [0, 12], [0, 12]),  # the later batch's tie wins
+        ([0, 1], [0, 12], [0, 1]),  # the earlier batch's tie is kept
+    ])
+    def test_tie_break_spans_batches(self, first, second, winner):
+        # n = 13 is two batches; masks of sets with element 12 lie in the second.
+        assert _mask(first) < solvers.BRUTE_FORCE_CHUNK <= _mask(second) < 2 * solvers.BRUTE_FORCE_CHUNK
+        minima = {_mask(first), _mask(second)}
+
+        class TwoBatchMinima(_Oracle):
+            def answer(self, s):
+                self._count_queries()
+                return Fraction(0) if s.bits in minima else Fraction(1)
+
+        oracle = TwoBatchMinima(GroundConfig(13, 1))
+        res = brute_force_minimize(oracle)
+        assert res.minimizer == subset(13, *winner)
+        assert res.min_value == 0
+        assert (res.queries, res.rounds) == oracle.stats() == (1 << 13, 1)
+
+    def test_off_lattice_answer_raises(self, two_layer_instance):
+        off = Fraction(1, 7 * two_layer_instance.config.value_denominator)
+
+        class OffLattice(HonestOracle):
+            answer_batch = _Oracle.answer_batch
+
+            def answer(self, s):
+                value = super().answer(s)
+                return value + off if s.bits == 0b1010 else value
+
+        with pytest.raises(CorruptedOracleError):
+            brute_force_minimize(OffLattice(two_layer_instance))
+
+    def test_value_and_minimizer_match_per_query_scan(self):
+        for n, r in [(7, 1), (12, 3), (13, 2)]:
+            cfg = GroundConfig(n, r)
+            inst = sample_instance(cfg, n)
+            values = [evaluate_closed_form(inst, s) for s in enumerate_subsets(n)]
+            low = min(values)
+            want = min((s for s, v in zip(enumerate_subsets(n), values) if v == low), key=Subset.indices)
+            res = brute_force_minimize(HonestOracle(inst))
+            assert (res.minimizer, res.min_value) == (want, low)
 
 
 def _reference_decode(value, layer_scale, pool_size, layer):
@@ -596,6 +643,20 @@ class TestFamilyAwareErrorExits:
         with pytest.raises(CorruptedOracleError) as exc:
             family_aware_minimize(_Rewrite(inst, values), inst.config)
         assert str(exc.value) == message
+
+    def test_nonzero_final_answer_raises(self):
+        # The last query is the recovered minimizer, which matches every layer.
+        cfg = GroundConfig(16, 2)
+        inst = sample_instance(cfg, 0)
+        last = family_aware_minimize(HonestOracle(inst), cfg).queries
+
+        class LastAnswerOff(HonestOracle):
+            def answer(self, s):
+                value = super().answer(s)
+                return Fraction(1, cfg.value_denominator) if self.stats()[0] == last else value
+
+        with pytest.raises(CorruptedOracleError, match="^minimizer query answered "):
+            family_aware_minimize(LastAnswerOff(inst), cfg)
 
     def test_query_budget_is_enforced_at_its_edge(self, monkeypatch):
         cfg = GroundConfig(64, 1)
