@@ -234,8 +234,8 @@ def _layer_numerator(
     given raw masks: ``score * 2 * pool_card + corr``.
 
     The one home of the layer rule: :func:`_layer_value` wraps it in a
-    ``Fraction`` and the honest oracle's integer batches scale it to the
-    common denominator.  Raises ValueError unless the query diverges here.
+    ``Fraction`` and the oracles' integer batches scale it to the common
+    denominator.  Raises ValueError unless the query diverges here.
     """
     sa = s_bits & block_bits
     if sa == hidden_bits:
@@ -255,8 +255,8 @@ def _layer_value(
 ) -> ExactValue:
     """Scaled score of one divergent layer, given raw masks.
 
-    Shared by the closed-form evaluator and the adversary's committed-layer
-    answers; assumes the query already diverges at this layer.
+    The closed-form evaluator's pricing; assumes the query already diverges
+    at this layer.
     """
     return Fraction(
         _layer_numerator(block_bits, hidden_bits, pool_bits, pool_card, s_bits),

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from .family import (
+    ZERO,
     LayeredInstance,
     _divergent_layer,
     _layer_numerator,
-    _layer_value,
     complete_instance,
     evaluate_closed_form,
     lowest_first,
@@ -41,9 +42,10 @@ class ReplayMismatchError(RuntimeError):
     """A transcript value disagrees with the finalized instance (internal bug)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryRecord:
-    """One answered query: 1-based sequence number, round tag, set, exact value."""
+    """One answered query: 1-based sequence number, round tag, set, exact value.
+    Slotted, since a transcript keeps one per query (6,399 in a duel at n = 512)."""
 
     index: int
     round: int
@@ -121,9 +123,9 @@ class _Oracle:
 
     Rounds are opened explicitly with ``begin_round``; queries issued
     before any round was opened fall into an implicit round 1.  Counting
-    is synchronized.  A query is asked one at a time with ``answer(s)``,
-    which returns a ``Fraction``, or as a batch with ``answer_batch(masks)``,
-    which returns integer numerators over ``config.value_denominator``.
+    is synchronized.  Solvers use only ``begin_round`` and ``answer_batch(masks)``
+    (integer numerators over ``config.value_denominator``); ``answer(s)``
+    returns one value as a ``Fraction``.
     """
 
     def __init__(self, config: GroundConfig):
@@ -148,8 +150,8 @@ class _Oracle:
         """Answer ``Subset(n, m)`` for each ``m`` in ``masks``, in order, as
         numerators over ``D = config.value_denominator``.
 
-        This default asks :meth:`answer` once per mask, so counting, records
-        and round tags are those of the per-query loop.  An answer that is
+        This default asks :meth:`answer` once per mask, so an oracle that
+        overrides only ``answer`` reaches the solvers through it.  An answer
         not a multiple of ``1/D`` raises :class:`CorruptedOracleError`.
         """
         n, big_d = self.config.n, self.config.value_denominator
@@ -174,8 +176,8 @@ class HonestOracle(_Oracle):
 
     ``answer`` and ``answer_batch`` may be called concurrently within a
     round; counting is synchronized.  ``answer_batch`` does not route
-    through ``answer``, so a subclass that rewrites answers must override
-    both.
+    through ``answer``: a subclass rewriting answers overrides it, or
+    overrides ``answer`` and sets ``answer_batch = _Oracle.answer_batch``.
     """
 
     def __init__(self, inst: LayeredInstance):
@@ -189,16 +191,12 @@ class HonestOracle(_Oracle):
     @cached_property
     def _layers(self) -> list[tuple[int, int, int, int, int]]:
         """Per layer: block, hidden and pool masks, pool size, and the factor
-        ``D // (d_k * 2 * pool_k)`` taking its numerators to denominator D.
-
-        Built on the first batch, so an oracle that only answers single
-        queries never pays for the deep layers' long divisions."""
+        taking its numerators to denominator D (``config.layer_factors``)."""
         inst = self.instance
-        big_d = inst.config.value_denominator
         return [
-            (a.bits, h.bits, p.bits, len(p), big_d // (d * 2 * len(p)))
-            for a, h, p, d in zip(inst.blocks, inst.hidden_sets, inst.pools,
-                                  inst.config.scale_denominators)
+            (a.bits, h.bits, p.bits, len(p), f)
+            for a, h, p, f in zip(inst.blocks, inst.hidden_sets, inst.pools,
+                                  inst.config.layer_factors)
         ]
 
     def answer_batch(self, masks: Sequence[int]) -> list[int]:
@@ -249,11 +247,10 @@ class HalvingAdversary(_Oracle):
     """Adaptive oracle that commits the instance as late as possible (r = 1).
 
     Supports the same ``answer``/``answer_batch``/``begin_round``/``stats``
-    surface as the honest oracle so any solver can be dueled unmodified;
-    a batch is answered by the sequential default, one ``answer`` per
-    mask, so it leaves the same transcript as the per-query loop.
-    Strictly sequential: callers must not share an adversary across
-    threads.
+    surface as the honest oracle so any solver can be dueled unmodified.
+    A batch is answered mask by mask in integers, with the same records,
+    round tags and commits as one ``answer`` per mask.  Strictly
+    sequential: callers must not share an adversary across threads.
     """
 
     def __init__(self, config: GroundConfig):
@@ -321,16 +318,15 @@ class HalvingAdversary(_Oracle):
                 [c.hidden for c in self.commits],
             )
 
-    def _committed_layer_value(self, layer: int, s_bits: int) -> ExactValue:
+    def _price(self, layer: int, block: int, hidden: int, pool: int, s_bits: int) -> tuple[ExactValue, int]:
+        """The value at ``s_bits`` diverging at ``layer``, and its numerator over D."""
+        num = _layer_numerator(block, hidden, pool, pool.bit_count(), s_bits)
+        value = Fraction(num, self.config.scale_denominators[layer - 1] * 2 * pool.bit_count())
+        return value, num * self.config.layer_factors[layer - 1]
+
+    def _committed_layer_value(self, layer: int, s_bits: int) -> tuple[ExactValue, int]:
         c = self.commits[layer - 1]
-        return _layer_value(
-            c.block.bits,
-            c.hidden.bits,
-            self._pool_masks[layer - 1],
-            c.pool_size,
-            self.config.scale_denominators[layer - 1],
-            s_bits,
-        )
+        return self._price(layer, c.block.bits, c.hidden.bits, self._pool_masks[layer - 1], s_bits)
 
     def answer(self, s: Subset) -> ExactValue:
         """Answer one query, committing layers only when forced.
@@ -348,27 +344,34 @@ class HalvingAdversary(_Oracle):
         """
         if s.size != self.config.n:
             raise ValueError(f"query must live on the {self.config.n}-element ground set")
-        index, round_no = self._count_queries()
-        s_bits = s.bits
+        self.answer_batch([s.bits])
+        return self.transcript.records[-1].value
 
-        value: ExactValue
-        engaged: int | None = None
-        if self._instance is not None:
-            value = evaluate_closed_form(self._instance, s)
-        else:
+    def answer_batch(self, masks: Sequence[int]) -> list[int]:
+        """Answer ``Subset(n, m)`` for each ``m`` in ``masks``, in order, as
+        numerators over ``config.value_denominator``, recording each query
+        as :meth:`answer` describes."""
+        out = []
+        for s_bits in masks:
+            s = Subset(self.config.n, s_bits)
+            index, round_no = self._count_queries()
+            # Once every layer is committed, the lookup masks are the instance's.
             divergent = _divergent_layer(self._prefix_unions, s_bits ^ self._hidden_union)
+            engaged: int | None = None
             if divergent is not None:
-                value = self._committed_layer_value(divergent, s_bits)
+                value, num = self._committed_layer_value(divergent, s_bits)
+            elif self._instance is not None:
+                value, num = ZERO, 0
             else:
                 engaged = len(self.commits) + 1
-                value = self._engage_active(s_bits)
+                value, num = self._engage_active(s_bits)
+            self.engaged_layers.append(engaged)
+            self.transcript.append(QueryRecord(index=index, round=round_no, query=s, value=value))
+            out.append(num)
+        return out
 
-        self.engaged_layers.append(engaged)
-        self.transcript.append(QueryRecord(index=index, round=round_no, query=s, value=value))
-        return value
-
-    def _engage_active(self, s_bits: int) -> ExactValue:
-        """Answer a query that matches every committed layer.
+    def _engage_active(self, s_bits: int) -> tuple[ExactValue, int]:
+        """Price a query that matches every committed layer, as ``_price`` does.
 
         The answer is the honest value under the lowest-index candidate
         block left in the new active set U (hidden = its lowest element).
@@ -394,17 +397,10 @@ class HalvingAdversary(_Oracle):
             hidden_bits = _lowest_bits(block_bits, 1)
             if new_u.bit_count() <= 3:
                 cause = "halving"
-        value = _layer_value(
-            block_bits,
-            hidden_bits,
-            self._pool.bits,
-            len(self._pool),
-            self.config.scale_denominators[len(self.commits)],
-            s_bits,
-        )
+        priced = self._price(len(self.commits) + 1, block_bits, hidden_bits, self._pool.bits, s_bits)
         if cause is not None:
             self._commit(block_bits, hidden_bits, cause)
-        return value
+        return priced
 
     def finalize(self, seed: int | None = None) -> LayeredInstance:
         """Commit all remaining layers and return the instance.

@@ -91,6 +91,15 @@ class GroundConfig:
         """
         return self.scale_denominators[-1] * 2 * self.pool_size(self.layer_count)
 
+    @cached_property
+    def layer_factors(self) -> tuple[int, ...]:
+        """``f_k = D // (d_k * 2 * pool_size(k))`` per layer, taking its numerators
+        to denominator D: ``f_L = 1`` and ``f_k = f_{k+1} * 8 * pool_size(k+1)``."""
+        factors = [1]
+        for layer in range(self.layer_count, 1, -1):
+            factors.append(factors[-1] * 8 * self.pool_size(layer))
+        return tuple(reversed(factors))
+
 
 class Subset:
     """Immutable subset of ``{0, .., size-1}`` stored as an integer bit mask."""

@@ -3,17 +3,16 @@
 Three solvers, exercising both sides of the query-complexity picture:
 
 * :func:`brute_force_minimize` scans the full power set in one round and
-  is the ground truth for everything else.  It asks that round as
-  integer batches (``oracle.answer_batch``) and compares numerators over
-  the common denominator ``GroundConfig.value_denominator``.
+  is the ground truth for everything else.
 * :func:`family_aware_minimize` knows only (n, r) and recovers the hidden
   sets layer by layer with adaptive group testing, in O(n log n) queries.
 * :func:`singleton_parallel_minimize` spends exactly one batched round per
   layer, classifying every remaining element from singleton queries.
 
 All three drive an oracle handle (honest or adversarial) through its
-``begin_round`` and ``answer`` (or, for brute force, ``answer_batch``)
-surface and report their own query/round use.
+``begin_round`` and ``answer_batch(masks)`` surface only, compare and
+decode the integer numerators it answers over ``D =
+GroundConfig.value_denominator``, and report their own query/round use.
 """
 
 from __future__ import annotations
@@ -95,23 +94,20 @@ class LayerAnswer:
         return LayerAnswer(relation=rel, outside_block=self.outside_block, layer=self.layer)
 
 
-def decode_layer_answer(
-    value: ExactValue, layer_scale: ExactValue, pool_size: int, layer: int
-) -> LayerAnswer:
+def decode_layer_answer(num: int, den: int, pool_size: int, layer: int) -> LayerAnswer:
     """Invert one oracle value into relation-and-count form.
 
-    ``value`` must come from a query matching every layer before ``layer``;
-    ``layer_scale`` is that layer's product scale factor and ``pool_size``
-    the number of elements still unclassified when it opens.  Values no
-    instance can produce raise :class:`CorruptedOracleError`.
+    ``num / den`` (``den > 0``, unreduced) is the value over its layer's
+    scale ``1/d_k``: an answer numerator over D has ``den = D // d_k =
+    config.layer_factors[k-1] * 2 * pool_size``.  The query must match
+    every layer before ``layer``; ``pool_size`` is the number of elements
+    still unclassified when it opens.  Values no instance can produce
+    raise :class:`CorruptedOracleError`.
     """
-    if layer_scale <= 0 or pool_size <= 0:
-        raise ValueError("layer scale and pool size must be positive")
-    # v = value / layer_scale, held as num/den (den > 0) and compared without
-    # reducing: a gcd of the deep layers' long denominators costs more than
-    # the integer cross-multiplications below.
-    num = value.numerator * layer_scale.denominator
-    den = value.denominator * layer_scale.numerator
+    if den <= 0 or pool_size <= 0:
+        raise ValueError("denominator and pool size must be positive")
+    # v is compared without reducing: a gcd of the deep layers' long
+    # denominators costs more than the integer cross-multiplications below.
     if num < 0 or num > 2 * den:
         raise CorruptedOracleError(f"normalized value {format_value(Fraction(num, den))} outside [0, 2]")
     if num == 2 * den:
@@ -138,10 +134,8 @@ def brute_force_minimize(oracle) -> SolverResult:
     Ties break to the lexicographically least index list.  Ground truth
     for the other solvers; capped at the exhaustive-enumeration limit.
 
-    The round goes to ``oracle.answer_batch`` in ranges of
-    :data:`BRUTE_FORCE_CHUNK` masks, and the argmin is taken on the integer
-    numerators over ``D = config.value_denominator``; index lists are built
-    only to break a tie, and one ``Fraction`` is built for the result.
+    The round is asked in batches of :data:`BRUTE_FORCE_CHUNK` masks;
+    index lists are built only to break a tie.
     """
     config = oracle.config
     n = config.n
@@ -206,34 +200,32 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
 
     The group testing works on ``int`` bit masks: prefix, pool, T and
     every block are masks, a block splits at its median set bit (its lower
-    half is its ``popcount // 2`` lowest elements), and a :class:`Subset`
-    is built only for each query handed to the oracle.
+    half is its ``popcount // 2`` lowest elements), and each query goes to
+    the oracle as a one-mask batch.  A :class:`Subset` is built only for
+    the returned minimizer.
     """
     n, r = config.n, config.r
     budget = query_budget(n)
     queries = 0  # every query opens its own round, so this counts rounds too
 
-    def ask(s: Subset) -> ExactValue:
+    def ask(mask: int) -> int:
         nonlocal queries
         oracle.begin_round()
-        value = oracle.answer(s)
+        [num] = oracle.answer_batch([mask])
         queries += 1
         if queries > budget:
             raise RuntimeError(f"query budget exceeded: {queries} > {budget:.0f} at n={n}, r={r}")
-        return value
+        return num
 
     prefix = 0
     pool = (1 << config.effective_size) - 1
 
     for layer in range(1, config.layer_count + 1):
         pool_size = pool.bit_count()
-        scale = Fraction(1, config.scale_denominators[layer - 1])
+        den = config.layer_factors[layer - 1] * 2 * pool_size  # D // d_k
 
-        def decode(value: ExactValue, queried_in_pool: int) -> LayerAnswer:
-            ans = decode_layer_answer(value, scale, pool_size, layer)
-            if ans.relation is None:
-                ans = ans.disambiguate(queried_in_pool, r)
-            return ans
+        def decode(num: int, queried_in_pool: int) -> LayerAnswer:
+            return decode_layer_answer(num, den, pool_size, layer).disambiguate(queried_in_pool, r)
 
         # Phase A: classify away the block elements outside the hidden set.
         accepted = 0
@@ -241,8 +233,7 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
         blocks = [pool]
         while blocks and bad < r:
             w = blocks.pop()
-            s = Subset(n, prefix | accepted | w)
-            ans = decode(ask(s), accepted.bit_count() + w.bit_count())
+            ans = decode(ask(prefix | accepted | w), accepted.bit_count() + w.bit_count())
             if ans.relation in (Relation.EQUAL, Relation.STRICT_SUBSET):
                 accepted |= w
             elif w & (w - 1) == 0:
@@ -263,8 +254,7 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
         blocks = [accepted]
         while blocks and hidden.bit_count() < r:
             w = blocks.pop()
-            s = Subset(n, prefix | (accepted & ~w))
-            ans = decode(ask(s), accepted.bit_count() - w.bit_count())
+            ans = decode(ask(prefix | (accepted & ~w)), accepted.bit_count() - w.bit_count())
             if ans.relation is Relation.EQUAL:
                 pass  # W misses the hidden set entirely
             elif ans.relation is Relation.STRICT_SUBSET:
@@ -287,41 +277,44 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
         pool = accepted & ~hidden
 
     # The prefix matches every layer, so any consistent oracle answers 0.
-    minimizer = Subset(n, prefix)
-    value = ask(minimizer)
-    if value != 0:
-        raise CorruptedOracleError(f"minimizer query answered {format_value(value)}, expected 0")
-    return SolverResult("family_aware", minimizer, value, queries, queries)
+    num = ask(prefix)
+    if num != 0:
+        value = format_value(Fraction(num, config.value_denominator))
+        raise CorruptedOracleError(f"minimizer query answered {value}, expected 0")
+    return SolverResult("family_aware", Subset(n, prefix), Fraction(0), queries, queries)
 
 
-def classify_singleton(value: ExactValue, denom: int, pool_size: int, r: int) -> str | None:
-    """Class of pool element e from the value of prefix + {e} at a layer
-    with scale denominator ``denom``, where prefix matches every earlier layer.
+# A singleton query's class by its decoded (relation, count below the block).
+_SINGLETON_CLASSES = {
+    (Relation.INCOMPARABLE, None): "off_block",
+    (Relation.STRICT_SUBSET, 0): "hidden",
+    (Relation.STRICT_SUBSET, 1): "deeper",
+}
 
-    The normalized value is 2 for a block element outside the hidden set
-    ("off_block"); 1 (r >= 2), or for r = 1 an exact match's residual in
-    [0, 1/(4 * pool)] as in :func:`decode_layer_answer`, for a hidden
-    element ("hidden"); exactly 1 + 1/(2 * pool) for a deeper element
-    ("deeper"); anything else gives None.
+
+def _singleton_class(num: int, den: int, pool_size: int, layer: int, r: int) -> str:
+    """Class of pool element e from the normalized value ``num / den`` of
+    prefix + {e} at ``layer``, where prefix matches every earlier layer.
+    A value no singleton query produces raises :class:`CorruptedOracleError`.
     """
-    # The normalized value as num/den (den > 0), compared without reducing.
-    num, den = value.numerator * denom, value.denominator
-    if num == 2 * den:
-        return "off_block"
-    if (num == den) if r >= 2 else (0 <= 4 * pool_size * num <= den):
-        return "hidden"
-    if 2 * pool_size * num == (2 * pool_size + 1) * den:
-        return "deeper"
-    return None
+    ans = decode_layer_answer(num, den, pool_size, layer).disambiguate(1, r)
+    if ans.relation is Relation.EQUAL and r == 1:
+        return "hidden"  # at r = 1 the hidden element's query is an exact match
+    label = _SINGLETON_CLASSES.get((ans.relation, ans.outside_block))
+    if label is None:
+        value = format_value(Fraction(num, den))
+        raise CorruptedOracleError(f"layer {layer}: normalized singleton value {value} matches no class")
+    return label
 
 
 def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
     """Solve one layer per batched round via singleton queries.
 
-    Round k queries prefix + {e} for every unclassified element e and
-    classifies e from its value alone (:func:`classify_singleton`).  Uses
-    exactly one round per layer and pool-many queries per round; requires
-    an honest oracle over a known-(n, r) instance.
+    Round k asks prefix + {e} for every unclassified element e as one
+    batch and classifies e from its value alone, through
+    :func:`decode_layer_answer` (:func:`_singleton_class`).  Uses exactly
+    one round per layer and pool-many queries per round; requires an
+    honest oracle over a known-(n, r) instance.
     """
     n, r = config.n, config.r
     queries = 0
@@ -330,18 +323,18 @@ def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
 
     for layer in range(1, config.layer_count + 1):
         pool_size = len(pool)
-        denom = config.scale_denominators[layer - 1]
+        den = config.layer_factors[layer - 1] * 2 * pool_size  # D // d_k
+        elements = pool.indices()
         oracle.begin_round()
-        answers = [(e, oracle.answer(Subset(n, prefix | 1 << e))) for e in pool.indices()]
+        nums = oracle.answer_batch([prefix | 1 << e for e in elements])
         queries += pool_size
+        # Elements with the same answer share a class: decode each answer once.
+        members: dict[int, int] = {}
+        for e, num in zip(elements, nums):
+            members[num] = members.get(num, 0) | 1 << e
         classes = {"hidden": 0, "off_block": 0, "deeper": 0}
-        for e, value in answers:
-            label = classify_singleton(value, denom, pool_size, r)
-            if label is None:
-                raise CorruptedOracleError(
-                    f"layer {layer}: singleton value {format_value(value)} matches no class"
-                )
-            classes[label] |= 1 << e
+        for num, mask in members.items():
+            classes[_singleton_class(num, den, pool_size, layer, r)] |= mask
         hidden, off_block = classes["hidden"].bit_count(), classes["off_block"].bit_count()
         if hidden != r or off_block != r:
             raise CorruptedOracleError(

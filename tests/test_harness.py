@@ -161,14 +161,14 @@ class TestRunParallel:
         from layeredsfm.oracles import HonestOracle
 
         calls = 0
-        answer = HonestOracle.answer
+        answer_batch = HonestOracle.answer_batch
 
-        def counting_answer(self, s):
+        def counting_answer_batch(self, masks):
             nonlocal calls
-            calls += 1
-            return answer(self, s)
+            calls += len(masks)
+            return answer_batch(self, masks)
 
-        monkeypatch.setattr(HonestOracle, "answer", counting_answer)
+        monkeypatch.setattr(HonestOracle, "answer_batch", counting_answer_batch)
         report = run_parallel(cfg(mode="parallel", n=16, r=2, trials=3, queries_per_round=16))
         assert report.passed
         assert calls == 3 * (16 + 12 + 8 + 4)

@@ -25,12 +25,15 @@ class TestGroundConfig:
         assert cfg.pool_size(2) == 4
         assert cfg.scale_denominators == (1, 8 * 8)
         assert cfg.value_denominator == 8 * 8 * 2 * 4
+        assert cfg.layer_factors == (8 * 4, 1)
 
     @pytest.mark.parametrize("n,r", [(2, 1), (7, 1), (16, 2), (12, 3), (1024, 1), (512, 2)])
     def test_value_denominator_is_a_multiple_of_every_layer_denominator(self, n, r):
         cfg = GroundConfig(n, r)
+        assert len(cfg.layer_factors) == cfg.layer_count
         for k, d in enumerate(cfg.scale_denominators, start=1):
             assert cfg.value_denominator % (d * 2 * cfg.pool_size(k)) == 0
+            assert cfg.layer_factors[k - 1] == cfg.value_denominator // (d * 2 * cfg.pool_size(k))
 
     def test_even_division(self):
         cfg = GroundConfig(8, 2)

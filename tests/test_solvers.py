@@ -22,9 +22,9 @@ from layeredsfm.solvers import (
     CorruptedOracleError,
     LayerAnswer,
     SolverResult,
+    _singleton_class,
     _split_mask,
     brute_force_minimize,
-    classify_singleton,
     decode_layer_answer,
     family_aware_minimize,
     singleton_parallel_minimize,
@@ -151,6 +151,11 @@ class TestBruteForce:
             assert (res.minimizer, res.min_value) == (want, low)
 
 
+def _normalized(value, layer_scale):
+    """``value / layer_scale`` as the unreduced pair the decoder takes."""
+    return value.numerator * layer_scale.denominator, value.denominator * layer_scale.numerator
+
+
 def _reference_decode(value, layer_scale, pool_size, layer):
     """The decoder by Fraction division, kept as the reference."""
     v = Fraction(value) / layer_scale
@@ -193,44 +198,44 @@ class TestDecode:
                     want = _reference_decode(value, scale, pool, layer)
                 except CorruptedOracleError as exc:
                     with pytest.raises(CorruptedOracleError) as got:
-                        decode_layer_answer(value, scale, pool, layer)
+                        decode_layer_answer(*_normalized(value, scale), pool, layer)
                     assert str(got.value) == str(exc)
                     outcomes.append(False)
                 else:
-                    assert decode_layer_answer(value, scale, pool, layer) == want
+                    assert decode_layer_answer(*_normalized(value, scale), pool, layer) == want
                     outcomes.append(True)
         assert any(outcomes) and not all(outcomes)
 
     def test_strict_subset_with_count(self):
-        ans = decode_layer_answer(Fraction(9, 8), Fraction(1), 4, 1)
+        ans = decode_layer_answer(9, 8, 4, 1)
         assert ans.relation is Relation.STRICT_SUBSET
         assert ans.outside_block == 1
 
     def test_incomparable(self):
-        ans = decode_layer_answer(Fraction(2), Fraction(1), 4, 1)
+        ans = decode_layer_answer(2, 1, 4, 1)
         assert ans.relation is Relation.INCOMPARABLE
         assert ans.outside_block is None
 
     def test_exact_match_is_unique_zero_region(self):
-        ans = decode_layer_answer(Fraction(0), Fraction(1), 4, 1)
+        ans = decode_layer_answer(0, 1, 4, 1)
         assert ans.relation is Relation.EQUAL
-        ans = decode_layer_answer(Fraction(1, 32), Fraction(1), 4, 1)
+        ans = decode_layer_answer(1, 32, 4, 1)
         assert ans.relation is Relation.EQUAL
 
     def test_rejects_residual_above_exact_match_bound(self):
         # An exact match's residual is at most 1/(4 * pool): 1/32 at pool 8.
-        assert decode_layer_answer(Fraction(1, 32), Fraction(1), 8, 1).relation is Relation.EQUAL
+        assert decode_layer_answer(1, 32, 8, 1).relation is Relation.EQUAL
         for v in (Fraction(1, 31), Fraction(1, 3)):
             with pytest.raises(CorruptedOracleError):
-                decode_layer_answer(v, Fraction(1), 8, 1)
+                decode_layer_answer(v.numerator, v.denominator, 8, 1)
 
     def test_strict_superset_with_count(self):
-        ans = decode_layer_answer(Fraction(7, 8), Fraction(1), 4, 1)
+        ans = decode_layer_answer(7, 8, 4, 1)
         assert ans.relation is Relation.STRICT_SUPERSET
         assert ans.outside_block == 1
 
     def test_ambiguous_comparable_disambiguates(self):
-        ans = decode_layer_answer(Fraction(1), Fraction(1), 4, 1)
+        ans = decode_layer_answer(1, 1, 4, 1)
         assert ans.relation is None and ans.outside_block == 0
         assert ans.disambiguate(0, 1).relation is Relation.STRICT_SUBSET
         assert ans.disambiguate(2, 1).relation is Relation.STRICT_SUPERSET
@@ -241,14 +246,14 @@ class TestDecode:
         # Same cases one layer deeper: everything shrinks by the scale factor
         # (n=6, layer 2: scale 1/48, pool of 4).
         scale = Fraction(1, 48)
-        ans = decode_layer_answer(Fraction(5, 4) * scale, scale, 4, 2)
+        ans = decode_layer_answer(*_normalized(Fraction(5, 4) * scale, scale), 4, 2)
         assert ans.relation is Relation.STRICT_SUBSET
         assert ans.outside_block == 2
 
     @pytest.mark.parametrize("v", [Fraction(5, 2), Fraction(-1, 8), Fraction(7, 4), Fraction(19, 16)])
     def test_rejects_values_no_instance_produces(self, v):
         with pytest.raises(CorruptedOracleError):
-            decode_layer_answer(v, Fraction(1), 4, 1)
+            decode_layer_answer(v.numerator, v.denominator, 4, 1)
 
     @pytest.mark.parametrize("n,r,seed", [(6, 1, 0), (8, 2, 1), (10, 1, 2)])
     def test_round_trip_against_real_instances(self, n, r, seed):
@@ -262,7 +267,7 @@ class TestDecode:
                 continue
             pool = inst.pools[k - 1]
             ans = decode_layer_answer(
-                evaluate_closed_form(inst, s), inst.layer_scale(k), len(pool), k
+                *_normalized(evaluate_closed_form(inst, s), inst.layer_scale(k)), len(pool), k
             )
             if ans.relation is None:
                 ans = ans.disambiguate(len(s & pool), r)
@@ -273,6 +278,23 @@ class TestDecode:
             assert ans.relation is true_rel
             if true_rel in (Relation.STRICT_SUBSET, Relation.STRICT_SUPERSET):
                 assert ans.outside_block == len((s & pool) - block)
+
+    @pytest.mark.parametrize("n,r,seed", [(6, 1, 0), (8, 2, 1), (12, 3, 2)])
+    def test_answer_numerators_decode_as_values(self, n, r, seed):
+        # The solvers' pair: a numerator over D against D // d_k = f_k * 2 * pool_k.
+        cfg = GroundConfig(n, r)
+        inst = sample_instance(cfg, seed)
+        nums = HonestOracle(inst).answer_batch(range(1 << n))
+        for m, num in enumerate(nums):
+            s = Subset(n, m)
+            k = first_divergent_layer(inst, s)
+            if k is None:
+                continue
+            pool = len(inst.pools[k - 1])
+            assert cfg.layer_factors[k - 1] * 2 * pool * cfg.scale_denominators[k - 1] == cfg.value_denominator
+            got = decode_layer_answer(num, cfg.layer_factors[k - 1] * 2 * pool, pool, k)
+            assert got == decode_layer_answer(
+                *_normalized(evaluate_closed_form(inst, s), inst.layer_scale(k)), pool, k)
 
 
 class TestFamilyAware:
@@ -358,6 +380,8 @@ class TestSingletonParallel:
         inst = sample_instance(cfg, 1)
 
         class Corrupted(HonestOracle):
+            answer_batch = _Oracle.answer_batch
+
             def answer(self, s):
                 value = super().answer(s)
                 return value + Fraction(1, 3) if len(s) == 1 else value
@@ -380,7 +404,8 @@ class TestSingletonParallel:
     ])
     def test_r1_hidden_window_is_the_exact_match_residual(self, v, label):
         # Pool 8 at scale 1: the exact-match residual window is [0, 1/32].
-        assert classify_singleton(v, 1, 8, 1) == label
+        assert _reference_classify_singleton(v, 1, 8, 1) == label
+        assert _solver_label(v.numerator, v.denominator, 8, 1) == label
 
 
 class TestSolversAgree:
@@ -428,7 +453,8 @@ def _reference_family_aware(oracle, config):
         nonlocal queries
         oracle.begin_round()
         queries += 1
-        value = oracle.answer(s)
+        [num] = oracle.answer_batch([s.bits])
+        value = Fraction(num, config.value_denominator)
         if queries > budget:
             raise RuntimeError(f"query budget exceeded: {queries} > {budget:.0f} at n={n}, r={r}")
         return value
@@ -444,7 +470,7 @@ def _reference_family_aware(oracle, config):
         scale = Fraction(1, config.scale_denominators[layer - 1])
 
         def decode(value, queried_in_pool):
-            ans = decode_layer_answer(value, scale, pool_size, layer)
+            ans = _reference_decode(value, scale, pool_size, layer)
             return ans.disambiguate(queried_in_pool, r) if ans.relation is None else ans
 
         accepted = Subset(n)
@@ -507,10 +533,12 @@ def _reference_singleton_parallel(oracle, config):
         oracle.begin_round()
         rounds += 1
         classes = {"hidden": [], "off_block": [], "deeper": []}
-        for e in pool.indices():
+        elements = pool.indices()
+        nums = oracle.answer_batch([prefix.bits | 1 << e for e in elements])
+        for e, num in zip(elements, nums):
             queries += 1
-            value = oracle.answer(Subset(n, prefix.bits | 1 << e))
-            label = classify_singleton(value, denom, pool_size, r)
+            value = Fraction(num, config.value_denominator)
+            label = _reference_classify_singleton(value, denom, pool_size, r)
             if label is None:
                 raise CorruptedOracleError(
                     f"layer {layer}: singleton value {format_value(value)} matches no class"
@@ -527,7 +555,8 @@ def _reference_singleton_parallel(oracle, config):
 
 
 class _Recording:
-    """Forwards to an oracle, logging every round opened and every query set."""
+    """Forwards to an oracle, logging every round opened and every batch,
+    as its list of (ground size, query mask) pairs."""
 
     def __init__(self, oracle):
         self.oracle = oracle
@@ -537,9 +566,9 @@ class _Recording:
         self.log.append("round")
         self.oracle.begin_round()
 
-    def answer(self, s):
-        self.log.append((s.size, s.bits))
-        return self.oracle.answer(s)
+    def answer_batch(self, masks):
+        self.log.append([(self.oracle.config.n, m) for m in masks])
+        return self.oracle.answer_batch(masks)
 
 
 def _run_recorded(solve, oracle, cfg):
@@ -607,6 +636,8 @@ def test_median_split_matches_list_halves(w):
 class _Rewrite(HonestOracle):
     """Honest answers, except for the query masks listed in ``values``."""
 
+    answer_batch = _Oracle.answer_batch
+
     def __init__(self, inst, values):
         super().__init__(inst)
         self.values = values
@@ -626,7 +657,8 @@ class TestFamilyAwareErrorExits:
 
     def test_honest_query_sequence(self, inst):
         log, result = _run_recorded(family_aware_minimize, HonestOracle(inst), inst.config)
-        assert [q for q in log if q != "round"] == [(2, 0b11), (2, 0b01), (2, 0), (2, 0b10)]
+        assert [q for batch in log if batch != "round" for q in batch] == [
+            (2, 0b11), (2, 0b01), (2, 0), (2, 0b10)]
         assert result.minimizer == subset(2, 1)
 
     @pytest.mark.parametrize(
@@ -651,6 +683,8 @@ class TestFamilyAwareErrorExits:
         last = family_aware_minimize(HonestOracle(inst), cfg).queries
 
         class LastAnswerOff(HonestOracle):
+            answer_batch = _Oracle.answer_batch
+
             def answer(self, s):
                 value = super().answer(s)
                 return Fraction(1, cfg.value_denominator) if self.stats()[0] == last else value
@@ -706,3 +740,115 @@ class TestNoIndexListPath:
         assert res.minimizer == true_minimizer(inst)
         assert calls["from_indices"] == 0
         assert calls["indices"] <= cfg.layer_count
+
+
+def _reference_classify_singleton(value, denom, pool_size, r):
+    """The singleton classifier the solver had before it read classes off
+    :func:`decode_layer_answer`, kept as the reference: 2 is "off_block";
+    1 (r >= 2), or at r = 1 a residual in [0, 1/(4 * pool)], is "hidden";
+    1 + 1/(2 * pool) is "deeper"; anything else is None."""
+    num, den = value.numerator * denom, value.denominator
+    if num == 2 * den:
+        return "off_block"
+    if (num == den) if r >= 2 else (0 <= 4 * pool_size * num <= den):
+        return "hidden"
+    if 2 * pool_size * num == (2 * pool_size + 1) * den:
+        return "deeper"
+    return None
+
+
+def _solver_label(num, den, pool_size, r, layer=1):
+    """The solver's class for normalized value num/den, None where it raises."""
+    try:
+        return _singleton_class(num, den, pool_size, layer, r)
+    except CorruptedOracleError:
+        return None
+
+
+class TestSingletonClassification:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 64])
+    def test_decoder_labels_match_reference_on_a_grid(self, r, d):
+        # Numerators over D = q * d, normalized over D // d = q, across [-1, 3].
+        for pool in (2 * r, 4 * r, 8 * r):
+            q = 8 * pool * pool
+            labels = Counter()
+            for num in range(-q, 3 * q + 1):
+                want = _reference_classify_singleton(Fraction(num, q * d), d, pool, r)
+                assert _solver_label(num, q, pool, r) == want, (num, q, pool)
+                labels[want] += 1
+            assert set(labels) == {"off_block", "hidden", "deeper", None}
+
+
+class _BatchOnly:
+    """An honest oracle without ``answer``: only ``config``, ``begin_round``
+    and ``answer_batch``, logging each batch as (round, size)."""
+
+    def __init__(self, inst):
+        self._oracle = HonestOracle(inst)
+        self.config = inst.config
+        self.rounds = 0
+        self.log = []
+
+    def begin_round(self):
+        self.rounds += 1
+        self._oracle.begin_round()
+
+    def answer_batch(self, masks):
+        self.log.append((self.rounds, len(masks)))
+        return self._oracle.answer_batch(masks)
+
+
+class TestOneRoundOneBatch:
+    @pytest.mark.parametrize("n,r", [(16, 1), (16, 2), (12, 3)])
+    def test_solvers_need_only_the_batch_surface(self, n, r):
+        cfg = GroundConfig(n, r)
+        for seed in range(3):
+            inst = sample_instance(cfg, seed)
+            for name, solve in sorted(SOLVERS.items()):
+                oracle = _BatchOnly(inst)
+                result = solve(oracle, cfg)
+                assert result == solve(HonestOracle(inst), cfg)
+                if name == "singleton_parallel":
+                    want = [(k, cfg.pool_size(k)) for k in range(1, cfg.layer_count + 1)]
+                elif name == "family_aware":
+                    want = [(i, 1) for i in range(1, result.queries + 1)]
+                else:
+                    chunks = -(-(1 << n) // solvers.BRUTE_FORCE_CHUNK)
+                    assert len(oracle.log) == chunks and sum(size for _, size in oracle.log) == 1 << n
+                    want = [(1, size) for _, size in oracle.log]
+                assert oracle.log == want, name
+
+
+class _OffLatticeAt(HonestOracle):
+    """Honest answers through the sequential batch default, except that
+    query ``index`` (1-based) is moved off the lattice by ``1/(7 D)``."""
+
+    answer_batch = _Oracle.answer_batch
+
+    def __init__(self, inst, index):
+        super().__init__(inst)
+        self.index = index
+
+    def answer(self, s):
+        value = super().answer(s)
+        if self.stats()[0] == self.index:
+            value += Fraction(1, 7 * self.config.value_denominator)
+        return value
+
+
+class TestOffLatticeSweep:
+    @pytest.mark.parametrize("name", ["family_aware", "singleton_parallel"])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_every_faulted_query_is_caught(self, name, r):
+        cfg = GroundConfig(16, r)
+        solve = SOLVERS[name]
+        runs = 0
+        for seed in range(5):
+            inst = sample_instance(cfg, seed)
+            queries = solve(HonestOracle(inst), cfg).queries
+            for index in range(1, queries + 1):
+                with pytest.raises(CorruptedOracleError):
+                    solve(_OffLatticeAt(inst, index), cfg)
+                runs += 1
+        assert runs >= 5 * cfg.n
