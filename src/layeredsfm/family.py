@@ -11,8 +11,9 @@ exactly 0 and the union of the hidden sets is the unique minimizer.
 Two evaluators are provided: a literal recursion through nested building
 blocks (the definitional path, kept for cross-checking) and a closed form
 that locates the first divergent layer and prices it directly.  They agree
-exactly on every subset; the closed form is the production path used by
-the oracles.
+exactly on every subset; the closed form is the production path.  Both
+it and the oracles find and price a query's layer in one
+:class:`LayerTable`, the one home of the layer lookup.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class LayeredInstance:
     so the minimizer is unique only up to dummies.
     """
 
-    __slots__ = ("config", "blocks", "hidden_sets", "pools", "prefix_unions", "hidden_union")
+    __slots__ = ("config", "blocks", "hidden_sets", "table", "pools")
 
     def __init__(self, config: GroundConfig, blocks: Sequence[Subset], hidden_sets: Sequence[Subset]):
         ell = config.layer_count
@@ -137,19 +138,10 @@ class LayeredInstance:
         self.config = config
         self.blocks = list(blocks)
         self.hidden_sets = list(hidden_sets)
-
-        # pools[k-1] = still-unclassified elements when layer k opens;
-        # prefix_unions[k-1] = A_1 | .. | A_k and hidden_union = R_1 | .. | R_L,
-        # the masks of the layer lookup (:func:`_divergent_layer`).
-        self.pools: list[Subset] = []
-        self.prefix_unions: list[int] = []
-        self.hidden_union = 0
-        remaining = covered
+        self.table = LayerTable(config)
         for a, r in zip(self.blocks, self.hidden_sets):
-            self.pools.append(Subset(config.n, remaining))
-            remaining &= ~a.bits
-            self.prefix_unions.append(covered & ~remaining)
-            self.hidden_union |= r.bits
+            self.table.push(a.bits, r.bits)
+        self.pools = [Subset(config.n, row[2]) for row in self.table.rows]
 
     @property
     def layer_count(self) -> int:
@@ -222,11 +214,6 @@ def _divergent_layer(prefix_unions: Sequence[int], mismatch: int) -> int | None:
     return lo
 
 
-def first_divergent_layer(inst: LayeredInstance, s: Subset) -> int | None:
-    """Smallest layer k (1-based) with ``s cap A_k != R_k``, or None if all match."""
-    return _divergent_layer(inst.prefix_unions, s.bits ^ inst.hidden_union)
-
-
 def _layer_numerator(
     block_bits: int, hidden_bits: int, pool_bits: int, pool_card: int, s_bits: int
 ) -> int:
@@ -234,8 +221,9 @@ def _layer_numerator(
     given raw masks: ``score * 2 * pool_card + corr``.
 
     The one home of the layer rule: :func:`_layer_value` wraps it in a
-    ``Fraction`` and the oracles' integer batches scale it to the common
-    denominator.  Raises ValueError unless the query diverges here.
+    ``Fraction``, and :meth:`LayerTable.numerators` and the adversary scale
+    it to the common denominator.  Raises ValueError unless the query
+    diverges here.
     """
     sa = s_bits & block_bits
     if sa == hidden_bits:
@@ -248,6 +236,61 @@ def _layer_numerator(
     else:
         score, corr = 2, 0
     return score * 2 * pool_card + corr
+
+
+class LayerTable:
+    """The layer lookup over the committed layers 1..k of an instance.
+
+    ``rows[k-1] = (A_k, R_k, pool_k, |pool_k|, f_k)``: layer k's block,
+    hidden set and pool (the elements still unclassified when it opens)
+    as masks, the pool's size, and ``config.layer_factors[k-1]``.
+    ``prefix_unions[k-1] = A_1 | .. | A_k``, ``hidden_union`` joins the
+    committed R's and ``pool`` is the next layer's pool.  An instance
+    pushes all its layers; the halving adversary pushes each as it commits.
+    """
+
+    __slots__ = ("config", "rows", "prefix_unions", "hidden_union", "pool")
+
+    def __init__(self, config: GroundConfig):
+        self.config = config
+        self.rows: list[tuple[int, int, int, int, int]] = []
+        self.prefix_unions: list[int] = []
+        self.hidden_union = 0
+        self.pool = (1 << config.effective_size) - 1
+
+    def next_row(self, block: int, hidden: int) -> tuple[int, int, int, int, int]:
+        """The row that ``push(block, hidden)`` appends as the next layer."""
+        return block, hidden, self.pool, self.pool.bit_count(), self.config.layer_factors[len(self.rows)]
+
+    def push(self, block: int, hidden: int) -> None:
+        """Commit the next layer's block and hidden set (masks inside ``pool``)."""
+        self.rows.append(self.next_row(block, hidden))
+        self.prefix_unions.append((self.prefix_unions[-1] if self.prefix_unions else 0) | block)
+        self.hidden_union |= hidden
+        self.pool &= ~block
+
+    def layer_of(self, s_bits: int) -> int | None:
+        """First committed layer k (1-based) with ``s cap A_k != R_k``, or None."""
+        return _divergent_layer(self.prefix_unions, s_bits ^ self.hidden_union)
+
+    def numerators(self, masks: Sequence[int]) -> list[int]:
+        """The values at ``masks`` as numerators over ``config.value_denominator``
+        (0 where every committed layer matches), in integers."""
+        prefix_unions, hidden_union, rows = self.prefix_unions, self.hidden_union, self.rows
+        out = []
+        for m in masks:
+            k = _divergent_layer(prefix_unions, m ^ hidden_union)
+            if k is None:
+                out.append(0)
+            else:
+                block, hidden, pool, pool_card, factor = rows[k - 1]
+                out.append(factor * _layer_numerator(block, hidden, pool, pool_card, m))
+        return out
+
+
+def first_divergent_layer(inst: LayeredInstance, s: Subset) -> int | None:
+    """Smallest layer k (1-based) with ``s cap A_k != R_k``, or None if all match."""
+    return inst.table.layer_of(s.bits)
 
 
 def _layer_value(
@@ -276,16 +319,8 @@ def evaluate_closed_form(inst: LayeredInstance, s: Subset) -> ExactValue:
     k = first_divergent_layer(inst, s)
     if k is None:
         return ZERO
-    i = k - 1
-    pool = inst.pools[i]
-    return _layer_value(
-        inst.blocks[i].bits,
-        inst.hidden_sets[i].bits,
-        pool.bits,
-        len(pool),
-        inst.config.scale_denominators[i],
-        s.bits,
-    )
+    block, hidden, pool, pool_card, _ = inst.table.rows[k - 1]
+    return _layer_value(block, hidden, pool, pool_card, inst.config.scale_denominators[k - 1], s.bits)
 
 
 def evaluate_recursive(inst: LayeredInstance, s: Subset) -> ExactValue:
@@ -322,7 +357,7 @@ def true_minimizer(inst: LayeredInstance) -> Subset:
     Unique when 2r divides n; otherwise it is the minimal minimizer over
     the effective prefix (adding dummies never changes the value).
     """
-    return Subset(inst.config.n, inst.hidden_union)
+    return Subset(inst.config.n, inst.table.hidden_union)
 
 
 def minimizer_is_unique(inst: LayeredInstance) -> bool:

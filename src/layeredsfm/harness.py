@@ -26,7 +26,7 @@ from .family import (
 from .oracles import HalvingAdversary, HonestOracle
 from .rationals import ExactValue, format_value
 from .rng import SplitMix64
-from .sets import GroundConfig, Subset
+from .sets import GroundConfig, Subset, scatter
 from .solvers import (
     QUERY_BUDGET_ALPHA,
     SOLVERS,
@@ -296,8 +296,11 @@ def _lucky_hits(inst: LayeredInstance, q_per_round: int, seed: int) -> int:
     rng = SplitMix64(seed)
     lucky = 0
     for pool, block, hidden in zip(inst.pools, inst.blocks, inst.hidden_sets):
-        members = pool.indices()
-        lucky += sum(rng.mask_of(members) & block.bits == hidden.bits for _ in range(q_per_round))
+        # Query S = rng.subset_of(pool) keeps the pool's p-th member when bit p
+        # of its draw is set, so test the draw at A_k's and R_k's pool positions.
+        at = lambda s: sum(1 << (pool.bits & ((1 << e) - 1)).bit_count() for e in s.indices())
+        a_pos, r_pos = at(block), at(hidden)
+        lucky += sum(rng.bits(len(pool)) & a_pos == r_pos for _ in range(q_per_round))
     return lucky
 
 
@@ -374,17 +377,7 @@ def _sample_block_pair(rng: SplitMix64, n: int, r: int) -> tuple[int, int]:
     while True:
         picks = rng.bits(2 * r)
         if picks.bit_count() == r:
-            break
-    r_bits = 0
-    pos = 0
-    tmp = a_bits
-    while tmp:
-        low = tmp & -tmp
-        if (picks >> pos) & 1:
-            r_bits |= low
-        tmp &= ~low
-        pos += 1
-    return a_bits, r_bits
+            return a_bits, scatter(picks, a_bits)
 
 
 def run_hiding(config: ExperimentConfig) -> Report:

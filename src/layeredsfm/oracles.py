@@ -9,7 +9,8 @@ half of U) or empty ("none"), shrinking U accordingly.  Both answers are
 computable before the block is chosen and stay exactly consistent with
 every later commit inside U, so the finalized instance replays the whole
 transcript bit for bit while no query ever matched a hidden set before
-its layer was committed.
+its layer was committed.  Both read a :class:`~layeredsfm.family.LayerTable`:
+the instance's, or the one the adversary pushes each commit into.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .family import (
     ZERO,
+    LayerTable,
     LayeredInstance,
-    _divergent_layer,
     _layer_numerator,
     complete_instance,
     evaluate_closed_form,
@@ -31,7 +31,7 @@ from .family import (
 )
 from .rationals import ExactValue, format_value, parse_value
 from .rng import SplitMix64
-from .sets import GroundConfig, Subset
+from .sets import GroundConfig, Subset, scatter
 
 
 class CorruptedOracleError(RuntimeError):
@@ -118,6 +118,12 @@ class Transcript:
         return out
 
 
+def _check_masks(n: int, masks: Sequence[int]) -> None:
+    """Reject a batch with a mask outside ``[0, 2^n)``, before anything of it is counted."""
+    if masks and (min(masks) < 0 or max(masks) >> n):
+        raise ValueError(f"query masks must lie in [0, 2^{n})")
+
+
 class _Oracle:
     """Query/round bookkeeping and the batch entry point shared by both oracles.
 
@@ -151,9 +157,11 @@ class _Oracle:
         numerators over ``D = config.value_denominator``.
 
         This default asks :meth:`answer` once per mask, so an oracle that
-        overrides only ``answer`` reaches the solvers through it.  An answer
-        not a multiple of ``1/D`` raises :class:`CorruptedOracleError`.
+        overrides only ``answer`` reaches the solvers through it.  A mask
+        outside ``[0, 2^n)`` raises ValueError before any mask is asked; an
+        answer not a multiple of ``1/D`` raises :class:`CorruptedOracleError`.
         """
+        _check_masks(self.config.n, masks)
         n, big_d = self.config.n, self.config.value_denominator
         out = []
         for m in masks:
@@ -174,10 +182,10 @@ class _Oracle:
 class HonestOracle(_Oracle):
     """Evaluation oracle over a fixed instance, with query/round counters.
 
-    ``answer`` and ``answer_batch`` may be called concurrently within a
-    round; counting is synchronized.  ``answer_batch`` does not route
-    through ``answer``: a subclass rewriting answers overrides it, or
-    overrides ``answer`` and sets ``answer_batch = _Oracle.answer_batch``.
+    Batches are priced by the instance's layer table, and may be asked
+    concurrently within a round (counting is synchronized).  They do not
+    route through ``answer``: a subclass rewriting answers overrides
+    ``answer_batch``, or overrides ``answer`` and sets ``answer_batch = _Oracle.answer_batch``.
     """
 
     def __init__(self, inst: LayeredInstance):
@@ -188,17 +196,6 @@ class HonestOracle(_Oracle):
         self._count_queries()
         return evaluate_closed_form(self.instance, s)
 
-    @cached_property
-    def _layers(self) -> list[tuple[int, int, int, int, int]]:
-        """Per layer: block, hidden and pool masks, pool size, and the factor
-        taking its numerators to denominator D (``config.layer_factors``)."""
-        inst = self.instance
-        return [
-            (a.bits, h.bits, p.bits, len(p), f)
-            for a, h, p, f in zip(inst.blocks, inst.hidden_sets, inst.pools,
-                                  inst.config.layer_factors)
-        ]
-
     def answer_batch(self, masks: Sequence[int]) -> list[int]:
         """The values at ``masks`` as numerators over ``config.value_denominator``,
         in integers: no ``Subset`` and no ``Fraction`` per query.
@@ -208,21 +205,9 @@ class HonestOracle(_Oracle):
         """
         if not masks:
             return []
-        n = self.config.n
-        if min(masks) < 0 or max(masks) >> n:
-            raise ValueError(f"query masks must lie in [0, 2^{n})")
+        _check_masks(self.config.n, masks)
         self._count_queries(len(masks))
-        prefix_unions, hidden_union = self.instance.prefix_unions, self.instance.hidden_union
-        layers = self._layers
-        out = []
-        for m in masks:
-            k = _divergent_layer(prefix_unions, m ^ hidden_union)
-            if k is None:
-                out.append(0)
-            else:
-                block, hidden, pool, pool_card, factor = layers[k - 1]
-                out.append(factor * _layer_numerator(block, hidden, pool, pool_card, m))
-        return out
+        return self.instance.table.numerators(masks)
 
 
 @dataclass(frozen=True)
@@ -249,8 +234,9 @@ class HalvingAdversary(_Oracle):
     Supports the same ``answer``/``answer_batch``/``begin_round``/``stats``
     surface as the honest oracle so any solver can be dueled unmodified.
     A batch is answered mask by mask in integers, with the same records,
-    round tags and commits as one ``answer`` per mask.  Strictly
-    sequential: callers must not share an adversary across threads.
+    round tags and commits as one ``answer`` per mask.  Each commit is
+    pushed into ``table``, whose full form equals the finalized instance's.
+    Strictly sequential: callers must not share an adversary across threads.
     """
 
     def __init__(self, config: GroundConfig):
@@ -264,12 +250,8 @@ class HalvingAdversary(_Oracle):
         # engaged_layers[i]: active layer engaged by record i+1, or None when the
         # query diverged at an already-committed layer (or the instance was full).
         self.engaged_layers: list[int | None] = []
-        self._pool = Subset.full(config.n)
-        self._pool_masks: list[int] = []  # pool bits of each committed layer
-        # Layer lookup masks over the committed layers, as in LayeredInstance.
-        self._prefix_unions: list[int] = []
-        self._hidden_union = 0
-        self._active_u = Subset.full(config.n)
+        self.table = LayerTable(config)
+        self._active_u = self.table.pool  # the active layer's candidate set U, a mask
         self._engaged_count = 0  # engaging queries since the active layer opened
         self._instance: LayeredInstance | None = None
 
@@ -282,7 +264,7 @@ class HalvingAdversary(_Oracle):
     @property
     def active_set(self) -> Subset | None:
         """Current candidate set for the active layer's block; None once full."""
-        return None if self._instance is not None else self._active_u
+        return None if self._instance is not None else Subset(self.config.n, self._active_u)
 
     @property
     def fully_committed(self) -> bool:
@@ -292,24 +274,18 @@ class HalvingAdversary(_Oracle):
 
     def _commit(self, block_bits: int, hidden_bits: int, cause: str) -> None:
         layer = len(self.commits) + 1
-        block = Subset(self.config.n, block_bits)
-        hidden = Subset(self.config.n, hidden_bits)
         self.commits.append(
             LayerCommit(
                 layer=layer,
-                block=block,
-                hidden=hidden,
-                pool_size=len(self._pool),
+                block=Subset(self.config.n, block_bits),
+                hidden=Subset(self.config.n, hidden_bits),
+                pool_size=self.table.pool.bit_count(),
                 engaged_queries=self._engaged_count,
                 cause=cause,
             )
         )
-        self._pool_masks.append(self._pool.bits)
-        union = self._prefix_unions[-1] if self._prefix_unions else 0
-        self._prefix_unions.append(union | block_bits)
-        self._hidden_union |= hidden_bits
-        self._pool = self._pool - block
-        self._active_u = self._pool
+        self.table.push(block_bits, hidden_bits)
+        self._active_u = self.table.pool
         self._engaged_count = 0
         if layer == self.config.layer_count:
             self._instance = LayeredInstance(
@@ -318,15 +294,14 @@ class HalvingAdversary(_Oracle):
                 [c.hidden for c in self.commits],
             )
 
-    def _price(self, layer: int, block: int, hidden: int, pool: int, s_bits: int) -> tuple[ExactValue, int]:
-        """The value at ``s_bits`` diverging at ``layer``, and its numerator over D."""
-        num = _layer_numerator(block, hidden, pool, pool.bit_count(), s_bits)
-        value = Fraction(num, self.config.scale_denominators[layer - 1] * 2 * pool.bit_count())
-        return value, num * self.config.layer_factors[layer - 1]
+    def _price(self, layer: int, row: tuple, s_bits: int) -> tuple[ExactValue, int]:
+        """Value at ``s_bits`` diverging at ``layer`` (table row ``row``), and its numerator over D."""
+        block, hidden, pool, pool_card, factor = row
+        num = _layer_numerator(block, hidden, pool, pool_card, s_bits)
+        return Fraction(num, self.config.scale_denominators[layer - 1] * 2 * pool_card), num * factor
 
     def _committed_layer_value(self, layer: int, s_bits: int) -> tuple[ExactValue, int]:
-        c = self.commits[layer - 1]
-        return self._price(layer, c.block.bits, c.hidden.bits, self._pool_masks[layer - 1], s_bits)
+        return self._price(layer, self.table.rows[layer - 1], s_bits)
 
     def answer(self, s: Subset) -> ExactValue:
         """Answer one query, committing layers only when forced.
@@ -350,13 +325,14 @@ class HalvingAdversary(_Oracle):
     def answer_batch(self, masks: Sequence[int]) -> list[int]:
         """Answer ``Subset(n, m)`` for each ``m`` in ``masks``, in order, as
         numerators over ``config.value_denominator``, recording each query
-        as :meth:`answer` describes."""
+        as :meth:`answer` describes.  A mask outside ``[0, 2^n)`` raises
+        ValueError before any mask is counted, recorded or engaged."""
+        _check_masks(self.config.n, masks)
         out = []
         for s_bits in masks:
             s = Subset(self.config.n, s_bits)
             index, round_no = self._count_queries()
-            # Once every layer is committed, the lookup masks are the instance's.
-            divergent = _divergent_layer(self._prefix_unions, s_bits ^ self._hidden_union)
+            divergent = self.table.layer_of(s_bits)
             engaged: int | None = None
             if divergent is not None:
                 value, num = self._committed_layer_value(divergent, s_bits)
@@ -378,7 +354,7 @@ class HalvingAdversary(_Oracle):
         Every candidate in U gives the same value, so this is also the
         value under whichever block U later commits to.
         """
-        u_bits = self._active_u.bits
+        u_bits = self._active_u
         inter = u_bits & s_bits
         self._engaged_count += 1
         cause = None
@@ -392,12 +368,12 @@ class HalvingAdversary(_Oracle):
                 new_u = inter  # "both": every candidate block lies inside the query
             else:
                 new_u = u_bits & ~s_bits  # "none": every candidate block misses it
-            self._active_u = Subset(self.config.n, new_u)
-            block_bits = _lowest_bits(new_u, 2)
-            hidden_bits = _lowest_bits(block_bits, 1)
+            self._active_u = new_u
+            block_bits = scatter(0b11, new_u)  # the two lowest candidates in U
+            hidden_bits = scatter(0b1, block_bits)
             if new_u.bit_count() <= 3:
                 cause = "halving"
-        priced = self._price(len(self.commits) + 1, block_bits, hidden_bits, self._pool.bits, s_bits)
+        priced = self._price(len(self.commits) + 1, self.table.next_row(block_bits, hidden_bits), s_bits)
         if cause is not None:
             self._commit(block_bits, hidden_bits, cause)
         return priced
@@ -415,7 +391,7 @@ class HalvingAdversary(_Oracle):
         if self._instance is None:
             rng = None if seed is None else SplitMix64(seed)
             pick = lowest_first if rng is None else rng.sample
-            a_idx = pick(self._active_u.indices(), 2)
+            a_idx = pick(Subset(self.config.n, self._active_u).indices(), 2)
             self._commit(
                 Subset.from_indices(self.config.n, a_idx).bits,
                 Subset.from_indices(self.config.n, pick(a_idx, 1)).bits,
@@ -426,22 +402,10 @@ class HalvingAdversary(_Oracle):
                     # Untouched layers draw from a child stream, as sample_instance does.
                     pick = SplitMix64(rng.next()).sample
                 completed = complete_instance(self.config, self.committed, pick)
-                while len(self.commits) < self.config.layer_count:
-                    k = len(self.commits)
+                for k in range(len(self.commits), self.config.layer_count):
                     self._commit(completed.blocks[k].bits, completed.hidden_sets[k].bits, "finalize")
         instance = self._instance
         assert instance is not None
         self.transcript.replay(instance)
         return instance
 
-
-def _lowest_bits(bits: int, count: int) -> int:
-    """Mask of the ``count`` lowest set bits of ``bits``."""
-    if bits.bit_count() < count:
-        raise ValueError(f"need {count} set bits, have {bits.bit_count()}")
-    out = 0
-    for _ in range(count):
-        low = bits & -bits
-        out |= low
-        bits &= ~low
-    return out

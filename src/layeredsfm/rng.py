@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .sets import Subset
+from .sets import Subset, scatter
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -74,23 +74,9 @@ class SplitMix64:
         return sorted(pool[:k])
 
     def subset_of(self, carrier: Subset) -> Subset:
-        """Uniform subset of ``carrier``: each member kept independently at 1/2."""
-        return Subset(carrier.size, self.mask_of(carrier.indices()))
-
-    def mask_of(self, members: Sequence[int]) -> int:
-        """Bit mask of a uniform subset of ``members`` (ascending indices).
-
-        One ``bits(len(members))`` draw; its bit ``pos`` keeps
-        ``members[pos]``.  Callers that draw many subsets of one carrier
-        list its members once and call this directly.
-        """
-        keep = self.bits(len(members))
-        if not members:
-            return 0
-        chars = ["0"] * (members[-1] + 1)
-        for idx, c in zip(members, bin(keep)[:1:-1]):
-            chars[idx] = c
-        return int("".join(reversed(chars)), 2)
+        """Uniform subset of ``carrier``: bit p of one ``bits(len(carrier))`` draw
+        keeps its p-th lowest member (:func:`~layeredsfm.sets.scatter`)."""
+        return Subset(carrier.size, scatter(self.bits(len(carrier)), carrier.bits))
 
     def spawn_seeds(self, count: int) -> list[int]:
         """Independent child seeds, e.g. one per experiment trial."""

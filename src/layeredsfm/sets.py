@@ -216,6 +216,19 @@ def relate(s: Subset, t: Subset) -> Relation:
     return Relation.INCOMPARABLE
 
 
+def scatter(bits: int, carrier: int) -> int:
+    """Mask that holds the carrier's p-th lowest member for each set bit p of
+    ``bits``: a mask over the carrier's positions placed on its members."""
+    out = 0
+    while bits and carrier:
+        low = carrier & -carrier
+        if bits & 1:
+            out |= low
+        carrier ^= low
+        bits >>= 1
+    return out
+
+
 def enumerate_subsets(n: int) -> Iterator[Subset]:
     """Yield all 2^n subsets in increasing integer-encoding order.
 

@@ -26,7 +26,7 @@ from .family import (
 )
 from .rationals import ExactValue, format_value
 from .rng import SplitMix64
-from .sets import GroundConfig, Subset
+from .sets import GroundConfig, Subset, scatter
 
 EXHAUSTIVE_PAIR_CAP = 12
 
@@ -252,13 +252,9 @@ def check_block_properties(
     if universe.bits != (1 << n) - 1:
         raise ValueError("building-block verification expects universe == full ground set")
     below = universe - block
-    below_indices = below.indices()
     best_bits, best_val = 0, None
-    for mask in range(1 << len(below_indices)):
-        bits = 0
-        for pos, idx in enumerate(below_indices):
-            if (mask >> pos) & 1:
-                bits |= 1 << idx
+    for mask in range(1 << len(below)):
+        bits = scatter(mask, below.bits)
         v = inner(Subset(n, bits))
         if best_val is None or v < best_val:
             best_bits, best_val = bits, v

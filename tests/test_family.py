@@ -278,6 +278,22 @@ class TestInstanceValidation:
         assert LayeredInstance.from_json(data) == two_layer_instance
 
 
+class TestLayerTable:
+    @pytest.mark.parametrize("n,r", [(4, 1), (11, 3), (16, 2), (64, 1)])
+    def test_rows_hold_each_layer(self, n, r):
+        inst = sample_instance(GroundConfig(n, r), n)
+        table, factors = inst.table, inst.config.layer_factors
+        assert len(table.rows) == inst.layer_count
+        seen = hidden = 0
+        for k in range(1, inst.layer_count + 1):
+            a, h, pool = inst.blocks[k - 1], inst.hidden_sets[k - 1], inst.pools[k - 1]
+            assert pool.bits == (1 << inst.config.effective_size) - 1 & ~seen
+            assert table.rows[k - 1] == (a.bits, h.bits, pool.bits, len(pool), factors[k - 1])
+            seen, hidden = seen | a.bits, hidden | h.bits
+            assert table.prefix_unions[k - 1] == seen
+        assert table.hidden_union == hidden
+
+
 class TestSampler:
     def test_same_seed_same_instance(self):
         cfg = GroundConfig(12, 2)

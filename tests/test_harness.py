@@ -180,26 +180,27 @@ class TestRunParallel:
         from layeredsfm.rng import SplitMix64
         from layeredsfm.sets import GroundConfig, Subset
 
-        report = run_parallel(cfg(mode="parallel", n=8, r=1, trials=5, queries_per_round=16))
-        assert report.passed
-        ground = GroundConfig(8, 1)
-        total = 0
-        for trial in report.trials:
-            inst = sample_instance(ground, trial["seed"])
-            rng = SplitMix64(trial["seed"])
-            prefix = Subset(8)
-            hits = 0
-            for pool, block, hidden in zip(inst.pools, inst.blocks, inst.hidden_sets):
-                for _ in range(16):
-                    s = prefix | rng.subset_of(pool)
-                    hits += (s & block) == hidden
-                prefix = prefix | hidden
-            assert trial["naive"]["lucky_hits"] == hits
-            assert trial["naive"]["rounds"] == trial["result"]["rounds"]
-            solver_correct = trial["result"]["minimizer"] == true_minimizer(inst).to_json()
-            assert trial["naive"]["correct"] == solver_correct
-            total += hits
-        assert total > 0
+        for n, r in [(8, 1), (24, 2), (48, 3)]:
+            report = run_parallel(cfg(mode="parallel", n=n, r=r, trials=5, queries_per_round=16))
+            assert report.passed
+            ground = GroundConfig(n, r)
+            total = 0
+            for trial in report.trials:
+                inst = sample_instance(ground, trial["seed"])
+                rng = SplitMix64(trial["seed"])
+                prefix = Subset(n)
+                hits = 0
+                for pool, block, hidden in zip(inst.pools, inst.blocks, inst.hidden_sets):
+                    for _ in range(16):
+                        s = prefix | rng.subset_of(pool)
+                        hits += (s & block) == hidden
+                    prefix = prefix | hidden
+                assert trial["naive"]["lucky_hits"] == hits
+                assert trial["naive"]["rounds"] == trial["result"]["rounds"]
+                solver_correct = trial["result"]["minimizer"] == true_minimizer(inst).to_json()
+                assert trial["naive"]["correct"] == solver_correct
+                total += hits
+            assert total > 0
 
     def test_minimizers_match_brute_force(self):
         # Re-derive each trial's instance from its recorded seed and compare

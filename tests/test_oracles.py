@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -17,11 +18,13 @@ from layeredsfm.oracles import (
     HalvingAdversary,
     HonestOracle,
     QueryRecord,
+    ReplayMismatchError,
     Transcript,
     _Oracle,
 )
 from layeredsfm.rng import SplitMix64
 from layeredsfm.sets import GroundConfig, Subset, enumerate_subsets
+from layeredsfm.solvers import family_aware_minimize
 
 
 def subset(n, *indices):
@@ -136,6 +139,28 @@ class TestAnswerBatch:
         with pytest.raises(ValueError):
             oracle.answer_batch([0, 5, bad, 15])
         assert oracle.stats() == (1, 1)
+
+    @pytest.mark.parametrize("kind", ["honest", "sequential", "adversary"])
+    def test_bad_mask_mid_batch_leaves_no_state(self, kind):
+        # A mask outside [0, 2^n) anywhere in a batch is rejected before any
+        # mask of the batch is counted, answered or recorded.
+        cfg = GroundConfig(8, 1)
+
+        class Sequential(HonestOracle):
+            answer_batch = _Oracle.answer_batch
+
+        for bad in (1 << 8, -1):
+            if kind == "adversary":
+                oracle = HalvingAdversary(cfg)
+            else:
+                oracle = (HonestOracle if kind == "honest" else Sequential)(sample_instance(cfg, 3))
+            with pytest.raises(ValueError):
+                oracle.answer_batch([3, bad])
+            assert oracle.stats() == (0, 0)
+            if kind == "adversary":
+                assert len(oracle.transcript) == 0
+                assert oracle.engaged_layers == [] and oracle.commits == []
+                assert oracle.active_set == Subset.full(8)
 
     def test_sequential_default_rejects_off_lattice_answers(self, two_layer_instance):
         big_d = two_layer_instance.config.value_denominator
@@ -309,6 +334,21 @@ class TestFinalize:
         assert len(adv.transcript) == 100
         assert inst.config.n == 16
 
+    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_table_equals_the_finalized_instance_table(self, n, seed):
+        # The adversary's layer table, pushed one commit at a time, is the
+        # table the finalized instance builds from its blocks and hidden sets.
+        rng = SplitMix64(n)
+        adv = HalvingAdversary(GroundConfig(n, 1))
+        ground = Subset.full(n)
+        for _ in range(2 * n):
+            adv.answer(rng.subset_of(ground))
+        inst = adv.finalize(seed)
+        assert adv.table.rows == inst.table.rows
+        assert adv.table.prefix_unions == inst.table.prefix_unions
+        assert adv.table.hidden_union == inst.table.hidden_union
+
 
 class TestAdversaryInvariants:
     def _interact(self, n, queries, seed):
@@ -363,6 +403,24 @@ class TestTranscript:
         text = json.dumps(data)
         back = Transcript.from_json(json.loads(text))
         assert [r.to_json() for r in back.records] == data["records"]
+
+    def test_replay_names_the_mismatched_record(self):
+        cfg = GroundConfig(16, 1)
+        adv = HalvingAdversary(cfg)
+        family_aware_minimize(adv, cfg)
+        inst = adv.finalize()
+        transcript = Transcript.from_json(json.loads(json.dumps(adv.transcript.to_json())))
+        transcript.replay(inst)
+        # Another instance answers some recorded query differently.
+        with pytest.raises(ReplayMismatchError):
+            transcript.replay(sample_instance(cfg, 1))
+        # One value moved by 1/D is caught and named by its record index.
+        i = len(transcript) // 2
+        rec = transcript.records[i]
+        moved = rec.value + Fraction(1, cfg.value_denominator)
+        transcript.records[i] = dataclasses.replace(rec, value=moved)
+        with pytest.raises(ReplayMismatchError, match=rf"^record {rec.index}: "):
+            transcript.replay(inst)
 
     def test_record_ordering_enforced(self):
         t = Transcript(GroundConfig(4, 1))

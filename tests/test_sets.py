@@ -8,6 +8,7 @@ from layeredsfm.sets import (
     Subset,
     enumerate_subsets,
     relate,
+    scatter,
 )
 
 
@@ -169,3 +170,11 @@ class TestEnumerateSubsets:
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             next(enumerate_subsets(EXHAUSTIVE_CAP + 1))
+
+
+def test_scatter_places_bit_p_on_the_carriers_pth_member():
+    carrier = Subset.from_indices(10, [1, 4, 5, 9]).bits
+    assert scatter(0b1010, carrier) == (1 << 4) | (1 << 9)
+    assert scatter(0, carrier) == 0
+    assert scatter(0b111111, carrier) == carrier  # bits past the last member drop
+    assert scatter(0b1, 0) == 0
