@@ -194,20 +194,19 @@ def run_verify(
 ) -> Report:
     """Exhaustively check range/minimizer/submodularity on sampled instances.
 
-    ``eval_factory`` swaps the evaluator under test (the default is the
-    closed form); the mutation tests use it to confirm that a corrupted
-    evaluator is caught with a concrete witness.
+    ``eval_factory`` swaps the evaluator under test (the default reads each
+    instance's layer table); the mutation tests use it to confirm that a
+    corrupted evaluator is caught with a concrete witness.
     """
     report = Report(config)
     n = config.n[0]
     ground = GroundConfig(n, config.r)
-    if eval_factory is None:
-        eval_factory = lambda inst: (lambda s: evaluate_closed_form(inst, s))
     rng = SplitMix64(config.seed)
     failures = 0
     for trial, seed in enumerate(rng.spawn_seeds(config.trials)):
         inst = sample_instance(ground, seed)
-        prop = check_function_properties(eval_factory(inst), n, true_minimizer(inst))
+        subject = inst if eval_factory is None else eval_factory(inst)
+        prop = check_function_properties(subject, n, true_minimizer(inst))
         entry = {"trial": trial, "seed": seed, **prop.to_json()}
         report.trials.append(entry)
         if not prop.all_ok:
@@ -300,7 +299,7 @@ def _lucky_hits(inst: LayeredInstance, q_per_round: int, seed: int) -> int:
         # of its draw is set, so test the draw at A_k's and R_k's pool positions.
         at = lambda s: sum(1 << (pool.bits & ((1 << e) - 1)).bit_count() for e in s.indices())
         a_pos, r_pos = at(block), at(hidden)
-        lucky += sum(rng.bits(len(pool)) & a_pos == r_pos for _ in range(q_per_round))
+        lucky += sum(rng.masked_bits(len(pool), a_pos) == r_pos for _ in range(q_per_round))
     return lucky
 
 

@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .family import (
-    ZERO,
     LayerTable,
     LayeredInstance,
     _layer_numerator,
@@ -42,27 +41,37 @@ class ReplayMismatchError(RuntimeError):
     """A transcript value disagrees with the finalized instance (internal bug)."""
 
 
+# Records replayed per kernel call.  The numerators of one chunk are held at
+# once; those of a whole n = 512 duel (6,399) would add about 1.1 MB of peak RSS.
+_REPLAY_CHUNK = 256
+
+
 @dataclass(frozen=True, slots=True)
 class QueryRecord:
-    """One answered query: 1-based sequence number, round tag, set, exact value.
+    """One answered query: 1-based sequence number, round tag, set, and the
+    value's numerator over ``D = config.value_denominator``.
     Slotted, since a transcript keeps one per query (6,399 in a duel at n = 512)."""
 
     index: int
     round: int
     query: Subset
-    value: ExactValue
+    num: int
 
-    def to_json(self) -> dict:
+    def to_json(self, value_denominator: int) -> dict:
         return {
             "index": self.index,
             "round": self.round,
             "query": self.query.to_json(),
-            "value": format_value(self.value),
+            "value": format_value(Fraction(self.num, value_denominator)),
         }
 
 
 class Transcript:
-    """Ordered, round-tagged log of (query, value) pairs for one interaction."""
+    """Ordered, round-tagged log of (query, value) pairs for one interaction.
+
+    Values are kept as integer numerators over ``D = config.value_denominator``;
+    the JSON form prints each as the reduced ``"p/q"`` of its value.
+    """
 
     def __init__(self, config: GroundConfig):
         self.config = config
@@ -79,38 +88,52 @@ class Transcript:
         return len(self.records)
 
     def replay(self, inst: LayeredInstance) -> None:
-        """Re-derive every recorded value from ``inst``; raise on any mismatch."""
-        for rec in self.records:
-            actual = evaluate_closed_form(inst, rec.query)
-            if actual != rec.value:
-                raise ReplayMismatchError(
-                    f"record {rec.index}: query {rec.query.indices()} was answered "
-                    f"{format_value(rec.value)} but the instance evaluates to {format_value(actual)}"
-                )
+        """Re-derive every recorded value from ``inst``'s layer table, in
+        integers, ``_REPLAY_CHUNK`` records at a time; raise on any mismatch."""
+        records = self.records
+        for start in range(0, len(records), _REPLAY_CHUNK):
+            chunk = records[start : start + _REPLAY_CHUNK]
+            for rec, actual in zip(chunk, inst.table.numerators([rec.query.bits for rec in chunk])):
+                if actual != rec.num:
+                    big_d = self.config.value_denominator
+                    raise ReplayMismatchError(
+                        f"record {rec.index}: query {rec.query.indices()} was answered "
+                        f"{format_value(Fraction(rec.num, big_d))} but the instance evaluates to "
+                        f"{format_value(Fraction(actual, big_d))}"
+                    )
 
     def to_json(self) -> dict:
+        big_d = self.config.value_denominator
         return {
             "config": {"n": self.config.n, "r": self.config.r},
-            "records": [rec.to_json() for rec in self.records],
+            "records": [rec.to_json(big_d) for rec in self.records],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "Transcript":
-        """Inverse of :meth:`to_json`; malformed input raises ValueError."""
+        """Inverse of :meth:`to_json`; malformed input raises ValueError,
+        and so does a value that no instance can take: one outside [0, 2]
+        or not a multiple of ``1/D``."""
         try:
             config = GroundConfig(n=data["config"]["n"], r=data["config"]["r"])
+            big_d = config.value_denominator
             out = cls(config)
             for rec in data["records"]:
                 index, round_ = rec["index"], rec["round"]
                 if not all(type(v) is int and v >= 1 for v in (index, round_)):  # no bools
                     raise ValueError(f"record index and round must be positive integers, "
                                      f"got {index!r} and {round_!r}")
+                value = parse_value(rec["value"])
+                num, rest = divmod(value.numerator * big_d, value.denominator)
+                if rest or not 0 <= num <= 2 * big_d:
+                    raise ValueError(f"record {index} value {rec['value']!r} is not a "
+                                     f"multiple of 1/{big_d} in [0, 2]")
                 out.append(
                     QueryRecord(
                         index=index,
                         round=round_,
                         query=Subset.from_json(config.n, rec["query"]),
-                        value=parse_value(rec["value"]),
+                        num=num,
                     )
                 )
         except (KeyError, TypeError) as exc:
@@ -294,14 +317,14 @@ class HalvingAdversary(_Oracle):
                 [c.hidden for c in self.commits],
             )
 
-    def _price(self, layer: int, row: tuple, s_bits: int) -> tuple[ExactValue, int]:
-        """Value at ``s_bits`` diverging at ``layer`` (table row ``row``), and its numerator over D."""
+    @staticmethod
+    def _price(row: tuple, s_bits: int) -> int:
+        """Numerator over D of the value at ``s_bits``, diverging at table row ``row``."""
         block, hidden, pool, pool_card, factor = row
-        num = _layer_numerator(block, hidden, pool, pool_card, s_bits)
-        return Fraction(num, self.config.scale_denominators[layer - 1] * 2 * pool_card), num * factor
+        return factor * _layer_numerator(block, hidden, pool, pool_card, s_bits)
 
-    def _committed_layer_value(self, layer: int, s_bits: int) -> tuple[ExactValue, int]:
-        return self._price(layer, self.table.rows[layer - 1], s_bits)
+    def _committed_layer_value(self, layer: int, s_bits: int) -> int:
+        return self._price(self.table.rows[layer - 1], s_bits)
 
     def answer(self, s: Subset) -> ExactValue:
         """Answer one query, committing layers only when forced.
@@ -319,8 +342,8 @@ class HalvingAdversary(_Oracle):
         """
         if s.size != self.config.n:
             raise ValueError(f"query must live on the {self.config.n}-element ground set")
-        self.answer_batch([s.bits])
-        return self.transcript.records[-1].value
+        (num,) = self.answer_batch([s.bits])
+        return Fraction(num, self.config.value_denominator)
 
     def answer_batch(self, masks: Sequence[int]) -> list[int]:
         """Answer ``Subset(n, m)`` for each ``m`` in ``masks``, in order, as
@@ -335,18 +358,18 @@ class HalvingAdversary(_Oracle):
             divergent = self.table.layer_of(s_bits)
             engaged: int | None = None
             if divergent is not None:
-                value, num = self._committed_layer_value(divergent, s_bits)
+                num = self._committed_layer_value(divergent, s_bits)
             elif self._instance is not None:
-                value, num = ZERO, 0
+                num = 0
             else:
                 engaged = len(self.commits) + 1
-                value, num = self._engage_active(s_bits)
+                num = self._engage_active(s_bits)
             self.engaged_layers.append(engaged)
-            self.transcript.append(QueryRecord(index=index, round=round_no, query=s, value=value))
+            self.transcript.append(QueryRecord(index=index, round=round_no, query=s, num=num))
             out.append(num)
         return out
 
-    def _engage_active(self, s_bits: int) -> tuple[ExactValue, int]:
+    def _engage_active(self, s_bits: int) -> int:
         """Price a query that matches every committed layer, as ``_price`` does.
 
         The answer is the honest value under the lowest-index candidate
@@ -373,7 +396,7 @@ class HalvingAdversary(_Oracle):
             hidden_bits = scatter(0b1, block_bits)
             if new_u.bit_count() <= 3:
                 cause = "halving"
-        priced = self._price(len(self.commits) + 1, self.table.next_row(block_bits, hidden_bits), s_bits)
+        priced = self._price(self.table.next_row(block_bits, hidden_bits), s_bits)
         if cause is not None:
             self._commit(block_bits, hidden_bits, cause)
         return priced

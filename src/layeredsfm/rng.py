@@ -63,6 +63,24 @@ class SplitMix64:
             filled += 64
         return out & ((1 << count) - 1)
 
+    def masked_bits(self, count: int, mask: int) -> int:
+        """``bits(count) & mask``, leaving the same state, but mixing only the
+        64-bit words that ``mask`` touches: word i of the draw is the output
+        of state ``s + (i + 1) * GOLDEN``, with ``s`` the state before it."""
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        state = self._state
+        self._state = (state + ((count + 63) >> 6) * _GOLDEN) & _MASK64
+        rest = mask & ((1 << count) - 1)
+        out = shift = 0
+        while rest:
+            state = (state + _GOLDEN) & _MASK64
+            if rest & _MASK64:
+                out |= (_mix(state) & rest) << shift  # a 64-bit word keeps only its own bits
+            rest >>= 64
+            shift += 64
+        return out
+
     def sample(self, seq: Sequence[int], k: int) -> list[int]:
         """Uniform size-k subset of ``seq`` (as a sorted list), partial shuffle."""
         if not 0 <= k <= len(seq):

@@ -20,7 +20,6 @@ from typing import Callable
 from .family import (
     LayeredInstance,
     block_value,
-    evaluate_closed_form,
     submodularizer,
     true_minimizer,
 )
@@ -76,8 +75,15 @@ class ViolationWitness:
         )
 
 
-def _tabulate(fn: SetFunction, n: int) -> tuple[list[int], int]:
-    """All 2^n values (``Fraction`` or ``int``) as integers over a common denominator."""
+def _tabulate(fn: SetFunction | LayeredInstance, n: int) -> tuple[list[int], int]:
+    """All 2^n values as integers over a common denominator.
+
+    An instance is read from its layer table, over ``D = config.value_denominator``;
+    any other evaluator's values (``Fraction`` or ``int``) over their least
+    common denominator.
+    """
+    if isinstance(fn, LayeredInstance):
+        return fn.table.numerators(range(1 << n)), fn.config.value_denominator
     values = [fn(Subset(n, bits)) for bits in range(1 << n)]
     den = 1
     for v in values:
@@ -205,8 +211,11 @@ class PropertyReport:
         }
 
 
-def check_function_properties(fn: SetFunction, n: int, predicted_min: Subset) -> PropertyReport:
-    """Range/minimizer/submodularity verdict for an arbitrary evaluator (n <= 12)."""
+def check_function_properties(
+    fn: SetFunction | LayeredInstance, n: int, predicted_min: Subset
+) -> PropertyReport:
+    """Range/minimizer/submodularity verdict for an arbitrary evaluator, or
+    for an instance's own values (n <= 12)."""
     if n > EXHAUSTIVE_PAIR_CAP:
         raise ValueError(f"exhaustive verification capped at n={EXHAUSTIVE_PAIR_CAP}")
     ints, den = _tabulate(fn, n)  # F(S) = ints[S] / den, den > 0
@@ -227,10 +236,7 @@ def check_function_properties(fn: SetFunction, n: int, predicted_min: Subset) ->
 def check_instance_properties(inst: LayeredInstance) -> PropertyReport:
     """Exhaustively verify one instance: values in [0,2], unique minimizer
     equal to the union of hidden sets, and submodularity (n <= 12)."""
-    n = inst.config.n
-    return check_function_properties(
-        lambda s: evaluate_closed_form(inst, s), n, true_minimizer(inst)
-    )
+    return check_function_properties(inst, inst.config.n, true_minimizer(inst))
 
 
 def check_block_properties(

@@ -9,6 +9,7 @@ from layeredsfm.family import (
     LayeredInstance,
     _layer_value,
     evaluate_closed_form,
+    evaluate_recursive,
     first_divergent_layer,
     sample_instance,
     true_minimizer,
@@ -24,7 +25,7 @@ from layeredsfm.oracles import (
 )
 from layeredsfm.rng import SplitMix64
 from layeredsfm.sets import GroundConfig, Subset, enumerate_subsets
-from layeredsfm.solvers import family_aware_minimize
+from layeredsfm.solvers import SOLVERS, family_aware_minimize
 
 
 def subset(n, *indices):
@@ -299,8 +300,9 @@ class TestFinalize:
         assert inst.blocks[0] == subset(8, 0, 1)
         assert inst.hidden_sets[0] == subset(8, 0)
         inst2 = adv.transcript  # replay already ran inside finalize
+        big_d = inst.config.value_denominator
         for rec in inst2.records:
-            assert evaluate_closed_form(inst, rec.query) == rec.value
+            assert evaluate_closed_form(inst, rec.query) == Fraction(rec.num, big_d)
 
     def test_empty_transcript_canonical(self):
         adv = HalvingAdversary(GroundConfig(6, 1))
@@ -402,7 +404,7 @@ class TestTranscript:
         data = adv.transcript.to_json()
         text = json.dumps(data)
         back = Transcript.from_json(json.loads(text))
-        assert [r.to_json() for r in back.records] == data["records"]
+        assert [r.to_json(back.config.value_denominator) for r in back.records] == data["records"]
 
     def test_replay_names_the_mismatched_record(self):
         cfg = GroundConfig(16, 1)
@@ -417,18 +419,36 @@ class TestTranscript:
         # One value moved by 1/D is caught and named by its record index.
         i = len(transcript) // 2
         rec = transcript.records[i]
-        moved = rec.value + Fraction(1, cfg.value_denominator)
-        transcript.records[i] = dataclasses.replace(rec, value=moved)
+        transcript.records[i] = dataclasses.replace(rec, num=rec.num + 1)
         with pytest.raises(ReplayMismatchError, match=rf"^record {rec.index}: "):
             transcript.replay(inst)
 
+    def test_replay_checks_every_chunk(self):
+        # 511 records span two replay chunks; a moved value at either end of
+        # either chunk is named.
+        cfg = GroundConfig(64, 1)
+        adv = HalvingAdversary(cfg)
+        family_aware_minimize(adv, cfg)
+        inst = adv.finalize()
+        records = adv.transcript.records
+        assert len(records) == 511
+        for i in (0, 255, 256, 510):
+            rec = records[i]
+            records[i] = dataclasses.replace(rec, num=rec.num - 1)
+            with pytest.raises(ReplayMismatchError, match=rf"^record {rec.index}: "):
+                adv.transcript.replay(inst)
+            records[i] = rec
+        adv.transcript.replay(inst)
+
     def test_record_ordering_enforced(self):
-        t = Transcript(GroundConfig(4, 1))
-        t.append(QueryRecord(1, 1, Subset(4), Fraction(1)))
+        cfg = GroundConfig(4, 1)
+        one = cfg.value_denominator  # the value 1, as a numerator over D
+        t = Transcript(cfg)
+        t.append(QueryRecord(1, 1, Subset(4), one))
         with pytest.raises(ValueError):
-            t.append(QueryRecord(1, 1, Subset(4), Fraction(1)))
+            t.append(QueryRecord(1, 1, Subset(4), one))
         with pytest.raises(ValueError):
-            t.append(QueryRecord(2, 0, Subset(4), Fraction(1)))
+            t.append(QueryRecord(2, 0, Subset(4), one))
 
     def test_round_tags_follow_begin_round(self):
         adv = HalvingAdversary(GroundConfig(4, 1))
@@ -438,3 +458,39 @@ class TestTranscript:
         rounds = [rec.round for rec in adv.transcript.records]
         assert rounds == [1, 2]
         assert adv.stats() == (2, 2)
+
+
+def _assert_records_match_fraction_evaluators(transcript, inst):
+    big_d = inst.config.value_denominator
+    for rec in transcript.records:
+        value = Fraction(rec.num, big_d)
+        assert value == evaluate_closed_form(inst, rec.query), rec.index
+        if inst.config.n <= 16:
+            assert value == evaluate_recursive(inst, rec.query), rec.index
+
+
+class TestIntegerRecords:
+    """The adversary prices and records in numerators over D; the independent
+    ``Fraction`` evaluators, run on the finalized instance, agree with every record."""
+
+    # Brute force asks all 2^n subsets, so it duels at n <= 16 only.
+    @pytest.mark.parametrize("solver,n", [
+        (solver, n) for solver in sorted(SOLVERS) for n in (8, 16, 32, 64)
+        if solver != "brute_force" or n <= 16
+    ])
+    def test_duel_records_match_fraction_evaluators(self, solver, n):
+        cfg = GroundConfig(n, 1)
+        adv = HalvingAdversary(cfg)
+        SOLVERS[solver](adv, cfg)
+        _assert_records_match_fraction_evaluators(adv.transcript, adv.finalize())
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    @pytest.mark.parametrize("trial", range(4))
+    def test_random_answers_match_fraction_evaluators(self, trial, seed):
+        rng = SplitMix64(900 + trial)
+        cfg = GroundConfig(16, 1)
+        adv = HalvingAdversary(cfg)
+        answers = [adv.answer(rng.subset_of(Subset.full(16))) for _ in range(100)]
+        inst = adv.finalize(seed)
+        assert answers == [Fraction(rec.num, cfg.value_denominator) for rec in adv.transcript.records]
+        _assert_records_match_fraction_evaluators(adv.transcript, inst)

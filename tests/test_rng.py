@@ -83,3 +83,29 @@ def test_subset_draws_match_per_member_reference(shape, seed):
         expected = _reference_subset_of(ref, carrier)
         assert via_carrier.subset_of(carrier) == expected
     assert ref.next() == via_carrier.next()
+
+
+@given(
+    st.integers(0, 1100),
+    st.one_of(
+        st.integers(-(1 << 1200), 1 << 1200),
+        st.sets(st.integers(0, 1100), max_size=8).map(lambda s: sum(1 << i for i in s)),
+    ),
+    st.integers(0, (1 << 64) - 1),
+)
+def test_masked_bits_is_bits_under_the_mask(count, mask, seed):
+    # Same value and same state afterwards as drawing every word and masking.
+    full, masked = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(2):
+        assert masked.masked_bits(count, mask) == full.bits(count) & mask
+        assert masked._state == full._state
+
+
+def test_masked_bits_edges():
+    for count in (0, 1, 63, 64, 65, 128, 129, 512, 1024):
+        for mask in (0, -1, 1, 1 << count, (1 << count) - 1, 1 << max(count - 1, 0), -(1 << 64)):
+            full, masked = SplitMix64(count), SplitMix64(count)
+            assert masked.masked_bits(count, mask) == full.bits(count) & mask
+            assert masked.next() == full.next()
+    with pytest.raises(ValueError):
+        SplitMix64(0).masked_bits(-1, 1)

@@ -7,6 +7,7 @@ from layeredsfm.family import (
     evaluate_closed_form,
     sample_instance,
     submodularizer,
+    true_minimizer,
 )
 from layeredsfm.rng import SplitMix64
 from layeredsfm.sets import GroundConfig, Subset
@@ -227,6 +228,29 @@ class TestPropertyReports:
         report = check_function_properties(corrupted, 6, best)
         assert not report.unique_min_ok
         assert not report.all_ok
+
+
+class TestKernelTables:
+    """An instance is tabulated from its layer table over D; the closed form,
+    as an arbitrary evaluator, is tabulated through ``Fraction``s."""
+
+    # (7, 1) and (10, 2) have dummies, so their minimizer is not unique.
+    @pytest.mark.parametrize("n,r", [(4, 1), (7, 1), (8, 1), (12, 1), (4, 2), (8, 2), (10, 2), (12, 2)])
+    def test_kernel_table_gives_the_fraction_table_report(self, n, r):
+        rng = SplitMix64(17 * n + r)
+        for seed in rng.spawn_seeds(3):
+            inst = sample_instance(GroundConfig(n, r), seed)
+            closed_form = lambda s: evaluate_closed_form(inst, s)
+            ints, den = _tabulate(inst, n)
+            ref_ints, ref_den = _tabulate(closed_form, n)
+            assert [Fraction(v, den) for v in ints] == [Fraction(v, ref_den) for v in ref_ints]
+            report = check_instance_properties(inst)
+            assert report == check_function_properties(closed_form, n, true_minimizer(inst))
+            assert report.all_ok == (n % (2 * r) == 0)
+            # A wrong predicted minimizer fails the same way on both tables.
+            wrong = check_function_properties(inst, n, Subset(n))
+            assert wrong == check_function_properties(closed_form, n, Subset(n))
+            assert not wrong.unique_min_ok
 
 
 class TestSubmodularizerViolation:

@@ -3,6 +3,7 @@ malformed input raises ValueError, anything accepted round-trips through
 ``to_json``."""
 
 import copy
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,10 @@ def test_config_parser_is_total(data):
     assert ExperimentConfig.from_json(config.to_json()) == config
 
 
+# Every value of an n = 4, r = 1 instance is a multiple of 1/_D4 in [0, 2].
+_D4 = GroundConfig(4, 1).value_denominator
+
+
 def _record(**changes):
     record = {"index": 1, "round": 1, "query": [0], "value": "1"}
     record.update(changes)
@@ -121,10 +126,14 @@ def _record(**changes):
     (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(query=["0"])]}),
     (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(round=True)]}),
     (Transcript.from_json, {"records": []}),
+    (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(value=f"1/{3 * _D4}")]}),
+    (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(value=f"-1/{_D4}")]}),
+    (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(value=f"{2 * _D4 + 1}/{_D4}")]}),
 ], ids=["instance-missing-r", "instance-str-n", "instance-layer-without-R", "instance-not-object",
         "instance-bool-and-unsorted-indices", "instance-unsorted-block", "instance-duplicate-index",
         "record-without-round", "record-str-index", "record-str-query", "record-bool-round",
-        "transcript-without-config"])
+        "transcript-without-config", "record-value-off-lattice", "record-value-negative",
+        "record-value-above-two"])
 def test_malformed_input_raises_value_error(parse, data):
     with pytest.raises(ValueError):
         parse(data)
@@ -137,3 +146,12 @@ def test_valid_documents_round_trip():
         assert Transcript.from_json(data).to_json() == data
     for data in VALID_CONFIGS:
         assert ExperimentConfig.from_json(data).to_json() == data
+
+
+@pytest.mark.parametrize("value", ["0", "2", f"1/{_D4}", f"{2 * _D4 - 1}/{_D4}", f"2/{2 * _D4}"])
+def test_transcript_values_on_the_lattice_parse(value):
+    # Both ends of [0, 2] and any multiple of 1/D between them are accepted;
+    # an unreduced text parses to its reduced value.
+    data = {"config": {"n": 4, "r": 1}, "records": [_record(value=value)]}
+    (rec,) = Transcript.from_json(data).records
+    assert Fraction(rec.num, _D4) == Fraction(value)
