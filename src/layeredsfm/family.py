@@ -18,6 +18,7 @@ it and the oracles find and price a query's layer in one
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -110,7 +111,9 @@ class LayeredInstance:
     Blocks are pairwise disjoint, each of size 2r, and together cover the
     effective prefix of the ground set; each hidden set has size r.  When
     2r does not divide n the trailing dummy elements never affect values,
-    so the minimizer is unique only up to dummies.
+    so the minimizer is unique only up to dummies.  Built from lists of
+    layers, each checked by :meth:`LayerTable.push`, or adopted from a
+    full table with :meth:`from_table`.
     """
 
     __slots__ = ("config", "blocks", "hidden_sets", "table", "pools")
@@ -119,29 +122,26 @@ class LayeredInstance:
         ell = config.layer_count
         if len(blocks) != ell or len(hidden_sets) != ell:
             raise ValueError(f"expected {ell} layers, got {len(blocks)} blocks / {len(hidden_sets)} hidden sets")
-        covered = 0
-        for k, (a, r) in enumerate(zip(blocks, hidden_sets), start=1):
-            if a.size != config.n or r.size != config.n:
-                raise ValueError(f"layer {k} sets must live on the {config.n}-element ground set")
-            if len(a) != 2 * config.r:
-                raise ValueError(f"layer {k} block has size {len(a)}, expected {2 * config.r}")
-            if len(r) != config.r:
-                raise ValueError(f"layer {k} hidden set has size {len(r)}, expected {config.r}")
-            if not r.is_subset_of(a):
-                raise ValueError(f"layer {k} hidden set must lie inside its block")
-            if covered & a.bits:
-                raise ValueError(f"layer {k} block overlaps an earlier block")
-            covered |= a.bits
-        if covered != (1 << config.effective_size) - 1:
-            raise ValueError("blocks must cover exactly the effective (non-dummy) prefix")
+        table = LayerTable(config)
+        _push_layers(table, zip(blocks, hidden_sets))
+        self._adopt(table)
 
-        self.config = config
-        self.blocks = list(blocks)
-        self.hidden_sets = list(hidden_sets)
-        self.table = LayerTable(config)
-        for a, r in zip(self.blocks, self.hidden_sets):
-            self.table.push(a.bits, r.bits)
-        self.pools = [Subset(config.n, row[2]) for row in self.table.rows]
+    @classmethod
+    def from_table(cls, table: LayerTable) -> "LayeredInstance":
+        """The instance whose layers are ``table``'s rows; the instance keeps
+        ``table`` itself.  A table missing layers raises ValueError."""
+        inst = cls.__new__(cls)
+        inst._adopt(table)
+        return inst
+
+    def _adopt(self, table: LayerTable) -> None:
+        config, rows = table.config, table.rows
+        if len(rows) != config.layer_count:
+            raise ValueError(f"table holds {len(rows)} of {config.layer_count} layers")
+        self.config, self.table = config, table
+        self.blocks = [Subset(config.n, row[0]) for row in rows]
+        self.hidden_sets = [Subset(config.n, row[1]) for row in rows]
+        self.pools = [Subset(config.n, row[2]) for row in rows]
 
     @property
     def layer_count(self) -> int:
@@ -245,8 +245,10 @@ class LayerTable:
     hidden set and pool (the elements still unclassified when it opens)
     as masks, the pool's size, and ``config.layer_factors[k-1]``.
     ``prefix_unions[k-1] = A_1 | .. | A_k``, ``hidden_union`` joins the
-    committed R's and ``pool`` is the next layer's pool.  An instance
-    pushes all its layers; the halving adversary pushes each as it commits.
+    committed R's and ``pool`` is the next layer's pool.  Every layer
+    enters through :meth:`push`.  An instance adopts a full table; the
+    halving adversary pushes each layer as it commits, and its finalized
+    instance adopts that table.
     """
 
     __slots__ = ("config", "rows", "prefix_unions", "hidden_union", "pool")
@@ -263,7 +265,23 @@ class LayerTable:
         return block, hidden, self.pool, self.pool.bit_count(), self.config.layer_factors[len(self.rows)]
 
     def push(self, block: int, hidden: int) -> None:
-        """Commit the next layer's block and hidden set (masks inside ``pool``)."""
+        """Commit the next layer's block and hidden set, as masks.
+
+        The one validator of a layer: the block is 2r members of ``pool``
+        and the hidden set r members of the block, so blocks never overlap
+        or hold a dummy, L pushes cover the effective prefix exactly, and a
+        push past layer L finds the pool empty.  Anything else raises
+        ValueError and leaves the table as it was.
+        """
+        k, r = len(self.rows) + 1, self.config.r
+        if block.bit_count() != 2 * r:
+            raise ValueError(f"layer {k} block has {block.bit_count()} elements, expected {2 * r}")
+        if hidden.bit_count() != r:
+            raise ValueError(f"layer {k} hidden set has {hidden.bit_count()} elements, expected {r}")
+        if hidden & ~block:
+            raise ValueError(f"layer {k} hidden set must lie inside its block")
+        if block & ~self.pool:  # past layer L the pool is empty
+            raise ValueError(f"layer {k} block overlaps an earlier block or holds a dummy element")
         self.rows.append(self.next_row(block, hidden))
         self.prefix_unions.append((self.prefix_unions[-1] if self.prefix_unions else 0) | block)
         self.hidden_union |= hidden
@@ -369,6 +387,31 @@ def lowest_first(items: Sequence[int], count: int) -> list[int]:
     return list(items[:count])
 
 
+def draw_layer(
+    config: GroundConfig, pool: list[int], pick: Callable[[Sequence[int], int], list[int]]
+) -> tuple[int, int]:
+    """Draw one layer from ``pool``, the unclassified elements in increasing
+    order: ``pick(pool, 2r)`` is the block and ``pick(block, r)`` the hidden
+    set.  Removes the block from ``pool`` in place; returns both as masks.
+
+    The one home of the per-layer draw, so every completion of the same
+    pool with the same ``pick`` stream draws the same layers.
+    """
+    a_idx = pick(pool, 2 * config.r)
+    for e in a_idx:
+        del pool[bisect_left(pool, e)]
+    return sum(1 << e for e in a_idx), sum(1 << e for e in pick(a_idx, config.r))
+
+
+def _push_layers(table: LayerTable, layers: Iterable[tuple[Subset, Subset]]) -> None:
+    """Push (block, hidden) ``Subset`` pairs, which must live on the table's ground set."""
+    n = table.config.n
+    for a, r in layers:
+        if a.size != n or r.size != n:
+            raise ValueError(f"layer {len(table.rows) + 1} sets must live on the {n}-element ground set")
+        table.push(a.bits, r.bits)
+
+
 def complete_instance(
     config: GroundConfig,
     prefix: Iterable[tuple[Subset, Subset]],
@@ -376,25 +419,15 @@ def complete_instance(
 ) -> LayeredInstance:
     """Extend ``prefix`` (pinned (block, hidden) pairs) to a full instance.
 
-    Each remaining layer takes ``pick(pool, 2r)`` as its block and
-    ``pick(block, r)`` as its hidden set, where ``pool`` lists the
-    unclassified elements in increasing order.
+    Each remaining layer is :func:`draw_layer` over the unclassified
+    elements, kept as one increasing list for the whole completion.
     """
-    blocks: list[Subset] = []
-    hidden_sets: list[Subset] = []
-    pool = list(range(config.effective_size))
-    for a, r in prefix:
-        blocks.append(a)
-        hidden_sets.append(r)
-        pool = [e for e in pool if e not in a]
-    for _ in range(config.layer_count - len(blocks)):
-        a_idx = pick(pool, 2 * config.r)
-        r_idx = pick(a_idx, config.r)
-        blocks.append(Subset.from_indices(config.n, a_idx))
-        hidden_sets.append(Subset.from_indices(config.n, r_idx))
-        chosen = set(a_idx)
-        pool = [e for e in pool if e not in chosen]
-    return LayeredInstance(config, blocks, hidden_sets)
+    table = LayerTable(config)
+    _push_layers(table, prefix)
+    pool = Subset(config.n, table.pool).indices()
+    while len(table.rows) < config.layer_count:
+        table.push(*draw_layer(config, pool, pick))
+    return LayeredInstance.from_table(table)
 
 
 def sample_instance(

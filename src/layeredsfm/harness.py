@@ -19,7 +19,7 @@ from typing import Callable
 
 from .family import (
     LayeredInstance,
-    evaluate_closed_form,
+    draw_layer,
     sample_instance,
     true_minimizer,
 )
@@ -440,30 +440,27 @@ def run_hiding(config: ExperimentConfig) -> Report:
 
     identical = 0
     mismatch_evidence: dict | None = None
+    big_d = ground.value_denominator
     for _ in range(HIDING_TRIPLES):
-        a_idx = rng.sample(range(ground.effective_size), 2 * r)
-        r_idx = rng.sample(a_idx, r)
-        first = (
-            Subset.from_indices(n, a_idx),
-            Subset.from_indices(n, r_idx),
-        )
+        a_bits, r_bits = draw_layer(ground, list(range(ground.effective_size)), rng.sample)
+        first = (Subset(n, a_bits), Subset(n, r_bits))
         inst_a = sample_instance(ground, rng.next(), prefix=[first])
         inst_b = sample_instance(ground, rng.next(), prefix=[first])
         while True:
-            s = Subset(n, rng.bits(n))
-            if s.bits & first[0].bits != first[1].bits:
+            s_bits = rng.bits(n)
+            if s_bits & a_bits != r_bits:
                 break
-        va = evaluate_closed_form(inst_a, s)
-        vb = evaluate_closed_form(inst_b, s)
+        (va,) = inst_a.table.numerators([s_bits])
+        (vb,) = inst_b.table.numerators([s_bits])
         if va == vb:
             identical += 1
         elif mismatch_evidence is None:
             mismatch_evidence = {
-                "query": s.to_json(),
+                "query": Subset(n, s_bits).to_json(),
                 "instance_a": inst_a.to_json(),
                 "instance_b": inst_b.to_json(),
-                "value_a": format_value(va),
-                "value_b": format_value(vb),
+                "value_a": format_value(Fraction(va, big_d)),
+                "value_b": format_value(Fraction(vb, big_d)),
             }
     report.aggregate["exact_hiding_identical"] = identical
     report.aggregate["exact_hiding_triples"] = HIDING_TRIPLES

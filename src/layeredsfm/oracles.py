@@ -24,7 +24,7 @@ from .family import (
     LayerTable,
     LayeredInstance,
     _layer_numerator,
-    complete_instance,
+    draw_layer,
     evaluate_closed_form,
     lowest_first,
 )
@@ -89,7 +89,10 @@ class Transcript:
 
     def replay(self, inst: LayeredInstance) -> None:
         """Re-derive every recorded value from ``inst``'s layer table, in
-        integers, ``_REPLAY_CHUNK`` records at a time; raise on any mismatch."""
+        integers, ``_REPLAY_CHUNK`` records at a time; raise on any mismatch.
+        An instance of another config raises ValueError."""
+        if inst.config != self.config:
+            raise ValueError(f"cannot replay a transcript of {self.config} against an instance of {inst.config}")
         records = self.records
         for start in range(0, len(records), _REPLAY_CHUNK):
             chunk = records[start : start + _REPLAY_CHUNK]
@@ -216,8 +219,9 @@ class HonestOracle(_Oracle):
         self.instance = inst
 
     def answer(self, s: Subset) -> ExactValue:
+        value = evaluate_closed_form(self.instance, s)  # a bad query raises before it is counted
         self._count_queries()
-        return evaluate_closed_form(self.instance, s)
+        return value
 
     def answer_batch(self, masks: Sequence[int]) -> list[int]:
         """The values at ``masks`` as numerators over ``config.value_denominator``,
@@ -258,7 +262,7 @@ class HalvingAdversary(_Oracle):
     surface as the honest oracle so any solver can be dueled unmodified.
     A batch is answered mask by mask in integers, with the same records,
     round tags and commits as one ``answer`` per mask.  Each commit is
-    pushed into ``table``, whose full form equals the finalized instance's.
+    pushed into ``table``, and the finalized instance adopts that table.
     Strictly sequential: callers must not share an adversary across threads.
     """
 
@@ -311,11 +315,7 @@ class HalvingAdversary(_Oracle):
         self._active_u = self.table.pool
         self._engaged_count = 0
         if layer == self.config.layer_count:
-            self._instance = LayeredInstance(
-                self.config,
-                [c.block for c in self.commits],
-                [c.hidden for c in self.commits],
-            )
+            self._instance = LayeredInstance.from_table(self.table)
 
     @staticmethod
     def _price(row: tuple, s_bits: int) -> int:
@@ -414,19 +414,14 @@ class HalvingAdversary(_Oracle):
         if self._instance is None:
             rng = None if seed is None else SplitMix64(seed)
             pick = lowest_first if rng is None else rng.sample
-            a_idx = pick(Subset(self.config.n, self._active_u).indices(), 2)
-            self._commit(
-                Subset.from_indices(self.config.n, a_idx).bits,
-                Subset.from_indices(self.config.n, pick(a_idx, 1)).bits,
-                "finalize",
-            )
-            if self._instance is None:
-                if rng is not None:
-                    # Untouched layers draw from a child stream, as sample_instance does.
-                    pick = SplitMix64(rng.next()).sample
-                completed = complete_instance(self.config, self.committed, pick)
-                for k in range(len(self.commits), self.config.layer_count):
-                    self._commit(completed.blocks[k].bits, completed.hidden_sets[k].bits, "finalize")
+            n = self.config.n
+            self._commit(*draw_layer(self.config, Subset(n, self._active_u).indices(), pick), "finalize")
+            if rng is not None:
+                # Untouched layers draw from a child stream, as sample_instance does.
+                pick = SplitMix64(rng.next()).sample
+            pool = Subset(n, self.table.pool).indices()
+            while self._instance is None:
+                self._commit(*draw_layer(self.config, pool, pick), "finalize")
         instance = self._instance
         assert instance is not None
         self.transcript.replay(instance)

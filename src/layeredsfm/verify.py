@@ -83,6 +83,8 @@ def _tabulate(fn: SetFunction | LayeredInstance, n: int) -> tuple[list[int], int
     common denominator.
     """
     if isinstance(fn, LayeredInstance):
+        if n != fn.config.n:
+            raise ValueError(f"cannot tabulate an instance on {fn.config.n} elements over {n}")
         return fn.table.numerators(range(1 << n)), fn.config.value_denominator
     values = [fn(Subset(n, bits)) for bits in range(1 << n)]
     den = 1

@@ -4,12 +4,15 @@ import pytest
 
 from layeredsfm.family import (
     LayeredInstance,
+    LayerTable,
     block_value,
     canonical_instance,
     containment_score,
+    draw_layer,
     evaluate_closed_form,
     evaluate_recursive,
     first_divergent_layer,
+    lowest_first,
     minimizer_is_unique,
     sample_instance,
     submodularizer,
@@ -292,6 +295,103 @@ class TestLayerTable:
             seen, hidden = seen | a.bits, hidden | h.bits
             assert table.prefix_unions[k - 1] == seen
         assert table.hidden_union == hidden
+
+
+class TestLayerTablePush:
+    # n = 5, r = 1: layers over {0, 1, 2, 3}, and 4 is a dummy.
+    CFG = GroundConfig(5, 1)
+
+    def _one_layer(self):
+        table = LayerTable(self.CFG)
+        table.push(0b0011, 0b0001)
+        return table
+
+    @pytest.mark.parametrize("block,hidden,match", [
+        (0b00110, 0b00100, "overlaps an earlier block"),
+        (0b10100, 0b00100, "dummy"),
+        (0b11100, 0b00100, "block has 3 elements, expected 2"),
+        (0b01100, 0b01100, "hidden set has 2 elements, expected 1"),
+        (0b01100, 0b00000, "hidden set has 0 elements, expected 1"),
+        (0b01100, 0b00001, "hidden set must lie inside its block"),
+        (-0b0101, 0b01000, "overlaps"),  # a negative mask has endless high bits
+    ])
+    def test_rejects_a_malformed_layer_and_keeps_the_table(self, block, hidden, match):
+        table = self._one_layer()
+        with pytest.raises(ValueError, match=match):
+            table.push(block, hidden)
+        assert len(table.rows) == 1 and table.pool == 0b1100
+        table.push(0b1100, 0b1000)  # the table still takes a valid layer
+
+    def test_rejects_one_layer_too_many(self):
+        table = self._one_layer()
+        table.push(0b1100, 0b0100)
+        with pytest.raises(ValueError, match="layer 3 block overlaps"):
+            table.push(0b10001, 0b10000)
+        assert len(table.rows) == 2
+
+    def test_instance_adopts_a_full_table(self):
+        table = self._one_layer()
+        with pytest.raises(ValueError, match="1 of 2 layers"):
+            LayeredInstance.from_table(table)
+        with pytest.raises(ValueError, match="0 of 2 layers"):
+            LayeredInstance.from_table(LayerTable(self.CFG))
+        table.push(0b1100, 0b0100)
+        inst = LayeredInstance.from_table(table)
+        assert inst.table is table
+        assert inst == LayeredInstance(self.CFG, [subset(5, 0, 1), subset(5, 2, 3)], [subset(5, 0), subset(5, 2)])
+        assert inst.pools == [subset(5, 0, 1, 2, 3), subset(5, 2, 3)]
+
+    def test_instance_rejects_sets_of_another_ground_size(self):
+        with pytest.raises(ValueError, match="4-element ground set"):
+            LayeredInstance(GroundConfig(4, 1), [subset(4, 0, 1), subset(5, 2, 3)], [subset(4, 0), subset(4, 2)])
+
+    def test_draw_layer_removes_the_block_from_the_pool(self):
+        pool = [1, 3, 4, 6, 7, 9]
+        assert draw_layer(GroundConfig(10, 2), pool, lowest_first) == (0b1011010, 0b1010)
+        assert pool == [7, 9]
+
+
+def _list_filtering_completion(config, prefix, pick):
+    """Reference completion: filter a pool list after every layer and hand
+    ``Subset`` lists to the constructor, as completions were first written."""
+    blocks, hidden_sets = [], []
+    pool = list(range(config.effective_size))
+    for a, r in prefix:
+        blocks.append(a)
+        hidden_sets.append(r)
+        pool = [e for e in pool if e not in a]
+    for _ in range(config.layer_count - len(blocks)):
+        a_idx = pick(pool, 2 * config.r)
+        r_idx = pick(a_idx, config.r)
+        blocks.append(Subset.from_indices(config.n, a_idx))
+        hidden_sets.append(Subset.from_indices(config.n, r_idx))
+        chosen = set(a_idx)
+        pool = [e for e in pool if e not in chosen]
+    return LayeredInstance(config, blocks, hidden_sets)
+
+
+class TestCompletionMatchesReference:
+    # (7, 1), (9, 2), (13, 3) and (20, 3) have dummies (2r does not divide n).
+    @pytest.mark.parametrize("n,r", [(2, 1), (7, 1), (16, 1), (64, 1), (9, 2), (12, 2), (40, 2),
+                                     (6, 3), (13, 3), (20, 3), (36, 3)])
+    def test_sampled_and_canonical_completions(self, n, r):
+        cfg = GroundConfig(n, r)
+        for seed in range(4):
+            # Pin the first layers of another draw, so the prefix is not lowest-first.
+            other = _list_filtering_completion(cfg, (), SplitMix64(1000 + seed).sample)
+            for depth in range(min(3, cfg.layer_count + 1)):
+                prefix = list(zip(other.blocks[:depth], other.hidden_sets[:depth]))
+                ref = _list_filtering_completion(cfg, prefix, SplitMix64(seed).sample)
+                inst = sample_instance(cfg, seed, prefix=prefix)
+                assert inst == ref and inst.pools == ref.pools and inst.table.rows == ref.table.rows
+                assert canonical_instance(cfg, prefix) == _list_filtering_completion(cfg, prefix, lowest_first)
+
+    def test_malformed_prefix_raises(self):
+        cfg = GroundConfig(8, 1)
+        with pytest.raises(ValueError, match="overlaps"):
+            sample_instance(cfg, 1, prefix=[(subset(8, 0, 1), subset(8, 0)), (subset(8, 1, 2), subset(8, 2))])
+        with pytest.raises(ValueError, match="8-element ground set"):
+            sample_instance(cfg, 1, prefix=[(subset(9, 0, 1), subset(9, 0))])
 
 
 class TestSampler:

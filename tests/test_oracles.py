@@ -8,9 +8,11 @@ import pytest
 from layeredsfm.family import (
     LayeredInstance,
     _layer_value,
+    complete_instance,
     evaluate_closed_form,
     evaluate_recursive,
     first_divergent_layer,
+    lowest_first,
     sample_instance,
     true_minimizer,
 )
@@ -162,6 +164,18 @@ class TestAnswerBatch:
                 assert len(oracle.transcript) == 0
                 assert oracle.engaged_layers == [] and oracle.commits == []
                 assert oracle.active_set == Subset.full(8)
+
+    @pytest.mark.parametrize("kind", ["honest", "adversary"])
+    def test_bad_answer_query_leaves_no_state(self, kind):
+        # ``answer`` checks its query's ground size before it counts it.
+        cfg = GroundConfig(8, 1)
+        oracle = HalvingAdversary(cfg) if kind == "adversary" else HonestOracle(sample_instance(cfg, 3))
+        for bad in (Subset(9), Subset(7, 1)):
+            with pytest.raises(ValueError):
+                oracle.answer(bad)
+            assert oracle.stats() == (0, 0)
+        if kind == "adversary":
+            assert len(oracle.transcript) == 0 and oracle.engaged_layers == []
 
     def test_sequential_default_rejects_off_lattice_answers(self, two_layer_instance):
         big_d = two_layer_instance.config.value_denominator
@@ -352,6 +366,50 @@ class TestFinalize:
         assert adv.table.hidden_union == inst.table.hidden_union
 
 
+def _reference_finalize(adv, seed):
+    """Finalize as first written: the active layer from U's index list, then
+    ``complete_instance`` of the commits (a throwaway instance) re-committed
+    layer by layer; returns the instance built from the commits."""
+    cfg, n = adv.config, adv.config.n
+    if not adv.fully_committed:
+        rng = None if seed is None else SplitMix64(seed)
+        pick = lowest_first if rng is None else rng.sample
+        a_idx = pick(adv.active_set.indices(), 2)
+        adv._commit(Subset.from_indices(n, a_idx).bits, Subset.from_indices(n, pick(a_idx, 1)).bits, "finalize")
+        if not adv.fully_committed:
+            if rng is not None:
+                pick = SplitMix64(rng.next()).sample
+            completed = complete_instance(cfg, adv.committed, pick)
+            for k in range(len(adv.commits), cfg.layer_count):
+                adv._commit(completed.blocks[k].bits, completed.hidden_sets[k].bits, "finalize")
+    return LayeredInstance(cfg, [c.block for c in adv.commits], [c.hidden for c in adv.commits])
+
+
+class TestFinalizeOnePath:
+    @pytest.mark.parametrize("seed", [None, 0, 7])
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_finalize_matches_the_reference_after_partial_duels(self, n, seed):
+        cfg = GroundConfig(n, 1)
+        for queries in (0, 1, n // 4, n, 3 * n):
+            advs = [HalvingAdversary(cfg), HalvingAdversary(cfg)]
+            for adv in advs:
+                rng = SplitMix64(n + queries)
+                adv.answer_batch([rng.bits(n) for _ in range(queries)])
+            inst = advs[0].finalize(seed)
+            ref = _reference_finalize(advs[1], seed)
+            assert advs[0].commits == advs[1].commits  # blocks, hidden sets and causes
+            assert inst == ref and inst.table.rows == ref.table.rows
+            assert inst.table is advs[0].table
+            assert advs[0].finalize(seed) is inst
+
+    def test_finalized_instance_shares_the_adversary_table(self):
+        cfg = GroundConfig(16, 1)
+        adv = HalvingAdversary(cfg)
+        family_aware_minimize(adv, cfg)
+        assert adv.fully_committed
+        assert adv.finalize().table is adv.table
+
+
 class TestAdversaryInvariants:
     def _interact(self, n, queries, seed):
         rng = SplitMix64(seed)
@@ -439,6 +497,15 @@ class TestTranscript:
                 adv.transcript.replay(inst)
             records[i] = rec
         adv.transcript.replay(inst)
+
+    @pytest.mark.parametrize("other", [GroundConfig(8, 1), GroundConfig(16, 2), GroundConfig(32, 1)])
+    def test_replay_rejects_an_instance_of_another_config(self, other):
+        cfg = GroundConfig(16, 1)
+        adv = HalvingAdversary(cfg)
+        family_aware_minimize(adv, cfg)
+        adv.transcript.replay(adv.finalize())
+        with pytest.raises(ValueError, match="cannot replay"):
+            adv.transcript.replay(sample_instance(other, 1))
 
     def test_record_ordering_enforced(self):
         cfg = GroundConfig(4, 1)

@@ -252,6 +252,14 @@ class TestKernelTables:
             assert wrong == check_function_properties(closed_form, n, Subset(n))
             assert not wrong.unique_min_ok
 
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_instance_of_another_size_raises(self, n):
+        inst = sample_instance(GroundConfig(8, 1), 1)
+        with pytest.raises(ValueError, match="8 elements"):
+            _tabulate(inst, n)
+        with pytest.raises(ValueError, match="8 elements"):
+            check_function_properties(inst, n, true_minimizer(inst))
+
 
 class TestSubmodularizerViolation:
     def test_canonical_pattern_n6(self):
