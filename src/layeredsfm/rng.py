@@ -82,14 +82,22 @@ class SplitMix64:
         return out
 
     def sample(self, seq: Sequence[int], k: int) -> list[int]:
-        """Uniform size-k subset of ``seq`` (as a sorted list), partial shuffle."""
-        if not 0 <= k <= len(seq):
-            raise ValueError(f"cannot sample {k} of {len(seq)} items")
-        pool = list(seq)
+        """Uniform size-k subset of ``seq`` (as a sorted list), partial shuffle.
+
+        Step i swaps position i with a uniform position j >= i of the
+        shuffled sequence.  Only the positions a swap has moved are stored
+        (``moved``), so a draw costs O(k) rather than a copy of ``seq``.
+        """
+        size = len(seq)
+        if not 0 <= k <= size:
+            raise ValueError(f"cannot sample {k} of {size} items")
+        moved: dict[int, int] = {}
+        out = []
         for i in range(k):
-            j = i + self.below(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return sorted(pool[:k])
+            j = i + self.below(size - i)
+            out.append(moved.get(j, seq[j]))
+            moved[j] = moved.get(i, seq[i])
+        return sorted(out)
 
     def subset_of(self, carrier: Subset) -> Subset:
         """Uniform subset of ``carrier``: bit p of one ``bits(len(carrier))`` draw

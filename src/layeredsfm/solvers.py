@@ -106,26 +106,27 @@ def decode_layer_answer(num: int, den: int, pool_size: int, layer: int) -> Layer
     """
     if den <= 0 or pool_size <= 0:
         raise ValueError("denominator and pool size must be positive")
-    # v is compared without reducing: a gcd of the deep layers' long
-    # denominators costs more than the integer cross-multiplications below.
-    if num < 0 or num > 2 * den:
+    # x = 4 * pool * v as quotient and remainder over den.  Every value an
+    # instance produces has x in [0, 8 * pool], so this is one short
+    # division, and every case below is a small-integer test on (q, rest).
+    one = 4 * pool_size  # x at v = 1
+    q, rest = divmod(one * num, den)
+    if q < 0 or q > 2 * one or (q == 2 * one and rest):
         raise CorruptedOracleError(f"normalized value {format_value(Fraction(num, den))} outside [0, 2]")
-    if num == 2 * den:
+    if q == 2 * one:
         return LayerAnswer(relation=Relation.INCOMPARABLE, outside_block=None, layer=layer)
-    if num == den:
+    if q == one and not rest:
         return LayerAnswer(relation=None, outside_block=0, layer=layer)
-    if 4 * pool_size * num <= den:
+    if q == 0 or (q == 1 and not rest):
         # An exact match's residual (deeper layers' value) is at most 1/(4 * pool).
         return LayerAnswer(relation=Relation.EQUAL, outside_block=None, layer=layer)
-    # 2 * pool * |v - 1| counts the queried pool elements below the block.
-    if num > den:
-        rel, cnum = Relation.STRICT_SUBSET, 2 * pool_size * (num - den)
-    else:
-        rel, cnum = Relation.STRICT_SUPERSET, 2 * pool_size * (den - num)
-    count, rest = divmod(cnum, den)
-    if rest or count > pool_size:
+    # 2 * pool * |v - 1| = |x - 4 * pool| / 2 counts the queried pool elements below the block.
+    twice = q - one
+    if rest or twice % 2 or abs(twice) > 2 * pool_size:
         raise CorruptedOracleError(f"normalized value {format_value(Fraction(num, den))} matches no layer case")
-    return LayerAnswer(relation=rel, outside_block=count, layer=layer)
+    if twice > 0:
+        return LayerAnswer(relation=Relation.STRICT_SUBSET, outside_block=twice // 2, layer=layer)
+    return LayerAnswer(relation=Relation.STRICT_SUPERSET, outside_block=-twice // 2, layer=layer)
 
 
 def brute_force_minimize(oracle) -> SolverResult:
@@ -163,22 +164,6 @@ def brute_force_minimize(oracle) -> SolverResult:
     return SolverResult("brute_force", Subset(n, best_mask), Fraction(best, config.value_denominator), total, 1)
 
 
-def _split_mask(w: int) -> tuple[int, int]:
-    """Split a block mask at its median set bit: the ``popcount // 2``
-    lowest elements, then the rest (the halves of the ascending index list).
-    """
-    half = w.bit_count() // 2
-    lo, hi = 0, w.bit_length()
-    while lo < hi:  # least p with ``half`` set bits below position p
-        mid = (lo + hi) // 2
-        if (w & ((1 << mid) - 1)).bit_count() < half:
-            lo = mid + 1
-        else:
-            hi = mid
-    low = w & ((1 << lo) - 1)
-    return low, w ^ low
-
-
 def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
     """Recover the minimizer knowing only (n, r), in O(n log n) queries.
 
@@ -198,11 +183,14 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
     layer repeats.  Every query gets its own round (the procedure is fully
     adaptive).  Query use is asserted against :func:`query_budget`.
 
-    The group testing works on ``int`` bit masks: prefix, pool, T and
-    every block are masks, a block splits at its median set bit (its lower
-    half is its ``popcount // 2`` lowest elements), and each query goes to
-    the oracle as a one-mask batch.  A :class:`Subset` is built only for
-    the returned minimizer.
+    The pool is one increasing list of elements for the whole solve, and
+    a block is a run ``(i, j)`` of it: it splits into ``(i, mid)`` and
+    ``(mid, j)`` at ``mid = i + (j - i) // 2``, its lower ``(j - i) // 2``
+    elements and the rest, and its mask is the pool's bits from
+    ``pool[i]`` to ``pool[j - 1]``.  Classified elements are deleted from
+    the list by index.  With ``base = prefix | T`` Phase A asks
+    ``base | W`` and Phase B asks ``base ^ W``, each as a one-mask batch.
+    A :class:`Subset` is built only for the returned minimizer.
     """
     n, r = config.n, config.r
     budget = query_budget(n)
@@ -218,63 +206,70 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
         return num
 
     prefix = 0
-    pool = (1 << config.effective_size) - 1
+    elems = list(range(config.effective_size))  # the pool, in increasing order
+    pool = (1 << config.effective_size) - 1  # the members of ``elems`` as a mask
 
     for layer in range(1, config.layer_count + 1):
-        pool_size = pool.bit_count()
+        pool_size = len(elems)
         den = config.layer_factors[layer - 1] * 2 * pool_size  # D // d_k
 
         def decode(num: int, queried_in_pool: int) -> LayerAnswer:
             return decode_layer_answer(num, den, pool_size, layer).disambiguate(queried_in_pool, r)
 
         # Phase A: classify away the block elements outside the hidden set.
-        accepted = 0
-        bad = 0
-        blocks = [pool]
-        while blocks and bad < r:
-            w = blocks.pop()
-            ans = decode(ask(prefix | accepted | w), accepted.bit_count() + w.bit_count())
+        base, accepted = prefix, 0  # base = prefix | T, with |T| = accepted
+        bad: list[int] = []  # list indices, found in increasing order
+        blocks = [(0, pool_size)]
+        while blocks and len(bad) < r:
+            i, j = blocks.pop()
+            w = pool & ((2 << elems[j - 1]) - (1 << elems[i]))
+            ans = decode(ask(base | w), accepted + j - i)
             if ans.relation in (Relation.EQUAL, Relation.STRICT_SUBSET):
-                accepted |= w
-            elif w & (w - 1) == 0:
-                bad += 1
+                base |= w
+                accepted += j - i
+            elif j - i == 1:
+                bad.append(i)
             else:
-                first, second = _split_mask(w)
-                blocks.append(second)
-                blocks.append(first)
-        if bad != r:
+                mid = i + (j - i) // 2
+                blocks.append((mid, j))
+                blocks.append((i, mid))
+        if len(bad) != r:
             raise CorruptedOracleError(
-                f"layer {layer}: found {bad} off-pattern block elements, expected {r}"
+                f"layer {layer}: found {len(bad)} off-pattern block elements, expected {r}"
             )
-        while blocks:  # remaining blocks are clean once all r bads are known
-            accepted |= blocks.pop()
+        # Remaining blocks are clean once all r bads are known: T is the rest of the pool.
+        for i in reversed(bad):
+            pool ^= 1 << elems.pop(i)
 
         # Phase B: extract the hidden set from T by group-tested removal.
-        hidden = 0
-        blocks = [accepted]
-        while blocks and hidden.bit_count() < r:
-            w = blocks.pop()
-            ans = decode(ask(prefix | (accepted & ~w)), accepted.bit_count() - w.bit_count())
+        base = prefix | pool
+        hidden: list[int] = []
+        blocks = [(0, len(elems))]
+        while blocks and len(hidden) < r:
+            i, j = blocks.pop()
+            w = pool & ((2 << elems[j - 1]) - (1 << elems[i]))
+            ans = decode(ask(base ^ w), len(elems) - (j - i))
             if ans.relation is Relation.EQUAL:
                 pass  # W misses the hidden set entirely
             elif ans.relation is Relation.STRICT_SUBSET:
-                if w & (w - 1) == 0:
-                    hidden |= w
+                if j - i == 1:
+                    hidden.append(i)
                 else:
-                    first, second = _split_mask(w)
-                    blocks.append(second)
-                    blocks.append(first)
+                    mid = i + (j - i) // 2
+                    blocks.append((mid, j))
+                    blocks.append((i, mid))
             else:
                 raise CorruptedOracleError(
                     f"layer {layer}: removal query decoded as {ans.relation}"
                 )
-        if hidden.bit_count() != r:
+        if len(hidden) != r:
             raise CorruptedOracleError(
-                f"layer {layer}: found {hidden.bit_count()} hidden elements, expected {r}"
+                f"layer {layer}: found {len(hidden)} hidden elements, expected {r}"
             )
-
-        prefix |= hidden
-        pool = accepted & ~hidden
+        for i in reversed(hidden):
+            bit = 1 << elems.pop(i)
+            pool ^= bit
+            prefix |= bit
 
     # The prefix matches every layer, so any consistent oracle answers 0.
     num = ask(prefix)

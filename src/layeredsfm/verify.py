@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .family import (
     LayeredInstance,
@@ -75,6 +75,14 @@ class ViolationWitness:
         )
 
 
+def _instance_prices(inst: LayeredInstance, n: int) -> tuple[Callable[[Sequence[int]], list[int]], int]:
+    """``(price, D)``: ``price(masks)`` is the instance's values at ``masks``
+    as numerators over ``D = config.value_denominator``, read from its layer table."""
+    if n != inst.config.n:
+        raise ValueError(f"cannot evaluate an instance on {inst.config.n} elements over {n}")
+    return inst.table.numerators, inst.config.value_denominator
+
+
 def _tabulate(fn: SetFunction | LayeredInstance, n: int) -> tuple[list[int], int]:
     """All 2^n values as integers over a common denominator.
 
@@ -83,9 +91,8 @@ def _tabulate(fn: SetFunction | LayeredInstance, n: int) -> tuple[list[int], int
     common denominator.
     """
     if isinstance(fn, LayeredInstance):
-        if n != fn.config.n:
-            raise ValueError(f"cannot tabulate an instance on {fn.config.n} elements over {n}")
-        return fn.table.numerators(range(1 << n)), fn.config.value_denominator
+        price, den = _instance_prices(fn, n)
+        return price(range(1 << n)), den
     values = [fn(Subset(n, bits)) for bits in range(1 << n)]
     den = 1
     for v in values:
@@ -127,7 +134,7 @@ def _first_violating_pair(ints: list[int], den: int, n: int) -> ViolationWitness
 
 
 def check_submodular_pairs(
-    fn: SetFunction, n: int, *, samples: int = 10_000, seed: int = 0
+    fn: SetFunction | LayeredInstance, n: int, *, samples: int = 10_000, seed: int = 0
 ) -> ViolationWitness | None:
     """First violating pair of F(X)+F(Y) >= F(XuY)+F(XnY), or None.
 
@@ -136,21 +143,25 @@ def check_submodular_pairs(
     diamond fails are the unordered pairs scanned in increasing encoding
     (the inequality is symmetric in X and Y, so they cover the full 4^n
     scan) to return the canonical first violating pair.  For larger n a
-    seeded sample of ``samples`` pairs is checked instead.
+    seeded sample of ``samples`` pairs is checked instead; an instance's
+    pairs are priced as numerators over D from its layer table.
     """
     if n <= EXHAUSTIVE_PAIR_CAP:
         ints, den = _tabulate(fn, n)
         return _first_violating_pair(ints, den, n)
 
+    if isinstance(fn, LayeredInstance):
+        price, den = _instance_prices(fn, n)
+    else:
+        price, den = (lambda masks: [fn(Subset(n, m)) for m in masks]), 1
     rng = SplitMix64(seed)
     full = (1 << n) - 1
     for _ in range(samples):
         x = rng.bits(n) & full
         y = rng.bits(n) & full
-        lhs = fn(Subset(n, x)) + fn(Subset(n, y))
-        rhs = fn(Subset(n, x | y)) + fn(Subset(n, x & y))
-        if lhs < rhs:
-            return ViolationWitness(Subset(n, x), Subset(n, y), None, lhs, rhs)
+        vx, vy, vu, vi = price((x, y, x | y, x & y))
+        if vx + vy < vu + vi:
+            return ViolationWitness(Subset(n, x), Subset(n, y), None, Fraction(vx + vy, den), Fraction(vu + vi, den))
     return None
 
 

@@ -109,3 +109,29 @@ def test_masked_bits_edges():
             assert masked.next() == full.next()
     with pytest.raises(ValueError):
         SplitMix64(0).masked_bits(-1, 1)
+
+
+def _copying_sample(rng, seq, k):
+    """``SplitMix64.sample`` as a partial shuffle of a full copy of ``seq``,
+    kept as the reference for the one that stores only moved positions."""
+    if not 0 <= k <= len(seq):
+        raise ValueError(f"cannot sample {k} of {len(seq)} items")
+    pool = list(seq)
+    for i in range(k):
+        j = i + rng.below(len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return sorted(pool[:k])
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 300).flatmap(lambda size: st.tuples(st.just(size), st.integers(0, size))),
+)
+def test_sample_matches_copying_shuffle(seed, size_k):
+    # Same draw and same generator state after it, k = 0 and k = size included.
+    size, k = size_k
+    seq = [3 * e + 1 for e in range(size)]
+    for count in sorted({0, k, size}):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        assert rng.sample(seq, count) == _copying_sample(ref, seq, count)
+        assert rng.next() == ref.next()

@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from layeredsfm import solvers
 
@@ -23,7 +23,6 @@ from layeredsfm.solvers import (
     LayerAnswer,
     SolverResult,
     _singleton_class,
-    _split_mask,
     brute_force_minimize,
     decode_layer_answer,
     family_aware_minimize,
@@ -295,6 +294,47 @@ class TestDecode:
             got = decode_layer_answer(num, cfg.layer_factors[k - 1] * 2 * pool, pool, k)
             assert got == decode_layer_answer(
                 *_normalized(evaluate_closed_form(inst, s), inst.layer_scale(k)), pool, k)
+
+
+@st.composite
+def _decoder_inputs(draw):
+    """``(num, den, pool)``: on-lattice layer values over ``den = f * 2 * pool``,
+    exact-match residuals, values one numerator unit off either, and
+    arbitrary pairs; optionally reduced or scaled by a common factor."""
+    pool = draw(st.integers(1, 1024))
+    f = draw(st.one_of(st.integers(1, 64), st.integers(1, 1 << 200)))
+    den = f * 2 * pool
+    num = draw(st.one_of(
+        st.integers(-2 * pool - 2, 2 * pool + 2).map(lambda c: (2 * pool + c) * f),
+        st.integers(-2, f // 2 + 2),
+        st.integers(-(1 << 40), 1 << 40),
+    ))
+    num += draw(st.sampled_from([0, 0, -1, 1]))
+    if draw(st.booleans()):
+        den = draw(st.integers(1, 1 << 64))
+    shape = draw(st.sampled_from(["as is", "reduced", "scaled"]))
+    if shape == "reduced":
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+    elif shape == "scaled":
+        k = draw(st.integers(2, 1 << 32))
+        num, den = num * k, den * k
+    return num, den, pool
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_decoder_inputs(), st.integers(1, 512))
+def test_decoder_matches_fraction_reference(args, layer):
+    # The same LayerAnswer, or the same exception type and text.
+    num, den, pool = args
+    try:
+        want = _reference_decode(Fraction(num, den), Fraction(1), pool, layer)
+    except CorruptedOracleError as exc:
+        with pytest.raises(CorruptedOracleError) as got:
+            decode_layer_answer(num, den, pool, layer)
+        assert str(got.value) == str(exc)
+    else:
+        assert decode_layer_answer(num, den, pool, layer) == want
 
 
 class TestFamilyAware:
@@ -621,6 +661,24 @@ def _mask(indices):
     return sum(1 << i for i in indices)
 
 
+def _split_mask(w):
+    """Split a block mask at its median set bit: the ``popcount // 2``
+    lowest elements, then the rest (the halves of the ascending index list).
+    The bisection over bit positions that the solver used before it split
+    runs of its pool list, kept as the reference.
+    """
+    half = w.bit_count() // 2
+    lo, hi = 0, w.bit_length()
+    while lo < hi:  # least p with ``half`` set bits below position p
+        mid = (lo + hi) // 2
+        if (w & ((1 << mid) - 1)).bit_count() < half:
+            lo = mid + 1
+        else:
+            hi = mid
+    low = w & ((1 << lo) - 1)
+    return low, w ^ low
+
+
 @given(
     st.one_of(
         st.integers(min_value=0, max_value=(1 << 1024) - 1),
@@ -852,3 +910,152 @@ class TestOffLatticeSweep:
                     solve(_OffLatticeAt(inst, index), cfg)
                 runs += 1
         assert runs >= 5 * cfg.n
+
+
+def _bisecting_family_aware(oracle, config):
+    """The mask solver that split each block by :func:`_split_mask`,
+    kept as the reference for the run-splitting one."""
+    n, r = config.n, config.r
+    budget = solvers.query_budget(n)
+    queries = 0
+
+    def ask(mask):
+        nonlocal queries
+        oracle.begin_round()
+        [num] = oracle.answer_batch([mask])
+        queries += 1
+        if queries > budget:
+            raise RuntimeError(f"query budget exceeded: {queries} > {budget:.0f} at n={n}, r={r}")
+        return num
+
+    prefix = 0
+    pool = (1 << config.effective_size) - 1
+
+    for layer in range(1, config.layer_count + 1):
+        pool_size = pool.bit_count()
+        den = config.layer_factors[layer - 1] * 2 * pool_size
+
+        def decode(num, queried_in_pool):
+            return decode_layer_answer(num, den, pool_size, layer).disambiguate(queried_in_pool, r)
+
+        accepted = 0
+        bad = 0
+        blocks = [pool]
+        while blocks and bad < r:
+            w = blocks.pop()
+            ans = decode(ask(prefix | accepted | w), accepted.bit_count() + w.bit_count())
+            if ans.relation in (Relation.EQUAL, Relation.STRICT_SUBSET):
+                accepted |= w
+            elif w & (w - 1) == 0:
+                bad += 1
+            else:
+                first, second = _split_mask(w)
+                blocks.append(second)
+                blocks.append(first)
+        if bad != r:
+            raise CorruptedOracleError(
+                f"layer {layer}: found {bad} off-pattern block elements, expected {r}"
+            )
+        while blocks:
+            accepted |= blocks.pop()
+
+        hidden = 0
+        blocks = [accepted]
+        while blocks and hidden.bit_count() < r:
+            w = blocks.pop()
+            ans = decode(ask(prefix | (accepted & ~w)), accepted.bit_count() - w.bit_count())
+            if ans.relation is Relation.EQUAL:
+                pass
+            elif ans.relation is Relation.STRICT_SUBSET:
+                if w & (w - 1) == 0:
+                    hidden |= w
+                else:
+                    first, second = _split_mask(w)
+                    blocks.append(second)
+                    blocks.append(first)
+            else:
+                raise CorruptedOracleError(
+                    f"layer {layer}: removal query decoded as {ans.relation}"
+                )
+        if hidden.bit_count() != r:
+            raise CorruptedOracleError(
+                f"layer {layer}: found {hidden.bit_count()} hidden elements, expected {r}"
+            )
+
+        prefix |= hidden
+        pool = accepted & ~hidden
+
+    num = ask(prefix)
+    if num != 0:
+        value = format_value(Fraction(num, config.value_denominator))
+        raise CorruptedOracleError(f"minimizer query answered {value}, expected 0")
+    return SolverResult("family_aware", Subset(n, prefix), Fraction(0), queries, queries)
+
+
+class _AnsweredAt(HonestOracle):
+    """Honest answers through the sequential batch default, except that
+    query ``index`` (1-based) is answered ``value``."""
+
+    answer_batch = _Oracle.answer_batch
+
+    def __init__(self, inst, index, value):
+        super().__init__(inst)
+        self.index, self.value = index, value
+
+    def answer(self, s):
+        value = super().answer(s)
+        return self.value if self.stats()[0] == self.index else value
+
+
+def _same_run(oracles):
+    """Run the solver and the bisecting reference on a fresh oracle each;
+    both must log the same rounds and masks and end the same way."""
+    cfg = oracles[0].config
+    log, result = _run_recorded(family_aware_minimize, oracles[0], cfg)
+    want_log, want = _run_recorded(_bisecting_family_aware, oracles[1], cfg)
+    assert log == want_log
+    assert result == want
+    return result
+
+
+class TestRunSplitMatchesMaskBisection:
+    """Splitting runs of the pool list asks the same masks, in the same
+    order, as bisecting masks at their median set bit, with the same
+    result or the same error."""
+
+    @pytest.mark.parametrize(
+        "n,r", [(n, r) for n in (2, 5, 16, 17, 64, 1024) for r in (1, 2, 3) if 2 * r <= n]
+    )
+    def test_honest_instances(self, n, r):
+        cfg = GroundConfig(n, r)
+        for seed in range(1 if n > 64 else 3):
+            inst = sample_instance(cfg, seed)
+            result = _same_run([HonestOracle(inst), HonestOracle(inst)])
+            assert result.minimizer == true_minimizer(inst)
+
+    @pytest.mark.parametrize("n", [4, 16, 64, 512])
+    def test_halving_adversary(self, n):
+        cfg = GroundConfig(n, 1)
+        adversary, ref_adversary = HalvingAdversary(cfg), HalvingAdversary(cfg)
+        _same_run([adversary, ref_adversary])
+        assert adversary.transcript.to_json() == ref_adversary.transcript.to_json()
+        assert adversary.finalize().to_json() == ref_adversary.finalize().to_json()
+
+    @pytest.mark.parametrize("n,r", [(16, 1), (16, 2), (17, 3)])
+    def test_each_answer_faulted(self, n, r):
+        # Every query in turn answered 0 (an exact match at any layer), 2
+        # (incomparable at layer 1, out of range deeper) or off the lattice.
+        cfg = GroundConfig(n, r)
+        inst = sample_instance(cfg, 0)
+        queries = family_aware_minimize(HonestOracle(inst), cfg).queries
+        errors = set()
+        for index in range(1, queries + 1):
+            for make in (
+                lambda: _AnsweredAt(inst, index, Fraction(0)),
+                lambda: _AnsweredAt(inst, index, Fraction(2)),
+                lambda: _OffLatticeAt(inst, index),
+            ):
+                result = _same_run([make(), make()])
+                if isinstance(result, str):  # "[layer k: ]<first word> ..."
+                    errors.add(result.split(": ", 1)[-1].split()[0])
+        assert {"found", "removal", "normalized", "minimizer"} <= errors

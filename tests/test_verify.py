@@ -58,6 +58,24 @@ class TestPairCheck:
         fn = lifted_score(14, subset(14, 0, 1), subset(14, 0))
         assert check_submodular_pairs(fn, 14, samples=2000, seed=3) is None
 
+    def test_sampled_mode_takes_an_instance(self):
+        # Beyond the cap an instance's pairs are priced from its layer table.
+        inst = sample_instance(GroundConfig(14, 1), 5)
+        assert check_submodular_pairs(inst, 14, samples=2000, seed=3) is None
+        with pytest.raises(ValueError):
+            check_submodular_pairs(inst, 15, samples=10)
+
+    def test_sampled_mode_catches_a_corrupted_evaluator(self):
+        inst = sample_instance(GroundConfig(14, 1), 5)
+        honest = lambda s: evaluate_closed_form(inst, s)
+        assert check_submodular_pairs(honest, 14, samples=2000, seed=3) is None
+        # +3 on every set of 9 or more elements: a sampled pair's union
+        # often reaches that size where neither set of the pair does.
+        fn = lambda s: honest(s) + (3 if len(s) >= 9 else 0)
+        witness = check_submodular_pairs(fn, 14, samples=2000, seed=3)
+        assert witness is not None
+        assert witness.reverify(fn)
+
     def test_witness_is_canonical_first(self):
         fn = standalone_submodularizer(6, subset(6, 0, 1, 2, 3), subset(6, 0, 1))
         w1 = check_submodular_pairs(fn, 6)
