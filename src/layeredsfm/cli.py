@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .harness import MODES, ExperimentConfig, run_experiment
+from .harness import RUNNERS, ExperimentConfig, run_experiment
 from .solvers import SOLVERS
 
 
@@ -33,15 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    descriptions = {
-        "verify": "exhaustively check range/minimizer/submodularity on sampled instances",
-        "duel": "run a solver against the halving adversary and check the query floor",
-        "parallel": "check the one-round-per-layer structure of the batched solver",
-        "hiding": "Monte-Carlo hit-rate estimate plus exact information-hiding checks",
-        "bench": "measure family-aware solver queries over an n sweep (use --n a,b,c)",
-    }
-    for mode in MODES:
-        p = sub.add_parser(mode, help=descriptions[mode])
+    for mode, (_, help_text) in RUNNERS.items():
+        p = sub.add_parser(mode, help=help_text)
         p.add_argument("--config", type=Path, default=None,
                        help="JSON file with config fields; explicit flags override it")
         p.add_argument("--n", type=_parse_n, default=None,
@@ -70,17 +64,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if loaded["mode"] != args.mode:
             raise ValueError(f"--config mode {loaded['mode']!r} conflicts with subcommand {args.mode!r}")
         base.update(loaded)
-    overrides = {
-        "n": list(args.n) if args.n is not None else None,
-        "r": args.r,
-        "seed": args.seed,
-        "trials": args.trials,
-        "solver": args.solver,
-        "queries_per_round": args.queries_per_round,
-    }
-    for key, value in overrides.items():
+    for f in fields(ExperimentConfig):  # every field has a flag of the same name
+        value = getattr(args, f.name)
         if value is not None:
-            base[key] = value
+            base[f.name] = value
     return ExperimentConfig.from_json(base)
 
 

@@ -11,9 +11,11 @@ exactly 0 and the union of the hidden sets is the unique minimizer.
 Two evaluators are provided: a literal recursion through nested building
 blocks (the definitional path, kept for cross-checking) and a closed form
 that locates the first divergent layer and prices it directly.  They agree
-exactly on every subset; the closed form is the production path.  Both
-it and the oracles find and price a query's layer in one
-:class:`LayerTable`, the one home of the layer lookup.
+exactly on every subset.  Neither is the query path: honest batches,
+transcript replays and verify tables read :meth:`LayerTable.numerators`,
+integers over one denominator.  The closed form and those numerators find
+and price a query's layer in one :class:`LayerTable`, the one home of the
+layer lookup.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from .rationals import ExactValue, format_value
 from .rng import SplitMix64
-from .sets import GroundConfig, Relation, Subset, relate
+from .sets import GroundConfig, Relation, Subset, check_json_keys, relate
 
 ZERO = Fraction(0)
 
@@ -183,7 +185,10 @@ class LayeredInstance:
     def from_json(cls, data: dict) -> "LayeredInstance":
         """Inverse of :meth:`to_json`; malformed input raises ValueError."""
         try:
+            check_json_keys(data, ("n", "r", "layers"), "instance")
             config = GroundConfig(n=data["n"], r=data["r"])
+            for layer in data["layers"]:
+                check_json_keys(layer, ("A", "R"), "instance layer")
             blocks = [Subset.from_json(config.n, layer["A"]) for layer in data["layers"]]
             hidden = [Subset.from_json(config.n, layer["R"]) for layer in data["layers"]]
         except (KeyError, TypeError) as exc:
@@ -214,17 +219,16 @@ def _divergent_layer(prefix_unions: Sequence[int], mismatch: int) -> int | None:
     return lo
 
 
-def _layer_numerator(
-    block_bits: int, hidden_bits: int, pool_bits: int, pool_card: int, s_bits: int
-) -> int:
-    """Numerator of one divergent layer's value over ``denom * 2 * pool_card``,
-    given raw masks: ``score * 2 * pool_card + corr``.
+def _layer_numerator(row: tuple[int, int, int, int, int], s_bits: int) -> int:
+    """Numerator over D of the value at ``s_bits``, for a query that diverges
+    at the layer of :class:`LayerTable` row ``row = (A_k, R_k, pool_k,
+    |pool_k|, f_k)``: ``f_k * (score * 2 * |pool_k| + corr)``.
 
-    The one home of the layer rule: :func:`_layer_value` wraps it in a
-    ``Fraction``, and :meth:`LayerTable.numerators` and the adversary scale
-    it to the common denominator.  Raises ValueError unless the query
-    diverges here.
+    The one home of the layer rule: :meth:`LayerTable.numerators` and the
+    adversary price table rows with it, and :func:`_layer_value` passes a
+    row with ``f_k = 1``.  Raises ValueError unless the query diverges here.
     """
+    block_bits, hidden_bits, pool_bits, pool_card, factor = row
     sa = s_bits & block_bits
     if sa == hidden_bits:
         raise ValueError("layer does not diverge on this query")
@@ -235,7 +239,7 @@ def _layer_numerator(
         score, corr = 1, -below
     else:
         score, corr = 2, 0
-    return score * 2 * pool_card + corr
+    return factor * (score * 2 * pool_card + corr)
 
 
 class LayerTable:
@@ -298,11 +302,7 @@ class LayerTable:
         out = []
         for m in masks:
             k = _divergent_layer(prefix_unions, m ^ hidden_union)
-            if k is None:
-                out.append(0)
-            else:
-                block, hidden, pool, pool_card, factor = rows[k - 1]
-                out.append(factor * _layer_numerator(block, hidden, pool, pool_card, m))
+            out.append(0 if k is None else _layer_numerator(rows[k - 1], m))
         return out
 
 
@@ -319,17 +319,16 @@ def _layer_value(
     The closed-form evaluator's pricing; assumes the query already diverges
     at this layer.
     """
-    return Fraction(
-        _layer_numerator(block_bits, hidden_bits, pool_bits, pool_card, s_bits),
-        denom * 2 * pool_card,
-    )
+    row = (block_bits, hidden_bits, pool_bits, pool_card, 1)
+    return Fraction(_layer_numerator(row, s_bits), denom * 2 * pool_card)
 
 
 def evaluate_closed_form(inst: LayeredInstance, s: Subset) -> ExactValue:
     """Value of the instance at ``s`` via the first-divergent-layer formula.
 
     Costs O(log layers) big-int ANDs plus O(n) bit work and one rational
-    reduction; this is the production path.  Agrees exactly with
+    reduction; it serves :meth:`HonestOracle.answer` and the library API,
+    while batches read :meth:`LayerTable.numerators`.  Agrees exactly with
     :func:`evaluate_recursive`.
     """
     if s.size != inst.config.n:

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -26,7 +26,7 @@ from .family import (
 from .oracles import HalvingAdversary, HonestOracle
 from .rationals import ExactValue, format_value
 from .rng import SplitMix64
-from .sets import GroundConfig, Subset, scatter
+from .sets import GroundConfig, Subset, check_json_keys, scatter
 from .solvers import (
     QUERY_BUDGET_ALPHA,
     SOLVERS,
@@ -37,8 +37,6 @@ from .solvers import (
 )
 from .verify import EXHAUSTIVE_PAIR_CAP, check_function_properties
 
-MODES = ("verify", "duel", "parallel", "hiding", "bench")
-
 # Exact-hiding triples checked by every hiding run.
 HIDING_TRIPLES = 1000
 
@@ -47,11 +45,15 @@ HIDING_TRIPLES = 1000
 class ExperimentConfig:
     """One experiment: mode plus the knobs it needs.
 
-    ``n`` is a tuple to allow bench sweeps; the other modes require a
-    single value.  ``trials`` is the instance count (verify, parallel,
-    bench) or the Monte-Carlo sample count (hiding).  ``queries_per_round``
-    feeds the naive random-batch baseline of parallel runs and defaults to
-    n^2.
+    The fields are the one list of experiment settings: ``to_json`` writes
+    exactly them, ``from_json`` accepts no other key, and the CLI copies
+    each flag of the same name.
+
+    ``n`` is a tuple to allow bench sweeps, without a repeated size; the
+    other modes require a single value.  ``trials`` is the instance count
+    (verify, parallel, bench) or the Monte-Carlo sample count (hiding).
+    ``queries_per_round`` feeds the naive random-batch baseline of parallel
+    runs and defaults to n^2.
     """
 
     mode: str
@@ -72,6 +74,8 @@ class ExperimentConfig:
             raise ValueError("n, r, seed, trials and queries_per_round must be integers")
         if not self.n or any(v < 1 for v in self.n):
             raise ValueError("n must be one or more positive integers")
+        if len(set(self.n)) != len(self.n):
+            raise ValueError(f"n must not repeat a ground size, got {list(self.n)}")
         if len(self.n) != 1 and self.mode != "bench":
             raise ValueError(f"mode {self.mode!r} takes a single n")
         if self.r < 1 or self.seed < 0 or self.trials < 1:
@@ -97,27 +101,17 @@ class ExperimentConfig:
                     raise ValueError(f"mode {self.mode!r} requires 2*r | n, got r={self.r}, n={n}")
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n": list(self.n),
-            "r": self.r,
-            "seed": self.seed,
-            "trials": self.trials,
-            "queries_per_round": self.queries_per_round,
-            "solver": self.solver,
-        }
+        return {**asdict(self), "n": list(self.n)}
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
-        """Build from a JSON object; malformed input raises ValueError."""
-        if not isinstance(data, dict):
-            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+        """Build from a JSON object whose keys are fields; malformed input raises ValueError."""
+        check_json_keys(data, tuple(f.name for f in fields(cls)), "config")
         missing = [key for key in ("mode", "n") if key not in data]
         if missing:
             raise ValueError(f"config is missing {', '.join(missing)}")
         n = data["n"]
-        given = {f.name: data[f.name] for f in fields(cls) if f.name not in ("mode", "n") and f.name in data}
-        return cls(mode=data["mode"], n=tuple(n) if isinstance(n, (list, tuple)) else (n,), **given)
+        return cls(**{**data, "n": tuple(n) if isinstance(n, (list, tuple)) else (n,)})
 
 
 @dataclass
@@ -535,14 +529,17 @@ def run_bench(config: ExperimentConfig) -> Report:
     return report
 
 
-RUNNERS = {
-    "verify": run_verify,
-    "duel": run_duel,
-    "parallel": run_parallel,
-    "hiding": run_hiding,
-    "bench": run_bench,
+# The one list of modes: each mode's runner and its one-line CLI help.
+RUNNERS: dict[str, tuple[Callable[[ExperimentConfig], Report], str]] = {
+    "verify": (run_verify, "exhaustively check range/minimizer/submodularity on sampled instances"),
+    "duel": (run_duel, "run a solver against the halving adversary and check the query floor"),
+    "parallel": (run_parallel, "check the one-round-per-layer structure of the batched solver"),
+    "hiding": (run_hiding, "Monte-Carlo hit-rate estimate plus exact information-hiding checks"),
+    "bench": (run_bench, "measure family-aware solver queries over an n sweep (use --n a,b,c)"),
 }
+MODES = tuple(RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
-    return RUNNERS[config.mode](config)
+    run, _ = RUNNERS[config.mode]
+    return run(config)

@@ -30,7 +30,7 @@ from .family import (
 )
 from .rationals import ExactValue, format_value, parse_value
 from .rng import SplitMix64
-from .sets import GroundConfig, Subset, scatter
+from .sets import GroundConfig, Subset, check_json_keys, scatter
 
 
 class CorruptedOracleError(RuntimeError):
@@ -118,10 +118,13 @@ class Transcript:
         and so does a value that no instance can take: one outside [0, 2]
         or not a multiple of ``1/D``."""
         try:
+            check_json_keys(data, ("config", "records"), "transcript")
+            check_json_keys(data["config"], ("n", "r"), "transcript config")
             config = GroundConfig(n=data["config"]["n"], r=data["config"]["r"])
             big_d = config.value_denominator
             out = cls(config)
             for rec in data["records"]:
+                check_json_keys(rec, ("index", "round", "query", "value"), "transcript record")
                 index, round_ = rec["index"], rec["round"]
                 if not all(type(v) is int and v >= 1 for v in (index, round_)):  # no bools
                     raise ValueError(f"record index and round must be positive integers, "
@@ -317,14 +320,8 @@ class HalvingAdversary(_Oracle):
         if layer == self.config.layer_count:
             self._instance = LayeredInstance.from_table(self.table)
 
-    @staticmethod
-    def _price(row: tuple, s_bits: int) -> int:
-        """Numerator over D of the value at ``s_bits``, diverging at table row ``row``."""
-        block, hidden, pool, pool_card, factor = row
-        return factor * _layer_numerator(block, hidden, pool, pool_card, s_bits)
-
     def _committed_layer_value(self, layer: int, s_bits: int) -> int:
-        return self._price(self.table.rows[layer - 1], s_bits)
+        return _layer_numerator(self.table.rows[layer - 1], s_bits)
 
     def answer(self, s: Subset) -> ExactValue:
         """Answer one query, committing layers only when forced.
@@ -370,7 +367,8 @@ class HalvingAdversary(_Oracle):
         return out
 
     def _engage_active(self, s_bits: int) -> int:
-        """Price a query that matches every committed layer, as ``_price`` does.
+        """Price a query that matches every committed layer, as the layer rule
+        prices the candidate block's row.
 
         The answer is the honest value under the lowest-index candidate
         block left in the new active set U (hidden = its lowest element).
@@ -396,7 +394,7 @@ class HalvingAdversary(_Oracle):
             hidden_bits = scatter(0b1, block_bits)
             if new_u.bit_count() <= 3:
                 cause = "halving"
-        priced = self._price(self.table.next_row(block_bits, hidden_bits), s_bits)
+        priced = _layer_numerator(self.table.next_row(block_bits, hidden_bits), s_bits)
         if cause is not None:
             self._commit(block_bits, hidden_bits, cause)
         return priced

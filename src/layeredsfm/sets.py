@@ -204,6 +204,17 @@ class Subset:
         return cls.from_indices(size, data)
 
 
+def check_json_keys(data: object, keys: tuple[str, ...], what: str) -> None:
+    """The key rule of every wire parser: ``data`` must be a JSON object
+    whose keys are among ``keys``, the ones its ``to_json`` writes; anything
+    else raises ValueError.  Missing keys are left to the parser."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}")
+
+
 def relate(s: Subset, t: Subset) -> Relation:
     """Exact containment relation between two subsets of the same ground set."""
     s._check_peer(t)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from layeredsfm.cli import build_parser
 from layeredsfm.cli import main as cli_main
 from layeredsfm.family import evaluate_closed_form
 from layeredsfm.harness import (
+    MODES,
+    RUNNERS,
     ExperimentConfig,
     run_bench,
     run_duel,
@@ -64,6 +68,8 @@ class TestConfigValidation:
         {"mode": "bench", "n": [2048]},
         {"mode": "verify", "n": [7], "r": 1},
         {"mode": "verify", "n": [5], "r": 2},
+        {"mode": "duel", "n": [8], "solvr": "brute_force"},
+        {"mode": "bench", "n": [8, 8]},
     ])
     def test_from_json_rejects_malformed(self, data):
         with pytest.raises(ValueError):
@@ -309,7 +315,8 @@ class TestCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", ['{"n": "abc"}', '{"n": [6], "trials": 1.5}', '[6]', '{"n": ['])
+    @pytest.mark.parametrize("content", ['{"n": "abc"}', '{"n": [6], "trials": 1.5}', '[6]', '{"n": [',
+                                         '{"n": [6], "trials": 2, "sed": 9}'])
     def test_malformed_config_file_exits_2(self, tmp_path, capsys, content):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(content)
@@ -332,6 +339,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "2*r | n" in captured.err
         assert "[FAIL]" not in captured.out
+
+    def test_subcommands_are_the_runner_table(self):
+        # One list of modes: the subcommands, their order and their help text
+        # all come from RUNNERS, which pairs each mode with its runner.
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert MODES == tuple(RUNNERS) == tuple(sub.choices)
+        assert [(a.dest, a.help) for a in sub._choices_actions] == [
+            (mode, help_text) for mode, (_, help_text) in RUNNERS.items()
+        ]
+        assert all(run is globals()[f"run_{mode}"] for mode, (run, _) in RUNNERS.items())
 
     def test_entry_point_runs_as_module(self):
         # The subprocess does not inherit pytest's pythonpath setting.

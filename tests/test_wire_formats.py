@@ -129,11 +129,18 @@ def _record(**changes):
     (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(value=f"1/{3 * _D4}")]}),
     (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(value=f"-1/{_D4}")]}),
     (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(value=f"{2 * _D4 + 1}/{_D4}")]}),
+    (LayeredInstance.from_json, {**VALID_INSTANCES[0], "extra": 1}),
+    (LayeredInstance.from_json, {"n": 4, "r": 1, "layers": [{"A": [0, 1], "R": [0], "x": 0},
+                                                            {"A": [2, 3], "R": [2]}]}),
+    (Transcript.from_json, {**VALID_TRANSCRIPTS[0], "meta": {}}),
+    (Transcript.from_json, {"config": {"n": 4, "r": 1, "seed": 0}, "records": [_record()]}),
+    (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(note="x")]}),
 ], ids=["instance-missing-r", "instance-str-n", "instance-layer-without-R", "instance-not-object",
         "instance-bool-and-unsorted-indices", "instance-unsorted-block", "instance-duplicate-index",
         "record-without-round", "record-str-index", "record-str-query", "record-bool-round",
         "transcript-without-config", "record-value-off-lattice", "record-value-negative",
-        "record-value-above-two"])
+        "record-value-above-two", "instance-extra-key", "instance-layer-extra-key",
+        "transcript-extra-key", "transcript-config-extra-key", "record-extra-key"])
 def test_malformed_input_raises_value_error(parse, data):
     with pytest.raises(ValueError):
         parse(data)
