@@ -17,9 +17,9 @@ from .harness import RUNNERS, ExperimentConfig, run_experiment
 from .solvers import SOLVERS
 
 
-def _parse_n(text: str) -> tuple[int, ...]:
+def _parse_n(text: str) -> list[int]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
+        return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected integer or comma-separated integers, got {text!r}")
 

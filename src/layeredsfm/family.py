@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from .rationals import ExactValue, format_value
 from .rng import SplitMix64
-from .sets import GroundConfig, Relation, Subset, check_json_keys, relate
+from .sets import GroundConfig, Relation, Subset, check_json_keys, relate, scatter
 
 ZERO = Fraction(0)
 
@@ -297,13 +297,81 @@ class LayerTable:
 
     def numerators(self, masks: Sequence[int]) -> list[int]:
         """The values at ``masks`` as numerators over ``config.value_denominator``
-        (0 where every committed layer matches), in integers."""
-        prefix_unions, hidden_union, rows = self.prefix_unions, self.hidden_union, self.rows
+        (0 where every committed layer matches), in integers.
+
+        On a full table, an aligned sub-cube (a step-1 ``range`` of 2^b masks
+        whose start is a multiple of 2^b) is tabulated by :meth:`_subcube`;
+        every other input is priced mask by mask.
+        """
+        rows = self.rows
+        if isinstance(masks, range) and masks.step == 1 and len(rows) == self.config.layer_count:
+            size = len(masks)
+            if size and not size & (size - 1) and not masks.start % size:
+                return self._subcube(masks.start, size.bit_length() - 1)
+        prefix_unions, hidden_union = self.prefix_unions, self.hidden_union
         out = []
         for m in masks:
             k = _divergent_layer(prefix_unions, m ^ hidden_union)
             out.append(0 if k is None else _layer_numerator(rows[k - 1], m))
         return out
+
+    def _subcube(self, start: int, width: int) -> list[int]:
+        """The values at ``range(start, start + 2^width)``, ``start`` a multiple
+        of 2^width, on a full table: the low ``width`` bits are free and the
+        others fixed at ``start``'s.
+
+        Built layer by layer from the deepest, with list operations and no
+        Python step per mask.  Each layer's free block bits take the next
+        coordinates, so the table over layers k..L holds, for each assignment
+        of A_k's free bits in turn, one segment over the deeper coordinates:
+        the deeper table where the block part equals R_k, and otherwise the
+        layer price of each deeper popcount (plus the fixed bits below A_k).
+        The price is linear in that count, so :func:`_layer_numerator` at two
+        sample masks gives it.  Free bits outside every block take the top
+        coordinates, and one coordinate list maps the table to mask order.
+        """
+        free = (1 << width) - 1
+        coords = [0] * width  # coordinate of each free bit
+        depth = 0  # coordinates taken so far
+        table, pops = [0], [0]  # values, and popcounts, over those coordinates
+        for row in reversed(self.rows):
+            block, hidden, pool = row[0], row[1], row[2]
+            while len(pops) < len(table):
+                pops += list(map((1).__add__, pops))
+            below = pool & ~block
+            sample = below & -below  # an element below the block, if there is one
+            fixed, base = start & block, (start & below).bit_count()
+            loose = block & free
+            values: list[int] = []
+            for a in range(1 << loose.bit_count()):
+                s_bits = scatter(a, loose) | fixed
+                if s_bits == hidden:
+                    values += table
+                    continue
+                v0 = _layer_numerator(row, s_bits)
+                slope = _layer_numerator(row, s_bits | sample) - v0
+                prices = [v0 + slope * (base + c) for c in range(depth + 1)]
+                values += map(prices.__getitem__, pops)
+            table = values
+            depth = _take_coordinates(coords, loose, depth)
+        dummies = free & ~self.prefix_unions[-1]
+        table *= 1 << dummies.bit_count()
+        _take_coordinates(coords, dummies, depth)
+        index = [0]
+        for c in coords:
+            index += list(map((1 << c).__add__, index))
+        return list(map(table.__getitem__, index))
+
+
+def _take_coordinates(coords: list[int], bits: int, depth: int) -> int:
+    """Give the members of ``bits``, in increasing order, the coordinates
+    ``depth, depth + 1, ..`` in ``coords``; return the next free coordinate."""
+    while bits:
+        low = bits & -bits
+        coords[low.bit_length() - 1] = depth
+        depth += 1
+        bits ^= low
+    return depth
 
 
 def first_divergent_layer(inst: LayeredInstance, s: Subset) -> int | None:

@@ -53,7 +53,8 @@ class ExperimentConfig:
     other modes require a single value.  ``trials`` is the instance count
     (verify, parallel, bench) or the Monte-Carlo sample count (hiding).
     ``queries_per_round`` feeds the naive random-batch baseline of parallel
-    runs and defaults to n^2.
+    runs and defaults to n^2; ``solver`` names duel's solver.  Any other
+    mode refuses them unless left at their defaults.
     """
 
     mode: str
@@ -84,6 +85,11 @@ class ExperimentConfig:
             raise ValueError("queries_per_round must be positive")
         if not isinstance(self.solver, str) or self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {sorted(SOLVERS)}")
+        # A report echoes every setting, so one its mode never reads is refused.
+        if self.solver != "family_aware" and self.mode != "duel":
+            raise ValueError(f"mode {self.mode!r} does not read solver (only duel does)")
+        if self.queries_per_round is not None and self.mode != "parallel":
+            raise ValueError(f"mode {self.mode!r} does not read queries_per_round (only parallel does)")
         for n in self.n:
             GroundConfig(n, self.r)  # raises on n above MAX_GROUND_SIZE or 2*r > n
         if self.mode == "duel":
@@ -110,8 +116,9 @@ class ExperimentConfig:
         missing = [key for key in ("mode", "n") if key not in data]
         if missing:
             raise ValueError(f"config is missing {', '.join(missing)}")
-        n = data["n"]
-        return cls(**{**data, "n": tuple(n) if isinstance(n, (list, tuple)) else (n,)})
+        if not isinstance(data["n"], list):
+            raise ValueError(f"config n must be a list of integers, got {data['n']!r}")
+        return cls(**{**data, "n": tuple(data["n"])})
 
 
 @dataclass

@@ -148,8 +148,15 @@ class Transcript:
 
 
 def _check_masks(n: int, masks: Sequence[int]) -> None:
-    """Reject a batch with a mask outside ``[0, 2^n)``, before anything of it is counted."""
-    if masks and (min(masks) < 0 or max(masks) >> n):
+    """Reject a batch with a mask outside ``[0, 2^n)``, before anything of it is counted.
+    A range is monotone, so its two ends are its extremes."""
+    if not masks:
+        return
+    if isinstance(masks, range):
+        low, high = sorted((masks[0], masks[-1]))
+    else:
+        low, high = min(masks), max(masks)
+    if low < 0 or high >> n:
         raise ValueError(f"query masks must lie in [0, 2^{n})")
 
 

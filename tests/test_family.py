@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,11 @@ from layeredsfm.family import (
     submodularizer,
     true_minimizer,
 )
+from layeredsfm.oracles import HalvingAdversary, HonestOracle
 from layeredsfm.rng import SplitMix64
 from layeredsfm.sets import GroundConfig, Subset, enumerate_subsets
+from layeredsfm.solvers import brute_force_minimize
+from layeredsfm.verify import check_instance_properties
 
 
 def subset(n, *indices):
@@ -295,6 +299,70 @@ class TestLayerTable:
             seen, hidden = seen | a.bits, hidden | h.bits
             assert table.prefix_unions[k - 1] == seen
         assert table.hidden_union == hidden
+
+
+def _assert_aligned_subcubes_match_the_mask_loop(table):
+    # Every range of 2^b masks starting at a multiple of 2^b, b = 0..n.
+    n = table.config.n
+    reference = table.numerators(list(range(1 << n)))
+    for b in range(n + 1):
+        for start in range(0, 1 << n, 1 << b):
+            assert table.numerators(range(start, start + (1 << b))) == reference[start : start + (1 << b)]
+
+
+class TestSubcubeNumerators:
+    """A step-1 range of 2^b masks starting at a multiple of 2^b, on a full
+    table, is tabulated layer by layer; a list of the same masks is priced
+    mask by mask, the reference."""
+
+    # 2r does not divide n in (5, 1), (7, 2), (11, 3), (13, 2) and (14, 3): dummies.
+    @pytest.mark.parametrize("n,r", [(2, 1), (5, 1), (8, 1), (12, 1), (4, 2), (7, 2), (12, 2),
+                                     (6, 3), (11, 3), (12, 3), (13, 2), (14, 3)])
+    def test_every_aligned_subcube_matches_the_mask_loop(self, n, r):
+        table = sample_instance(GroundConfig(n, r), 7 * n + r).table
+        _assert_aligned_subcubes_match_the_mask_loop(table)
+
+    def test_canonical_instance_subcubes(self):
+        _assert_aligned_subcubes_match_the_mask_loop(canonical_instance(GroundConfig(12, 2)).table)
+
+    @pytest.mark.parametrize("masks", [range(1, 5), range(3, 11), range(0, 12), range(5, 6), range(0, 16, 2),
+                                       range(15, -1, -1), range(8, 8), range(-4, 0)])
+    def test_other_ranges_match_the_mask_loop(self, masks):
+        table = sample_instance(GroundConfig(8, 2), 4).table
+        assert table.numerators(masks) == table.numerators(list(masks))
+
+    # 0, 3, 12 and 40 random queries leave 0, 1, 2 and 3 of the 4 layers committed.
+    @pytest.mark.parametrize("queries", [0, 3, 12, 40])
+    def test_partial_adversary_table_matches_the_mask_loop(self, queries):
+        adversary = HalvingAdversary(GroundConfig(8, 1))
+        rng = SplitMix64(queries)
+        adversary.answer_batch([rng.bits(8) & 0xFF for _ in range(queries)])
+        table = adversary.table
+        assert len(table.rows) == [0, 3, 12, 40].index(queries)
+        _assert_aligned_subcubes_match_the_mask_loop(table)
+
+
+class TestExhaustiveScanMemory:
+    # Chunks are priced with transient lists a small multiple of their output:
+    # a table of all 2^16 values would hold about 512 KiB of list slots alone.
+    PEAK_BOUND = 320 * 1024
+
+    def _peak(self, run):
+        run()  # lazily built config values are not the scan's
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_brute_force_n16_peak(self):
+        inst = sample_instance(GroundConfig(16, 2), 3)
+        assert self._peak(lambda: brute_force_minimize(HonestOracle(inst))) < self.PEAK_BOUND
+
+    def test_verify_n12_peak(self):
+        inst = sample_instance(GroundConfig(12, 1), 3)
+        assert self._peak(lambda: check_instance_properties(inst)) < self.PEAK_BOUND
 
 
 class TestLayerTablePush:

@@ -52,6 +52,17 @@ class TestConfigValidation:
             cfg(mode="verify", n=(6, 8))
         cfg(mode="bench", n=(8, 16))  # fine
 
+    @pytest.mark.parametrize("mode", ["verify", "parallel", "hiding", "bench"])
+    def test_solver_is_read_by_duel_only(self, mode):
+        with pytest.raises(ValueError, match="does not read solver"):
+            cfg(mode=mode, n=8, solver="brute_force")
+        cfg(mode=mode, n=8, solver="family_aware")  # the default is accepted
+
+    @pytest.mark.parametrize("mode", ["verify", "duel", "hiding", "bench"])
+    def test_queries_per_round_is_read_by_parallel_only(self, mode):
+        with pytest.raises(ValueError, match="does not read queries_per_round"):
+            cfg(mode=mode, n=8, queries_per_round=5)
+
     def test_json_round_trip(self):
         c = cfg(mode="bench", n=(8, 16), trials=3)
         assert ExperimentConfig.from_json(c.to_json()) == c
@@ -70,6 +81,9 @@ class TestConfigValidation:
         {"mode": "verify", "n": [5], "r": 2},
         {"mode": "duel", "n": [8], "solvr": "brute_force"},
         {"mode": "bench", "n": [8, 8]},
+        {"mode": "verify", "n": 6},
+        {"mode": "bench", "n": 8},
+        {"mode": "verify", "n": (6,)},
     ])
     def test_from_json_rejects_malformed(self, data):
         with pytest.raises(ValueError):
@@ -322,6 +336,16 @@ class TestCli:
         config_path.write_text(content)
         assert cli_main(["verify", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--n", "8", "--trials", "1", "--solver", "brute_force"],
+        ["verify", "--n", "6", "--trials", "1", "--queries-per-round", "5"],
+        ["parallel", "--n", "8", "--trials", "1", "--solver", "singleton_parallel"],
+        ["duel", "--n", "8", "--queries-per-round", "5"],
+    ])
+    def test_setting_the_mode_does_not_read_exits_2(self, capsys, argv):
+        assert cli_main(argv) == 2
+        assert "does not read" in capsys.readouterr().err
 
     def test_ground_size_above_capacity_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"

@@ -166,6 +166,21 @@ class TestAnswerBatch:
                 assert oracle.active_set == Subset.full(8)
 
     @pytest.mark.parametrize("kind", ["honest", "adversary"])
+    def test_range_batches_are_checked_by_their_ends(self, kind):
+        # A range batch is checked at its ends; a rejected one counts nothing.
+        cfg = GroundConfig(8, 1)
+        for bad in (range(-1, 3), range(0, 2**8 + 1), range(2**8, -1, -1), range(3, -2, -1), range(-3, 2**9, 7)):
+            oracle = HalvingAdversary(cfg) if kind == "adversary" else HonestOracle(sample_instance(cfg, 3))
+            with pytest.raises(ValueError, match="must lie in"):
+                oracle.answer_batch(bad)
+            assert oracle.stats() == (0, 0)
+        oracle = HalvingAdversary(cfg) if kind == "adversary" else HonestOracle(sample_instance(cfg, 3))
+        assert oracle.answer_batch(range(5, 5)) == []
+        assert oracle.stats() == (0, 0)
+        for good in (range(2**8 - 1, -1, -1), range(2**8 - 1, 0, -3), range(0, 2**8, 5)):
+            assert len(oracle.answer_batch(good)) == len(good)
+
+    @pytest.mark.parametrize("kind", ["honest", "adversary"])
     def test_bad_answer_query_leaves_no_state(self, kind):
         # ``answer`` checks its query's ground size before it counts it.
         cfg = GroundConfig(8, 1)

@@ -143,6 +143,40 @@ class TestDiamondScan:
             assert verdicts == {True, False}
 
 
+def _triple_loop_diamonds(ints, n):
+    # The diamond scan as a loop over S, i and j, the reference for the slice scan.
+    singletons = [1 << e for e in range(n)]
+    for s, v in enumerate(ints):
+        ups = [s | b for b in singletons if not s & b]  # S+i for every i outside S
+        for a, si in enumerate(ups):
+            gain = ints[si] - v
+            for sj in ups[a + 1 :]:
+                if gain + ints[sj] < ints[si | sj]:
+                    return False
+    return True
+
+
+class TestSliceDiamonds:
+    """The slice scan gives the triple loop's verdict on kernel tables up to
+    n = 12 (runs and strides both serve every axis there) and on the same
+    tables with one entry moved by 1, D/7 or D."""
+
+    @pytest.mark.parametrize("n,r", [(3, 1), (9, 1), (12, 1), (10, 2), (12, 2), (11, 3), (12, 3)])
+    def test_matches_the_triple_loop(self, n, r):
+        rng = SplitMix64(3 * n + r)
+        ints, den = _tabulate(sample_instance(GroundConfig(n, r), rng.next()), n)
+        assert _diamonds_hold(ints, n) and _triple_loop_diamonds(ints, n)
+        verdicts = set()
+        for delta in (1, -1, den // 7 + 1, -den):
+            at = rng.below(1 << n)
+            moved = list(ints)
+            moved[at] += delta
+            verdict = _diamonds_hold(moved, n)
+            assert verdict == _triple_loop_diamonds(moved, n)
+            verdicts.add(verdict)
+        assert False in verdicts
+
+
 class TestMarginalCheck:
     def test_agrees_on_submodular_function(self):
         fn = lifted_score(4, subset(4, 0, 1), subset(4, 0))
