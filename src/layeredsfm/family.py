@@ -301,7 +301,12 @@ class LayerTable:
 
         On a full table, an aligned sub-cube (a step-1 ``range`` of 2^b masks
         whose start is a multiple of 2^b) is tabulated by :meth:`_subcube`;
-        every other input is priced mask by mask.
+        every other input is priced mask by mask.  A mask first tries the
+        previous mask's layer k: with ``x = m ^ hidden_union``, two ANDs
+        (``x`` meets A_1 | .. | A_k but not A_1 | .. | A_(k-1)) prove k is
+        its first divergent layer, since that test is monotone in k.  The
+        first mask, and any that fails the test, bisects
+        (:func:`_divergent_layer`).  Nothing is kept between calls.
         """
         rows = self.rows
         if isinstance(masks, range) and masks.step == 1 and len(rows) == self.config.layer_count:
@@ -310,8 +315,11 @@ class LayerTable:
                 return self._subcube(masks.start, size.bit_length() - 1)
         prefix_unions, hidden_union = self.prefix_unions, self.hidden_union
         out = []
+        k = None
         for m in masks:
-            k = _divergent_layer(prefix_unions, m ^ hidden_union)
+            x = m ^ hidden_union
+            if k is None or not x & prefix_unions[k - 1] or (k > 1 and x & prefix_unions[k - 2]):
+                k = _divergent_layer(prefix_unions, x)
             out.append(0 if k is None else _layer_numerator(rows[k - 1], m))
         return out
 

@@ -295,12 +295,19 @@ def _lucky_hits(inst: LayeredInstance, q_per_round: int, seed: int) -> int:
     """
     rng = SplitMix64(seed)
     lucky = 0
-    for pool, block, hidden in zip(inst.pools, inst.blocks, inst.hidden_sets):
+    for block, hidden, pool, pool_card, _ in inst.table.rows:
         # Query S = rng.subset_of(pool) keeps the pool's p-th member when bit p
         # of its draw is set, so test the draw at A_k's and R_k's pool positions.
-        at = lambda s: sum(1 << (pool.bits & ((1 << e) - 1)).bit_count() for e in s.indices())
-        a_pos, r_pos = at(block), at(hidden)
-        lucky += sum(rng.masked_bits(len(pool), a_pos) == r_pos for _ in range(q_per_round))
+        a_pos = r_pos = 0
+        rest = block
+        while rest:
+            low = rest & -rest
+            at = 1 << (pool & (low - 1)).bit_count()
+            a_pos |= at
+            if low & hidden:
+                r_pos |= at
+            rest ^= low
+        lucky += rng.count_matches(pool_card, a_pos, r_pos, q_per_round)
     return lucky
 
 

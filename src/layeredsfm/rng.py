@@ -63,23 +63,40 @@ class SplitMix64:
             filled += 64
         return out & ((1 << count) - 1)
 
-    def masked_bits(self, count: int, mask: int) -> int:
-        """``bits(count) & mask``, leaving the same state, but mixing only the
-        64-bit words that ``mask`` touches: word i of the draw is the output
-        of state ``s + (i + 1) * GOLDEN``, with ``s`` the state before it."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
+    def count_matches(self, count: int, mask: int, target: int, draws: int) -> int:
+        """How many of the next ``draws`` values of ``bits(count)`` satisfy
+        ``draw & mask == target``, leaving the state where those draws would.
+
+        Word i of a draw is the output of state ``s + (i + 1) * GOLDEN``, with
+        ``s`` the state before it, so only the 64-bit words that ``mask``
+        touches are mixed, and a draw stops at the first word that differs.
+        A ``target`` with a bit outside ``mask & (2^count - 1)`` matches none.
+        """
+        if count < 0 or draws < 0:
+            raise ValueError(f"count and draws must be non-negative, got {count} and {draws}")
         state = self._state
-        self._state = (state + ((count + 63) >> 6) * _GOLDEN) & _MASK64
-        rest = mask & ((1 << count) - 1)
-        out = shift = 0
-        while rest:
-            state = (state + _GOLDEN) & _MASK64
-            if rest & _MASK64:
-                out |= (_mix(state) & rest) << shift  # a 64-bit word keeps only its own bits
-            rest >>= 64
-            shift += 64
-        return out
+        stride = ((count + 63) >> 6) * _GOLDEN
+        self._state = (state + draws * stride) & _MASK64
+        mask &= (1 << count) - 1
+        if target & ~mask:
+            return 0
+        words = []  # (state offset, mask word, target word) of each touched word
+        offset = 0
+        while mask:
+            offset += _GOLDEN
+            if mask & _MASK64:
+                words.append((offset, mask & _MASK64, target & _MASK64))
+            mask >>= 64
+            target >>= 64
+        hits = 0
+        for _ in range(draws):
+            for offset, mask_word, target_word in words:
+                if _mix((state + offset) & _MASK64) & mask_word != target_word:
+                    break
+            else:
+                hits += 1
+            state = (state + stride) & _MASK64
+        return hits
 
     def sample(self, seq: Sequence[int], k: int) -> list[int]:
         """Uniform size-k subset of ``seq`` (as a sorted list), partial shuffle.

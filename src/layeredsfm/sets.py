@@ -131,9 +131,18 @@ class Subset:
         return cls(size, (1 << size) - 1)
 
     def indices(self) -> list[int]:
-        # Scans the mask's binary digits (lowest first) instead of testing
-        # each of the ``size`` positions with a shift.
-        return [i for i, c in enumerate(reversed(bin(self.bits)[2:])) if c == "1"]
+        # A sparse mask (under a quarter of its binary digits set) peels off
+        # its lowest set bit per member; a denser one scans its binary digits
+        # (lowest first) instead of testing each of the ``size`` positions.
+        bits = self.bits
+        if bits.bit_count() * 4 < bits.bit_length():
+            out = []
+            while bits:
+                low = bits & -bits
+                out.append(low.bit_length() - 1)
+                bits ^= low
+            return out
+        return [i for i, c in enumerate(reversed(bin(bits)[2:])) if c == "1"]
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices())

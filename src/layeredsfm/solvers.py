@@ -151,11 +151,14 @@ def brute_force_minimize(oracle) -> SolverResult:
         nums = oracle.answer_batch(masks)
         low = min(nums)
         if best is None or low <= best:
-            tied = [m for m, v in zip(masks, nums) if v == low]
-            if low == best:
-                tied.append(best_mask)
-            # On a tie the least index list wins.
-            best_mask = min(tied, key=lambda m: Subset(n, m).indices()) if len(tied) > 1 else tied[0]
+            if nums.count(low) == 1 and low != best:
+                best_mask = masks[nums.index(low)]
+            else:
+                tied = [m for m, v in zip(masks, nums) if v == low]
+                if low == best:
+                    tied.append(best_mask)
+                # On a tie the least index list wins.
+                best_mask = min(tied, key=lambda m: Subset(n, m).indices())
             best = low
         # Free this batch before asking the next, so that only one is ever
         # held: two raise the peak RSS of an n = 16 scan by about 0.1 MB.

@@ -255,16 +255,16 @@ def check_function_properties(
     if n > EXHAUSTIVE_PAIR_CAP:
         raise ValueError(f"exhaustive verification capped at n={EXHAUSTIVE_PAIR_CAP}")
     ints, den = _tabulate(fn, n)  # F(S) = ints[S] / den, den > 0
-    range_ok = all(0 <= v <= 2 * den for v in ints)
     lowest = min(ints)
-    argmin = [bits for bits, v in enumerate(ints) if v == lowest]
-    unique_min_ok = len(argmin) == 1 and argmin[0] == predicted_min.bits
+    range_ok = 0 <= lowest and max(ints) <= 2 * den
+    minimizer = ints.index(lowest)  # the first of the argmin set
+    unique_min_ok = ints.count(lowest) == 1 and minimizer == predicted_min.bits
     witness = _first_violating_pair(ints, den, n)
     return PropertyReport(
         range_ok=range_ok,
         unique_min_ok=unique_min_ok,
         submodular_ok=witness is None,
-        minimizer=Subset(n, argmin[0]),
+        minimizer=Subset(n, minimizer),
         witness=witness,
     )
 

@@ -6,6 +6,7 @@ import pytest
 from layeredsfm.family import (
     LayeredInstance,
     LayerTable,
+    _layer_numerator,
     block_value,
     canonical_instance,
     containment_score,
@@ -340,6 +341,90 @@ class TestSubcubeNumerators:
         table = adversary.table
         assert len(table.rows) == [0, 3, 12, 40].index(queries)
         _assert_aligned_subcubes_match_the_mask_loop(table)
+
+
+def _scan_numerators(table, masks):
+    # Independent of the mask loop: a linear scan over the rows for the first
+    # layer whose block part differs from its hidden set, priced by that row.
+    out = []
+    for m in masks:
+        row = next((row for row in table.rows if m & row[0] != row[1]), None)
+        out.append(0 if row is None else _layer_numerator(row, m))
+    return out
+
+
+def _mask_at_layer(table, k, rng):
+    """A random mask whose first divergent layer is ``k``, or that matches
+    every committed layer when ``k`` is None."""
+    rows, n = table.rows, table.config.n
+    matched = 0
+    for block, hidden, *_ in rows[: len(rows) if k is None else k - 1]:
+        matched |= hidden
+    if k is None:
+        return matched | rng.bits(n) & ~(table.prefix_unions[-1] if rows else 0)
+    block, hidden = rows[k - 1][0], rows[k - 1][1]
+    part = hidden
+    while part == hidden:
+        part = rng.bits(n) & block
+    return matched | part | rng.bits(n) & ~table.prefix_unions[k - 1]
+
+
+class TestMaskLoopNumerators:
+    """Mask lists are priced mask by mask, each first trying the previous
+    mask's layer; a linear scan over the rows is the reference.  The orders
+    below change layer in every way that test can get wrong."""
+
+    ORDERS = {
+        "alternating": [1, 3, 1, 3, 2, 5, 2, 5, 6, 1, 6],
+        "deeper then shallower": [6, 5, 4, 3, 2, 1, 4, 2, 6, 5],
+        "shallower then deeper": [1, 2, 3, 4, 5, 6, 6, 1],
+        "all-match between layered": [3, None, 3, 2, None, 5, None, None, 1, None, 6],
+        "first at layer 1": [1, 1, 1, 2, 2],
+        "first all-match": [None, 4, 4, None],
+        "runs": [4] * 6 + [5] * 6 + [1] * 3 + [6] * 3,
+        "one mask at layer 1": [1],
+        "one mask at layer 6": [6],
+        "one all-match mask": [None],
+        "empty": [],
+    }
+
+    # Six layers each; 2r does not divide 26, so (26, 2) has two dummies.
+    @pytest.mark.parametrize("n,r", [(12, 1), (24, 2), (26, 2), (36, 3)])
+    @pytest.mark.parametrize("order", list(ORDERS), ids=list(ORDERS))
+    def test_layer_orders_match_a_linear_scan(self, n, r, order):
+        table = sample_instance(GroundConfig(n, r), n + r).table
+        rng = SplitMix64(len(order) * n + r)
+        masks = [_mask_at_layer(table, k, rng) for k in self.ORDERS[order]]
+        assert [table.layer_of(m) for m in masks] == self.ORDERS[order]
+        assert table.numerators(masks) == _scan_numerators(table, masks)
+
+    @pytest.mark.parametrize("n,r", [(12, 1), (26, 2), (64, 2), (256, 2)])
+    def test_singleton_batches_and_random_masks_match_a_linear_scan(self, n, r):
+        inst = sample_instance(GroundConfig(n, r), 3 * n + r)
+        table, prefix = inst.table, 0
+        for pool, hidden in zip(inst.pools, inst.hidden_sets):
+            batch = [prefix | 1 << e for e in pool.indices()]
+            assert table.numerators(batch) == _scan_numerators(table, batch)
+            prefix |= hidden.bits
+        rng = SplitMix64(n)
+        masks = [rng.bits(n) for _ in range(200)]
+        assert table.numerators(masks) == _scan_numerators(table, masks)
+
+    # 0, 3, 12 and 40 random queries leave 0, 1, 2 and 3 of the 4 layers committed.
+    @pytest.mark.parametrize("queries", [0, 3, 12, 40])
+    def test_partial_adversary_table_matches_a_linear_scan(self, queries):
+        adversary = HalvingAdversary(GroundConfig(8, 1))
+        rng = SplitMix64(queries)
+        adversary.answer_batch([rng.bits(8) for _ in range(queries)])
+        table = adversary.table
+        committed = [0, 3, 12, 40].index(queries)
+        assert len(table.rows) == committed
+        layers = [None] + list(range(1, committed + 1))
+        for order in (layers, layers[::-1], layers * 2, layers[::-1] * 2, [None, *layers[1:], None]):
+            masks = [_mask_at_layer(table, k, rng) for k in order]
+            assert table.numerators(masks) == _scan_numerators(table, masks)
+        masks = list(range(256))
+        assert table.numerators(masks) == _scan_numerators(table, masks)
 
 
 class TestExhaustiveScanMemory:

@@ -200,7 +200,8 @@ class TestRunParallel:
         from layeredsfm.rng import SplitMix64
         from layeredsfm.sets import GroundConfig, Subset
 
-        for n, r in [(8, 1), (24, 2), (48, 3)]:
+        # (192, 2) opens with a 192-element pool: draws of three 64-bit words.
+        for n, r in [(8, 1), (24, 2), (48, 3), (192, 2)]:
             report = run_parallel(cfg(mode="parallel", n=n, r=r, trials=5, queries_per_round=16))
             assert report.passed
             ground = GroundConfig(n, r)

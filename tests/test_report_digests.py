@@ -34,6 +34,9 @@ REPORTS = [
      "07be885b11f4724604652772f19b34ec8d9c7261c3a44eef33865ab671003cc1"),
     (ExperimentConfig("parallel", (32,), r=2, seed=5, trials=2),
      "f3f1f52c3a3f350c636b9d1f4e27931349a0ed83f99feb20e0b539159338f9ca"),
+    # Pools of up to 256 elements: the lucky-hit count spans several 64-bit words.
+    (ExperimentConfig("parallel", (256,), r=2, seed=9, trials=2, queries_per_round=64),
+     "2cb02381b286b71e33a18ca558be681243ad9ad11a5254e11bc80d31446f4db5"),
     (ExperimentConfig("bench", (16,), r=1, seed=7, trials=2),
      "98389a1e586c2398714053d42f9c01895b24ebd160cb4bb215213ce7ffde8411"),
     (ExperimentConfig("hiding", (8,), r=1, seed=11, trials=200),

@@ -85,30 +85,66 @@ def test_subset_draws_match_per_member_reference(shape, seed):
     assert ref.next() == via_carrier.next()
 
 
+def _counted_matches(rng, count, mask, target, draws):
+    """``count_matches`` by drawing every word: the reference."""
+    return sum(rng.bits(count) & mask == target for _ in range(draws))
+
+
 @given(
     st.integers(0, 1100),
     st.one_of(
         st.integers(-(1 << 1200), 1 << 1200),
         st.sets(st.integers(0, 1100), max_size=8).map(lambda s: sum(1 << i for i in s)),
     ),
+    st.sampled_from(["first draw", "inside mask", "any"]),
+    st.integers(-(1 << 1200), 1 << 1200),
+    st.integers(0, 6),
     st.integers(0, (1 << 64) - 1),
 )
-def test_masked_bits_is_bits_under_the_mask(count, mask, seed):
-    # Same value and same state afterwards as drawing every word and masking.
-    full, masked = SplitMix64(seed), SplitMix64(seed)
+def test_count_matches_counts_bits_under_the_mask(count, mask, kind, t, draws, seed):
+    # Same count and same state afterwards as drawing every word and masking.
+    # The target is the next draw's masked bits (at least one match), bits
+    # of the mask, or any integer (bits outside the mask match nothing).
+    full, fast = SplitMix64(seed), SplitMix64(seed)
+    if kind == "first draw":
+        target = SplitMix64(seed).bits(count) & mask
+    elif kind == "inside mask":
+        target = t & mask & ((1 << count) - 1)
+    else:
+        target = t
     for _ in range(2):
-        assert masked.masked_bits(count, mask) == full.bits(count) & mask
-        assert masked._state == full._state
+        assert fast.count_matches(count, mask, target, draws) == _counted_matches(full, count, mask, target, draws)
+        assert fast._state == full._state
 
 
-def test_masked_bits_edges():
+def test_count_matches_edges():
     for count in (0, 1, 63, 64, 65, 128, 129, 512, 1024):
         for mask in (0, -1, 1, 1 << count, (1 << count) - 1, 1 << max(count - 1, 0), -(1 << 64)):
-            full, masked = SplitMix64(count), SplitMix64(count)
-            assert masked.masked_bits(count, mask) == full.bits(count) & mask
-            assert masked.next() == full.next()
+            first = SplitMix64(count).bits(count) & mask
+            outside = 1 << count  # never a bit of a draw
+            for target in (0, first, first ^ 1, first | outside, -1, -(1 << count)):
+                full, fast = SplitMix64(count), SplitMix64(count)
+                assert fast.count_matches(count, mask, target, 5) == _counted_matches(full, count, mask, target, 5)
+                assert fast.next() == full.next()
     with pytest.raises(ValueError):
-        SplitMix64(0).masked_bits(-1, 1)
+        SplitMix64(0).count_matches(-1, 1, 0, 1)
+    with pytest.raises(ValueError):
+        SplitMix64(0).count_matches(8, 1, 0, -1)
+
+
+def test_count_matches_target_outside_the_mask_matches_nothing():
+    # A target bit in a word the mask does not touch, or past ``count``, rules
+    # out every draw, even when the touched words always agree (mask 0 there).
+    for count, mask, target in [(128, 1, 1 << 70), (192, 1 << 130, 1 << 10), (10, -1, 1 << 10),
+                                (128, 0, 1 << 64), (64, 1 << 5, 1 << 6)]:
+        rng, ref = SplitMix64(3), SplitMix64(3)
+        assert rng.count_matches(count, mask, target, 50) == 0
+        for _ in range(50):
+            ref.bits(count)
+        assert rng._state == ref._state
+    # An empty mask matches every draw at target 0.
+    assert SplitMix64(3).count_matches(200, 0, 0, 7) == 7
+    assert SplitMix64(3).count_matches(200, 1 << 200, 0, 7) == 7
 
 
 def _copying_sample(rng, seq, k):

@@ -147,6 +147,15 @@ class TestAlgebra:
         n, bits = args
         assert Subset(n, bits).indices() == [i for i in range(n) if (bits >> i) & 1]
 
+    # Masks of up to 1024 elements with 0 to 400 members: sparse ones peel
+    # their set bits, denser ones scan their binary digits.
+    @given(st.integers(1, 1024).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n - 1), max_size=min(n, 400)))))
+    def test_indices_of_sparse_and_dense_masks(self, args):
+        n, members = args
+        bits = sum(1 << i for i in members)
+        assert Subset(n, bits).indices() == sorted(members)
+
 
 class TestEnumerateSubsets:
     def test_n2_order(self):

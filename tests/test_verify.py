@@ -282,6 +282,32 @@ class TestPropertyReports:
         assert not report.all_ok
 
 
+class TestRangeAndArgminVerdicts:
+    """Range, unique-minimum and minimizer verdicts against the per-value
+    walk and argmin list they are read from."""
+
+    # Values over n = 3, as multiples of 1/7: in range, on the edges, out of
+    # range at either end, and with the minimum first, last or tied.
+    @pytest.mark.parametrize("nums", [
+        [9, 4, 3, 11, 14, 8, 2, 5],
+        [0, 4, 3, 11, 14, 8, 2, 5],
+        [9, 4, 3, 11, 14, 8, 2, 0],
+        [9, 4, 2, 11, 14, 8, 2, 5],
+        [9, 4, 3, 11, 15, 8, 2, 5],
+        [9, -1, 3, 11, 14, 8, 2, 5],
+        [-1, 4, 3, 15, 14, 8, -1, 5],
+        [7, 7, 7, 7, 7, 7, 7, 7],
+    ])
+    @pytest.mark.parametrize("predicted", [0, 6, 7])
+    def test_verdicts_match_the_value_walk(self, nums, predicted):
+        fn = lambda s: Fraction(nums[s.bits], 7)
+        report = check_function_properties(fn, 3, Subset(3, predicted))
+        argmin = [bits for bits, v in enumerate(nums) if v == min(nums)]
+        assert report.range_ok == all(0 <= v <= 14 for v in nums)
+        assert report.unique_min_ok == (argmin == [predicted])
+        assert report.minimizer == Subset(3, argmin[0])
+
+
 class TestKernelTables:
     """An instance is tabulated from its layer table over D; the closed form,
     as an arbitrary evaluator, is tabulated through ``Fraction``s."""
