@@ -196,20 +196,38 @@ class LayeredInstance:
         return cls(config, blocks, hidden)
 
 
-def _divergent_layer(prefix_unions: Sequence[int], mismatch: int) -> int | None:
+def _divergent_layer(prefix_unions: Sequence[int], mismatch: int, hint: int | None) -> int | None:
     """Smallest k (1-based) with ``mismatch & prefix_unions[k-1] != 0``, or None.
 
     With ``prefix_unions[k-1] = A_1 | .. | A_k`` over disjoint blocks and
     ``mismatch = s ^ (R_1 | .. | R_L)``, that k is the first layer with
     ``s cap A_k != R_k``: the mismatch meets A_k exactly when layer k
-    diverges.  The test is monotone in k, so bisection finds k in
-    O(log L) big-int ANDs.  Bits outside every block (dummies, or layers
-    not yet committed) never count.
+    diverges.  The test is monotone in k, so k is found by search.  Given
+    a ``hint`` in ``1..len(prefix_unions)``, the search gallops out from it
+    (hint -/+ 1, 2, 4, ..) until the test changes and bisects only the
+    last gap: O(log |k - hint|) big-int ANDs, where plain bisection costs
+    O(log L).  The hint steers the search only; every hint, and None,
+    gives the same k.  Bits outside every block (dummies, or layers not
+    yet committed) never count.
     """
     hi = len(prefix_unions)
     if hi == 0 or not mismatch & prefix_unions[-1]:
         return None
     lo = 1
+    if hint is not None:
+        step = 1
+        if mismatch & prefix_unions[hint - 1]:
+            hi = hint
+            while hint - step >= 1 and mismatch & prefix_unions[hint - step - 1]:
+                hi = hint - step
+                step *= 2
+            lo = max(hint - step + 1, 1)
+        else:
+            lo = hint + 1
+            while hint + step < hi and not mismatch & prefix_unions[hint + step - 1]:
+                lo = hint + step + 1
+                step *= 2
+            hi = min(hint + step, hi)
     while lo < hi:
         mid = (lo + hi) // 2
         if mismatch & prefix_unions[mid - 1]:
@@ -232,7 +250,7 @@ def _layer_numerator(row: tuple[int, int, int, int, int], s_bits: int) -> int:
     sa = s_bits & block_bits
     if sa == hidden_bits:
         raise ValueError("layer does not diverge on this query")
-    below = (s_bits & pool_bits & ~block_bits).bit_count()
+    below = (s_bits & pool_bits).bit_count() - sa.bit_count()  # the block lies inside the pool
     if sa & ~hidden_bits == 0:
         score, corr = 1, below
     elif hidden_bits & ~sa == 0:
@@ -252,10 +270,13 @@ class LayerTable:
     committed R's and ``pool`` is the next layer's pool.  Every layer
     enters through :meth:`push`.  An instance adopts a full table; the
     halving adversary pushes each layer as it commits, and its finalized
-    instance adopts that table.
+    instance adopts that table.  ``_hint`` is the layer of the last mask
+    that :meth:`numerators` or :meth:`layer_of` placed (None before the
+    first): the next lookup starts from it.  It steers the search only, so
+    lookups that race on one table cost speed, never a wrong layer.
     """
 
-    __slots__ = ("config", "rows", "prefix_unions", "hidden_union", "pool")
+    __slots__ = ("config", "rows", "prefix_unions", "hidden_union", "pool", "_hint")
 
     def __init__(self, config: GroundConfig):
         self.config = config
@@ -263,6 +284,7 @@ class LayerTable:
         self.prefix_unions: list[int] = []
         self.hidden_union = 0
         self.pool = (1 << config.effective_size) - 1
+        self._hint: int | None = None
 
     def next_row(self, block: int, hidden: int) -> tuple[int, int, int, int, int]:
         """The row that ``push(block, hidden)`` appends as the next layer."""
@@ -292,8 +314,15 @@ class LayerTable:
         self.pool &= ~block
 
     def layer_of(self, s_bits: int) -> int | None:
-        """First committed layer k (1-based) with ``s cap A_k != R_k``, or None."""
-        return _divergent_layer(self.prefix_unions, s_bits ^ self.hidden_union)
+        """First committed layer k (1-based) with ``s cap A_k != R_k``, or None.
+
+        The search gallops out from the hint, and a layer found becomes
+        the hint.
+        """
+        k = _divergent_layer(self.prefix_unions, s_bits ^ self.hidden_union, self._hint)
+        if k is not None:
+            self._hint = k
+        return k
 
     def numerators(self, masks: Sequence[int]) -> list[int]:
         """The values at ``masks`` as numerators over ``config.value_denominator``
@@ -302,11 +331,13 @@ class LayerTable:
         On a full table, an aligned sub-cube (a step-1 ``range`` of 2^b masks
         whose start is a multiple of 2^b) is tabulated by :meth:`_subcube`;
         every other input is priced mask by mask.  A mask first tries the
-        previous mask's layer k: with ``x = m ^ hidden_union``, two ANDs
-        (``x`` meets A_1 | .. | A_k but not A_1 | .. | A_(k-1)) prove k is
-        its first divergent layer, since that test is monotone in k.  The
-        first mask, and any that fails the test, bisects
-        (:func:`_divergent_layer`).  Nothing is kept between calls.
+        layer k of the last mask priced, in this call or an earlier one
+        (the hint): with ``x = m ^ hidden_union``, two ANDs (``x`` meets
+        A_1 | .. | A_k but not A_1 | .. | A_(k-1)) prove k is its first
+        divergent layer, since that test is monotone in k.  A mask that
+        fails the test gallops out from k (:func:`_divergent_layer`), and
+        the layer it finds becomes the hint; a mask that matches every
+        committed layer leaves the hint as it was.
         """
         rows = self.rows
         if isinstance(masks, range) and masks.step == 1 and len(rows) == self.config.layer_count:
@@ -315,12 +346,17 @@ class LayerTable:
                 return self._subcube(masks.start, size.bit_length() - 1)
         prefix_unions, hidden_union = self.prefix_unions, self.hidden_union
         out = []
-        k = None
+        k = self._hint
         for m in masks:
             x = m ^ hidden_union
             if k is None or not x & prefix_unions[k - 1] or (k > 1 and x & prefix_unions[k - 2]):
-                k = _divergent_layer(prefix_unions, x)
-            out.append(0 if k is None else _layer_numerator(rows[k - 1], m))
+                found = _divergent_layer(prefix_unions, x, k)
+                if found is None:
+                    out.append(0)
+                    continue
+                k = found
+            out.append(_layer_numerator(rows[k - 1], m))
+        self._hint = k
         return out
 
     def _subcube(self, start: int, width: int) -> list[int]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .oracles import CorruptedOracleError
 from .rationals import ExactValue, format_value
@@ -58,8 +59,7 @@ class SolverResult:
         }
 
 
-@dataclass(frozen=True)
-class LayerAnswer:
+class LayerAnswer(NamedTuple):
     """What a single oracle value reveals about one layer.
 
     ``relation`` compares the query's block part with the layer's hidden
@@ -68,7 +68,8 @@ class LayerAnswer:
     pool elements were queried; see :meth:`disambiguate`).  ``outside_block``
     counts queried pool elements below the block; it is None exactly when
     the value carries no such count (incomparable, or an exact match whose
-    residual encodes deeper layers instead).
+    residual encodes deeper layers instead).  A named tuple: immutable,
+    equal by fields, and built at tuple cost once per query.
     """
 
     relation: Relation | None
@@ -193,16 +194,19 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
     ``pool[i]`` to ``pool[j - 1]``.  Classified elements are deleted from
     the list by index.  With ``base = prefix | T`` Phase A asks
     ``base | W`` and Phase B asks ``base ^ W``, each as a one-mask batch.
-    A :class:`Subset` is built only for the returned minimizer.
+    Each answer is decoded once, by :func:`decode_layer_answer`, and
+    disambiguated only when its relation is None.  A :class:`Subset` is
+    built only for the returned minimizer.
     """
     n, r = config.n, config.r
     budget = query_budget(n)
     queries = 0  # every query opens its own round, so this counts rounds too
+    begin_round, answer_batch = oracle.begin_round, oracle.answer_batch
 
     def ask(mask: int) -> int:
         nonlocal queries
-        oracle.begin_round()
-        [num] = oracle.answer_batch([mask])
+        begin_round()
+        [num] = answer_batch([mask])
         queries += 1
         if queries > budget:
             raise RuntimeError(f"query budget exceeded: {queries} > {budget:.0f} at n={n}, r={r}")
@@ -216,9 +220,6 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
         pool_size = len(elems)
         den = config.layer_factors[layer - 1] * 2 * pool_size  # D // d_k
 
-        def decode(num: int, queried_in_pool: int) -> LayerAnswer:
-            return decode_layer_answer(num, den, pool_size, layer).disambiguate(queried_in_pool, r)
-
         # Phase A: classify away the block elements outside the hidden set.
         base, accepted = prefix, 0  # base = prefix | T, with |T| = accepted
         bad: list[int] = []  # list indices, found in increasing order
@@ -226,8 +227,11 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
         while blocks and len(bad) < r:
             i, j = blocks.pop()
             w = pool & ((2 << elems[j - 1]) - (1 << elems[i]))
-            ans = decode(ask(base | w), accepted + j - i)
-            if ans.relation in (Relation.EQUAL, Relation.STRICT_SUBSET):
+            ans = decode_layer_answer(ask(base | w), den, pool_size, layer)
+            rel = ans.relation
+            if rel is None:
+                rel = ans.disambiguate(accepted + j - i, r).relation
+            if rel is Relation.EQUAL or rel is Relation.STRICT_SUBSET:
                 base |= w
                 accepted += j - i
             elif j - i == 1:
@@ -251,10 +255,13 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
         while blocks and len(hidden) < r:
             i, j = blocks.pop()
             w = pool & ((2 << elems[j - 1]) - (1 << elems[i]))
-            ans = decode(ask(base ^ w), len(elems) - (j - i))
-            if ans.relation is Relation.EQUAL:
+            ans = decode_layer_answer(ask(base ^ w), den, pool_size, layer)
+            rel = ans.relation
+            if rel is None:
+                rel = ans.disambiguate(len(elems) - (j - i), r).relation
+            if rel is Relation.EQUAL:
                 pass  # W misses the hidden set entirely
-            elif ans.relation is Relation.STRICT_SUBSET:
+            elif rel is Relation.STRICT_SUBSET:
                 if j - i == 1:
                     hidden.append(i)
                 else:
@@ -262,9 +269,7 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
                     blocks.append((mid, j))
                     blocks.append((i, mid))
             else:
-                raise CorruptedOracleError(
-                    f"layer {layer}: removal query decoded as {ans.relation}"
-                )
+                raise CorruptedOracleError(f"layer {layer}: removal query decoded as {rel}")
         if len(hidden) != r:
             raise CorruptedOracleError(
                 f"layer {layer}: found {len(hidden)} hidden elements, expected {r}"
@@ -305,6 +310,19 @@ def _singleton_class(num: int, den: int, pool_size: int, layer: int, r: int) -> 
     return label
 
 
+def _members(elements: list[int], nums: list[int], answers: list[int]) -> int:
+    """The mask of ``elements[i]`` over every i with ``nums[i]`` in ``answers``,
+    found by ``list.count`` and ``list.index``: no Python step per element
+    outside the class."""
+    mask = 0
+    for num in answers:
+        i = -1
+        for _ in range(nums.count(num)):
+            i = nums.index(num, i + 1)
+            mask |= 1 << elements[i]
+    return mask
+
+
 def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
     """Solve one layer per batched round via singleton queries.
 
@@ -317,29 +335,29 @@ def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
     n, r = config.n, config.r
     queries = 0
     prefix = 0
-    pool = Subset(n, (1 << config.effective_size) - 1)
+    pool = (1 << config.effective_size) - 1
 
     for layer in range(1, config.layer_count + 1):
-        pool_size = len(pool)
+        elements = Subset(n, pool).indices()
+        pool_size = len(elements)
         den = config.layer_factors[layer - 1] * 2 * pool_size  # D // d_k
-        elements = pool.indices()
         oracle.begin_round()
         nums = oracle.answer_batch([prefix | 1 << e for e in elements])
         queries += pool_size
-        # Elements with the same answer share a class: decode each answer once.
-        members: dict[int, int] = {}
-        for e, num in zip(elements, nums):
-            members[num] = members.get(num, 0) | 1 << e
-        classes = {"hidden": 0, "off_block": 0, "deeper": 0}
-        for num, mask in members.items():
-            classes[_singleton_class(num, den, pool_size, layer, r)] |= mask
-        hidden, off_block = classes["hidden"].bit_count(), classes["off_block"].bit_count()
-        if hidden != r or off_block != r:
+        # Elements with the same answer share a class: decode each distinct
+        # answer once, in order of first appearance.
+        classes: dict[str, list[int]] = {"hidden": [], "off_block": [], "deeper": []}
+        for num in dict.fromkeys(nums):
+            classes[_singleton_class(num, den, pool_size, layer, r)].append(num)
+        hidden = _members(elements, nums, classes["hidden"])
+        off_block = _members(elements, nums, classes["off_block"])
+        if hidden.bit_count() != r or off_block.bit_count() != r:
             raise CorruptedOracleError(
-                f"layer {layer}: classified {hidden} hidden / {off_block} off-block, expected {r} each"
+                f"layer {layer}: classified {hidden.bit_count()} hidden / "
+                f"{off_block.bit_count()} off-block, expected {r} each"
             )
-        prefix |= classes["hidden"]
-        pool = Subset(n, classes["deeper"])
+        prefix |= hidden
+        pool &= ~(hidden | off_block)  # the rest of the pool is deeper
 
     # Every layer matched in its one round, so the minimum value is exactly 0.
     return SolverResult("singleton_parallel", Subset(n, prefix), Fraction(0), queries, config.layer_count)

@@ -1,3 +1,6 @@
+import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -6,6 +9,7 @@ import pytest
 from layeredsfm.family import (
     LayeredInstance,
     LayerTable,
+    _divergent_layer,
     _layer_numerator,
     block_value,
     canonical_instance,
@@ -425,6 +429,98 @@ class TestMaskLoopNumerators:
             assert table.numerators(masks) == _scan_numerators(table, masks)
         masks = list(range(256))
         assert table.numerators(masks) == _scan_numerators(table, masks)
+
+
+def _linear_layer(prefix_unions, mismatch):
+    return next((k for k, union in enumerate(prefix_unions, start=1) if mismatch & union), None)
+
+
+def _rebuilt(table):
+    """A table with ``table``'s rows and no hint."""
+    fresh = LayerTable(table.config)
+    for block, hidden, *_ in table.rows:
+        fresh.push(block, hidden)
+    return fresh
+
+
+class TestHintedLookup:
+    """Lookups start from the layer of the last mask a table priced, across
+    calls; every hint must give the layer a linear scan gives."""
+
+    # L = 0 (no committed layer), 1 and 40; (3, 1) and (81, 1) have one dummy.
+    @pytest.mark.parametrize("n,r,layers", [(4, 1, 0), (3, 1, 1), (4, 2, 1), (81, 1, 40), (160, 2, 40)])
+    def test_every_hint_gives_the_linear_scan_layer(self, n, r, layers):
+        cfg = GroundConfig(n, r)
+        table = LayerTable(cfg)
+        for block, hidden, *_ in sample_instance(cfg, n + r).table.rows[:layers]:
+            table.push(block, hidden)
+        unions, rng = table.prefix_unions, SplitMix64(n * r)
+        outside = (1 << n) - 1 & ~(unions[-1] if unions else 0)
+        mismatches = [0, outside, rng.bits(n) & outside]  # these miss every union
+        for k in range(1, layers + 1):
+            block = table.rows[k - 1][0]
+            below = unions[k - 2] if k > 1 else 0
+            mismatches += [block & -block, block, (rng.bits(n) | block & -block) & ~below]
+        for mismatch in mismatches:
+            want = _linear_layer(unions, mismatch)
+            for hint in [None, *range(1, layers + 1)]:
+                assert _divergent_layer(unions, mismatch, hint) == want, (mismatch, hint)
+                assert _divergent_layer(unions, mismatch | outside, hint) == want, (mismatch, hint)
+
+    @pytest.mark.parametrize("n,r", [(24, 2), (64, 1), (81, 1)])
+    def test_one_table_across_calls_matches_a_fresh_table_per_call(self, n, r):
+        inst = sample_instance(GroundConfig(n, r), 5 * n + r)
+        shared, rng = inst.table, SplitMix64(n)
+        order = [None, *range(1, inst.layer_count + 1)] * 3
+        random.Random(n + r).shuffle(order)
+        for i, k in enumerate(order):
+            # One-mask batches, as one query per round asks, and some longer ones.
+            masks = [_mask_at_layer(shared, k, rng)] if i % 3 else [
+                _mask_at_layer(shared, j, rng) for j in (k, order[i - 1], k)]
+            assert shared.numerators(masks) == _rebuilt(shared).numerators(masks) == _scan_numerators(shared, masks)
+            assert shared.layer_of(masks[0]) == k
+
+    def test_a_hint_set_before_later_pushes_prices_correctly(self):
+        adversary = HalvingAdversary(GroundConfig(16, 1))
+        rng = SplitMix64(16)
+        table = adversary.table
+        while len(table.rows) < 2:
+            adversary.answer_batch([rng.bits(16)])
+        masks = [_mask_at_layer(table, 2, rng), _mask_at_layer(table, 1, rng)]
+        assert table.numerators(masks) == _scan_numerators(table, masks)  # the hint is layer 1
+        while len(table.rows) < 6:
+            adversary.answer_batch([rng.bits(16)])
+        for k in [None, 6, 1, 5, 3, 2, 4, 6, None]:
+            masks = [_mask_at_layer(table, k, rng)]
+            assert table.numerators(masks) == _scan_numerators(table, masks)
+            assert table.layer_of(_mask_at_layer(table, k, rng)) == k
+
+    def test_two_threads_on_one_honest_oracle_get_the_sequential_answers(self):
+        inst = sample_instance(GroundConfig(256, 2), 11)
+        rng = SplitMix64(11)
+        shallow = [[_mask_at_layer(inst.table, k % 8 + 1, rng)] for k in range(400)]
+        deep = [[_mask_at_layer(inst.table, 64 - k % 8, rng) for _ in range(2)] for k in range(400)]
+        want = {id(b): _scan_numerators(inst.table, b) for b in shallow + deep}
+        oracle, got = HonestOracle(inst), {}
+        start = threading.Barrier(2)
+
+        def answer(batches):
+            start.wait()
+            for batch in batches:
+                got[id(batch)] = oracle.answer_batch(batch)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            threads = [threading.Thread(target=answer, args=(b,)) for b in (shallow, deep)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert oracle.stats()[0] == 400 + 800
 
 
 class TestExhaustiveScanMemory:
