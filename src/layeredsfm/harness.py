@@ -26,7 +26,7 @@ from .family import (
 from .oracles import HalvingAdversary, HonestOracle
 from .rationals import ExactValue, format_value
 from .rng import SplitMix64
-from .sets import GroundConfig, Subset, check_json_keys, scatter
+from .sets import EXHAUSTIVE_CAP, GroundConfig, Subset, check_json_keys, scatter
 from .solvers import (
     QUERY_BUDGET_ALPHA,
     SOLVERS,
@@ -97,6 +97,8 @@ class ExperimentConfig:
                 raise ValueError("duel requires r = 1")
             if self.n[0] % 2 != 0:
                 raise ValueError("duel requires an even n")
+            if self.solver == "brute_force" and self.n[0] > EXHAUSTIVE_CAP:
+                raise ValueError(f"duel with brute_force asks all 2^n subsets and is capped at n = {EXHAUSTIVE_CAP}")
         if self.mode == "verify" and self.n[0] > EXHAUSTIVE_PAIR_CAP:
             raise ValueError(f"verify is exhaustive and capped at n = {EXHAUSTIVE_PAIR_CAP}")
         # With dummy elements (2r not dividing n) the minimizer is not unique,

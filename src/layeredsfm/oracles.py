@@ -10,7 +10,10 @@ computable before the block is chosen and stay exactly consistent with
 every later commit inside U, so the finalized instance replays the whole
 transcript bit for bit while no query ever matched a hidden set before
 its layer was committed.  Both read a :class:`~layeredsfm.family.LayerTable`:
-the instance's, or the one the adversary pushes each commit into.
+the instance's, or the one the adversary pushes each commit into.  The
+adversary logs each query as a :class:`QueryRecord` of four ints; a
+:class:`~layeredsfm.sets.Subset` is built from a record's mask only at the
+wire and in a replay mismatch message.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .family import (
     LayerTable,
@@ -30,7 +33,7 @@ from .family import (
 )
 from .rationals import ExactValue, format_value, parse_value
 from .rng import SplitMix64
-from .sets import GroundConfig, Subset, check_json_keys, scatter
+from .sets import GroundConfig, Subset, check_json_keys
 
 
 class CorruptedOracleError(RuntimeError):
@@ -46,22 +49,24 @@ class ReplayMismatchError(RuntimeError):
 _REPLAY_CHUNK = 256
 
 
-@dataclass(frozen=True, slots=True)
-class QueryRecord:
-    """One answered query: 1-based sequence number, round tag, set, and the
-    value's numerator over ``D = config.value_denominator``.
-    Slotted, since a transcript keeps one per query (6,399 in a duel at n = 512)."""
+class QueryRecord(NamedTuple):
+    """One answered query: 1-based sequence number, round tag, the query as a
+    mask over the ground set, and the value's numerator over
+    ``D = config.value_denominator``.
+    Four ints, since a transcript keeps one per query (6,399 in a duel at
+    n = 512).  :meth:`to_json` writes the query as its sorted index list
+    and the value as the reduced ``"p/q"``."""
 
     index: int
     round: int
-    query: Subset
+    mask: int
     num: int
 
-    def to_json(self, value_denominator: int) -> dict:
+    def to_json(self, n: int, value_denominator: int) -> dict:
         return {
             "index": self.index,
             "round": self.round,
-            "query": self.query.to_json(),
+            "query": Subset(n, self.mask).to_json(),
             "value": format_value(Fraction(self.num, value_denominator)),
         }
 
@@ -96,20 +101,20 @@ class Transcript:
         records = self.records
         for start in range(0, len(records), _REPLAY_CHUNK):
             chunk = records[start : start + _REPLAY_CHUNK]
-            for rec, actual in zip(chunk, inst.table.numerators([rec.query.bits for rec in chunk])):
+            for rec, actual in zip(chunk, inst.table.numerators([rec.mask for rec in chunk])):
                 if actual != rec.num:
                     big_d = self.config.value_denominator
                     raise ReplayMismatchError(
-                        f"record {rec.index}: query {rec.query.indices()} was answered "
+                        f"record {rec.index}: query {Subset(self.config.n, rec.mask).indices()} was answered "
                         f"{format_value(Fraction(rec.num, big_d))} but the instance evaluates to "
                         f"{format_value(Fraction(actual, big_d))}"
                     )
 
     def to_json(self) -> dict:
-        big_d = self.config.value_denominator
+        n, big_d = self.config.n, self.config.value_denominator
         return {
-            "config": {"n": self.config.n, "r": self.config.r},
-            "records": [rec.to_json(big_d) for rec in self.records],
+            "config": {"n": n, "r": self.config.r},
+            "records": [rec.to_json(n, big_d) for rec in self.records],
         }
 
     @classmethod
@@ -138,7 +143,7 @@ class Transcript:
                     QueryRecord(
                         index=index,
                         round=round_,
-                        query=Subset.from_json(config.n, rec["query"]),
+                        mask=Subset.from_json(config.n, rec["query"]).bits,
                         num=num,
                     )
                 )
@@ -270,9 +275,10 @@ class HalvingAdversary(_Oracle):
 
     Supports the same ``answer``/``answer_batch``/``begin_round``/``stats``
     surface as the honest oracle so any solver can be dueled unmodified.
-    A batch is answered mask by mask in integers, with the same records,
-    round tags and commits as one ``answer`` per mask.  Each commit is
-    pushed into ``table``, and the finalized instance adopts that table.
+    A batch is counted once and answered mask by mask in integers, with
+    the same records, indices, round tags and commits as one ``answer``
+    per mask.  Each commit is pushed into ``table``, and the finalized
+    instance adopts that table.
     Strictly sequential: callers must not share an adversary across threads.
     """
 
@@ -353,13 +359,18 @@ class HalvingAdversary(_Oracle):
         """Answer ``Subset(n, m)`` for each ``m`` in ``masks``, in order, as
         numerators over ``config.value_denominator``, recording each query
         as :meth:`answer` describes.  A mask outside ``[0, 2^n)`` raises
-        ValueError before any mask is counted, recorded or engaged."""
+        ValueError before any mask is counted, recorded or engaged.  The
+        batch is counted once; its records take consecutive indices."""
+        if not masks:
+            return []
         _check_masks(self.config.n, masks)
+        index, round_no = self._count_queries(len(masks))
+        index -= len(masks)
+        table, append, engaged_layers = self.table, self.transcript.append, self.engaged_layers
         out = []
         for s_bits in masks:
-            s = Subset(self.config.n, s_bits)
-            index, round_no = self._count_queries()
-            divergent = self.table.layer_of(s_bits)
+            index += 1
+            divergent = table.layer_of(s_bits)
             engaged: int | None = None
             if divergent is not None:
                 num = self._committed_layer_value(divergent, s_bits)
@@ -368,8 +379,8 @@ class HalvingAdversary(_Oracle):
             else:
                 engaged = len(self.commits) + 1
                 num = self._engage_active(s_bits)
-            self.engaged_layers.append(engaged)
-            self.transcript.append(QueryRecord(index=index, round=round_no, query=s, num=num))
+            engaged_layers.append(engaged)
+            append(QueryRecord(index, round_no, s_bits, num))
             out.append(num)
         return out
 
@@ -397,8 +408,10 @@ class HalvingAdversary(_Oracle):
             else:
                 new_u = u_bits & ~s_bits  # "none": every candidate block misses it
             self._active_u = new_u
-            block_bits = scatter(0b11, new_u)  # the two lowest candidates in U
-            hidden_bits = scatter(0b1, block_bits)
+            # The two lowest candidates in U (it keeps at least two), hidden = the lowest.
+            hidden_bits = new_u & -new_u
+            rest = new_u ^ hidden_bits
+            block_bits = hidden_bits | (rest & -rest)
             if new_u.bit_count() <= 3:
                 cause = "halving"
         priced = _layer_numerator(self.table.next_row(block_bits, hidden_bits), s_bits)

@@ -113,7 +113,7 @@ def test_criterion_4_adversary_soundness():
             if engaged is not None:
                 block = instance.blocks[engaged - 1]
                 hidden = instance.hidden_sets[engaged - 1]
-                assert record.query.bits & block.bits != hidden.bits, (trial, record.index)
+                assert record.mask & block.bits != hidden.bits, (trial, record.index)
         for commit in adversary.commits:
             if commit.cause in ("halving", "endgame"):
                 floor = max(0, math.floor(math.log2(commit.pool_size)) - 1)

@@ -22,6 +22,7 @@ from layeredsfm.harness import (
     run_parallel,
     run_verify,
 )
+from layeredsfm.sets import EXHAUSTIVE_CAP
 
 
 def cfg(**kwargs):
@@ -364,6 +365,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "2*r | n" in captured.err
         assert "[FAIL]" not in captured.out
+
+    def test_duel_with_brute_force_above_the_exhaustive_cap_exits_2(self, capsys):
+        # Brute force asks all 2^n subsets and refuses n above EXHAUSTIVE_CAP,
+        # so the config is refused before the duel starts.
+        assert cli_main(["duel", "--n", str(EXHAUSTIVE_CAP + 8), "--solver", "brute_force"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and f"capped at n = {EXHAUSTIVE_CAP}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        ExperimentConfig(mode="duel", n=(EXHAUSTIVE_CAP,), solver="brute_force")  # the cap itself is allowed
 
     def test_subcommands_are_the_runner_table(self):
         # One list of modes: the subcommands, their order and their help text

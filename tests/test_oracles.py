@@ -1,6 +1,7 @@
-import dataclasses
+import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from layeredsfm.oracles import (
 )
 from layeredsfm.rng import SplitMix64
 from layeredsfm.sets import GroundConfig, Subset, enumerate_subsets
-from layeredsfm.solvers import SOLVERS, family_aware_minimize
+from layeredsfm.solvers import SOLVERS, family_aware_minimize, singleton_parallel_minimize
 
 
 def subset(n, *indices):
@@ -319,6 +320,65 @@ class TestAdversaryAnswers:
         assert adv.answer(true_minimizer(inst)) == 0
 
 
+class _BatchLog(HalvingAdversary):
+    """A halving adversary that logs each ``begin_round`` as None and each
+    batch as (masks, answered numerators)."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.log = []
+
+    def begin_round(self):
+        self.log.append(None)
+        super().begin_round()
+
+    def answer_batch(self, masks):
+        masks = list(masks)
+        nums = super().answer_batch(masks)
+        self.log.append((masks, nums))
+        return nums
+
+
+class TestAdversaryBatches:
+    def test_a_batch_equals_one_answer_per_mask(self):
+        # A batch is counted once and its records numbered in a row; with
+        # layers committing mid-batch, it still equals one answer per mask.
+        cfg = GroundConfig(16, 1)
+        batched = _BatchLog(cfg)
+        singleton_parallel_minimize(batched, cfg)
+        batches = [entry for entry in batched.log if entry is not None]
+        assert all(len(masks) > 1 for masks, _ in batches)
+
+        # Some query-forced commit is made by a record that is not its batch's last.
+        ends = set(itertools.accumulate(len(masks) for masks, _ in batches))
+        committing = [
+            max(i for i, k in enumerate(batched.engaged_layers, 1) if k == c.layer)
+            for c in batched.commits if c.cause != "finalize"
+        ]
+        assert [i for i in committing if i not in ends]
+
+        one_by_one = HalvingAdversary(cfg)
+        rounds, answers = [], []
+        for entry in batched.log:
+            if entry is None:
+                one_by_one.begin_round()
+                continue
+            for m in entry[0]:
+                answers.append(one_by_one.answer(Subset(16, m)))
+                rounds.append(one_by_one.rounds)
+        records = batched.transcript.records
+        assert answers == [Fraction(num, cfg.value_denominator) for _, nums in batches for num in nums]
+        assert records == one_by_one.transcript.records
+        assert [rec.index for rec in records] == list(range(1, len(answers) + 1))
+        assert [rec.round for rec in records] == rounds
+        assert batched.engaged_layers == one_by_one.engaged_layers
+        assert batched.commits == one_by_one.commits
+        assert batched.stats() == one_by_one.stats() == (len(answers), cfg.layer_count)
+        inst = batched.finalize()
+        assert inst == one_by_one.finalize()
+        assert inst.table.rows == one_by_one.table.rows
+
+
 class TestFinalize:
     def test_walkthrough_finalize_replays(self):
         adv = HalvingAdversary(GroundConfig(8, 1))
@@ -331,7 +391,7 @@ class TestFinalize:
         inst2 = adv.transcript  # replay already ran inside finalize
         big_d = inst.config.value_denominator
         for rec in inst2.records:
-            assert evaluate_closed_form(inst, rec.query) == Fraction(rec.num, big_d)
+            assert evaluate_closed_form(inst, Subset(8, rec.mask)) == Fraction(rec.num, big_d)
 
     def test_empty_transcript_canonical(self):
         adv = HalvingAdversary(GroundConfig(6, 1))
@@ -444,7 +504,7 @@ class TestAdversaryInvariants:
             if engaged is not None:
                 block = inst.blocks[engaged - 1]
                 hidden = inst.hidden_sets[engaged - 1]
-                assert rec.query.bits & block.bits != hidden.bits
+                assert rec.mask & block.bits != hidden.bits
 
     @pytest.mark.parametrize("seed", range(25))
     def test_halving_depth(self, seed):
@@ -477,7 +537,7 @@ class TestTranscript:
         data = adv.transcript.to_json()
         text = json.dumps(data)
         back = Transcript.from_json(json.loads(text))
-        assert [r.to_json(back.config.value_denominator) for r in back.records] == data["records"]
+        assert [r.to_json(4, back.config.value_denominator) for r in back.records] == data["records"]
 
     def test_replay_names_the_mismatched_record(self):
         cfg = GroundConfig(16, 1)
@@ -492,8 +552,10 @@ class TestTranscript:
         # One value moved by 1/D is caught and named by its record index.
         i = len(transcript) // 2
         rec = transcript.records[i]
-        transcript.records[i] = dataclasses.replace(rec, num=rec.num + 1)
-        with pytest.raises(ReplayMismatchError, match=rf"^record {rec.index}: "):
+        transcript.records[i] = rec._replace(num=rec.num + 1)
+        indices = [e for e in range(cfg.n) if rec.mask >> e & 1]
+        assert indices  # a query of at least one element
+        with pytest.raises(ReplayMismatchError, match=rf"^record {rec.index}: query {re.escape(str(indices))} was answered "):
             transcript.replay(inst)
 
     def test_replay_checks_every_chunk(self):
@@ -507,7 +569,7 @@ class TestTranscript:
         assert len(records) == 511
         for i in (0, 255, 256, 510):
             rec = records[i]
-            records[i] = dataclasses.replace(rec, num=rec.num - 1)
+            records[i] = rec._replace(num=rec.num - 1)
             with pytest.raises(ReplayMismatchError, match=rf"^record {rec.index}: "):
                 adv.transcript.replay(inst)
             records[i] = rec
@@ -526,11 +588,11 @@ class TestTranscript:
         cfg = GroundConfig(4, 1)
         one = cfg.value_denominator  # the value 1, as a numerator over D
         t = Transcript(cfg)
-        t.append(QueryRecord(1, 1, Subset(4), one))
+        t.append(QueryRecord(1, 1, 0, one))
         with pytest.raises(ValueError):
-            t.append(QueryRecord(1, 1, Subset(4), one))
+            t.append(QueryRecord(1, 1, 0, one))
         with pytest.raises(ValueError):
-            t.append(QueryRecord(2, 0, Subset(4), one))
+            t.append(QueryRecord(2, 0, 0, one))
 
     def test_round_tags_follow_begin_round(self):
         adv = HalvingAdversary(GroundConfig(4, 1))
@@ -546,9 +608,9 @@ def _assert_records_match_fraction_evaluators(transcript, inst):
     big_d = inst.config.value_denominator
     for rec in transcript.records:
         value = Fraction(rec.num, big_d)
-        assert value == evaluate_closed_form(inst, rec.query), rec.index
+        assert value == evaluate_closed_form(inst, Subset(inst.config.n, rec.mask)), rec.index
         if inst.config.n <= 16:
-            assert value == evaluate_recursive(inst, rec.query), rec.index
+            assert value == evaluate_recursive(inst, Subset(inst.config.n, rec.mask)), rec.index
 
 
 class TestIntegerRecords:

@@ -71,5 +71,6 @@ def test_instrumentation_wraps_runs_and_restores(spans):
     assert len(calls) == len(spans.LAYERS)
     assert calls["harness.run"] == calls["harness.to_json_text"] == len(configs)
     for span in ("solvers.family_aware", "solvers.singleton_parallel", "solvers.decode",
-                 "oracles.finalize", "oracles.transcript_replay", "family.sample_instance"):
+                 "oracles.finalize", "oracles.transcript_replay", "oracles.transcript_append",
+                 "oracles.committed_layer_value", "family.sample_instance"):
         assert calls[span] > 0, span
