@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from .rationals import ExactValue, format_value
 from .rng import SplitMix64
-from .sets import GroundConfig, Relation, Subset, check_json_keys, relate, scatter
+from .sets import GroundConfig, Relation, SingletonBatch, Subset, check_json_keys, relate, scatter
 
 ZERO = Fraction(0)
 
@@ -328,9 +328,11 @@ class LayerTable:
         """The values at ``masks`` as numerators over ``config.value_denominator``
         (0 where every committed layer matches), in integers.
 
-        On a full table, an aligned sub-cube (a step-1 ``range`` of 2^b masks
-        whose start is a multiple of 2^b) is tabulated by :meth:`_subcube`;
-        every other input is priced mask by mask.  A mask first tries the
+        A :class:`~layeredsfm.sets.SingletonBatch` is priced by class
+        (:meth:`_singletons`).  On a full table, an aligned sub-cube (a
+        step-1 ``range`` of 2^b masks whose start is a multiple of 2^b) is
+        tabulated by :meth:`_subcube`.  Mask lists, other ranges and other
+        sequences are priced mask by mask.  A mask first tries the
         layer k of the last mask priced, in this call or an earlier one
         (the hint): with ``x = m ^ hidden_union``, two ANDs (``x`` meets
         A_1 | .. | A_k but not A_1 | .. | A_(k-1)) prove k is its first
@@ -340,10 +342,13 @@ class LayerTable:
         committed layer leaves the hint as it was.
         """
         rows = self.rows
-        if isinstance(masks, range) and masks.step == 1 and len(rows) == self.config.layer_count:
-            size = len(masks)
-            if size and not size & (size - 1) and not masks.start % size:
-                return self._subcube(masks.start, size.bit_length() - 1)
+        if not isinstance(masks, list):
+            if isinstance(masks, SingletonBatch):
+                return self._singletons(masks.base, masks.members)
+            if isinstance(masks, range) and masks.step == 1 and len(rows) == self.config.layer_count:
+                size = len(masks)
+                if size and not size & (size - 1) and not masks.start % size:
+                    return self._subcube(masks.start, size.bit_length() - 1)
         prefix_unions, hidden_union = self.prefix_unions, self.hidden_union
         out = []
         k = self._hint
@@ -357,6 +362,45 @@ class LayerTable:
                 k = found
             out.append(_layer_numerator(rows[k - 1], m))
         self._hint = k
+        return out
+
+    def _singletons(self, base: int, members: int) -> list[int]:
+        """The values at ``base | 1 << e`` for each member ``e``, in increasing ``e``.
+
+        With k the layer of ``base``, a "far" member (outside ``base`` and
+        outside A_1..A_k, or outside every committed block when k is None)
+        leaves base's match with layers 1..k-1 and its part of A_k as they
+        were.  So it diverges at k and adds one element below the block
+        (pool_k holds it): every far member takes one price.  A dummy
+        member, in ``base`` or not, is worth base's own price, and every far
+        member and dummy is worth 0 when k is None.  Dummies are the top
+        indices, so each price fills one run.  The "near" members (in
+        ``base`` or in A_1..A_k, below the dummies) go through the mask loop
+        and are written at their positions.  A round costs |near| + 2
+        prices, not one per member.
+        """
+        k = self.layer_of(base)
+        inside = members & ((1 << self.config.effective_size) - 1)
+        dummies = (members ^ inside).bit_count()
+        if k is None:
+            near = inside & (base | (self.prefix_unions[-1] if self.rows else 0))
+            out = [0] * (inside.bit_count() + dummies)
+        else:
+            row = self.rows[k - 1]
+            near = inside & (base | self.prefix_unions[k - 1])
+            far = inside ^ near
+            out = [_layer_numerator(row, base | (far & -far)) if far else 0] * inside.bit_count()
+            if dummies:
+                out += [_layer_numerator(row, base)] * dummies
+        if near:
+            positions, masks = [], []
+            while near:
+                bit = near & -near
+                positions.append((members & (bit - 1)).bit_count())
+                masks.append(base | bit)
+                near ^= bit
+            for i, num in zip(positions, self.numerators(masks)):
+                out[i] = num
         return out
 
     def _subcube(self, start: int, width: int) -> list[int]:

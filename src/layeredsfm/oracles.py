@@ -21,6 +21,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import NamedTuple, Sequence
 
 from .family import (
@@ -33,7 +35,7 @@ from .family import (
 )
 from .rationals import ExactValue, format_value, parse_value
 from .rng import SplitMix64
-from .sets import GroundConfig, Subset, check_json_keys
+from .sets import GroundConfig, SingletonBatch, Subset, check_json_keys
 
 
 class CorruptedOracleError(RuntimeError):
@@ -153,14 +155,19 @@ class Transcript:
 
 
 def _check_masks(n: int, masks: Sequence[int]) -> None:
-    """Reject a batch with a mask outside ``[0, 2^n)``, before anything of it is counted.
-    A range is monotone, so its two ends are its extremes."""
+    """Reject a batch with a mask outside ``[0, 2^n)``, or not an int, before
+    anything of it is counted.  A range is monotone, so its two ends are its
+    extremes; a :class:`SingletonBatch` is read by its two ints.  Other
+    batches are OR-reduced: the union is negative exactly when some mask
+    is, and a non-int mask raises TypeError."""
     if not masks:
         return
     if isinstance(masks, range):
         low, high = sorted((masks[0], masks[-1]))
+    elif isinstance(masks, SingletonBatch):
+        low, high = masks.base, masks.base | masks.members
     else:
-        low, high = min(masks), max(masks)
+        low = high = reduce(or_, masks)
     if low < 0 or high >> n:
         raise ValueError(f"query masks must lie in [0, 2^{n})")
 

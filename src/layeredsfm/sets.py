@@ -213,6 +213,45 @@ class Subset:
         return cls.from_indices(size, data)
 
 
+class SingletonBatch:
+    """The masks ``base | 1 << e`` for each member ``e`` of ``members``, in
+    increasing ``e``: a read-only sequence of ints that builds no mask list.
+
+    A singleton round asks one of these.  Consumers that iterate or index
+    it see plain masks; :meth:`LayerTable.numerators` reads ``base`` and
+    ``members`` and prices the whole batch by class.  A plain class, not a
+    ``collections.abc.Sequence``: the kernel type-tests every batch it
+    prices, and a test against an ABC is the slower one.
+    """
+
+    __slots__ = ("base", "members")
+
+    def __init__(self, base: int, members: int):
+        if (base | members) < 0:  # a non-int raises TypeError here
+            raise ValueError(f"base and members must be non-negative masks, got {base} and {members}")
+        self.base = base
+        self.members = members
+
+    def __len__(self) -> int:
+        return self.members.bit_count()
+
+    def __iter__(self) -> Iterator[int]:
+        base, bits = self.base, self.members
+        while bits:
+            low = bits & -bits
+            yield base | low
+            bits ^= low
+
+    def __getitem__(self, i: int) -> int:
+        size = self.members.bit_count()
+        if not -size <= i < size:
+            raise IndexError("singleton batch index out of range")
+        bits = self.members
+        for _ in range(i % size):
+            bits &= bits - 1  # drop the lowest member
+        return self.base | (bits & -bits)
+
+
 def check_json_keys(data: object, keys: tuple[str, ...], what: str) -> None:
     """The key rule of every wire parser: ``data`` must be a JSON object
     whose keys are among ``keys``, the ones its ``to_json`` writes; anything

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .oracles import CorruptedOracleError
 from .rationals import ExactValue, format_value
-from .sets import EXHAUSTIVE_CAP, GroundConfig, Relation, Subset
+from .sets import EXHAUSTIVE_CAP, GroundConfig, Relation, SingletonBatch, Subset
 
 # Masks per batch of brute force's one round: 4,096 numerators stay small
 # next to the process, where the whole 2^16 round at once would add ~2.4 MB.
@@ -310,54 +310,58 @@ def _singleton_class(num: int, den: int, pool_size: int, layer: int, r: int) -> 
     return label
 
 
-def _members(elements: list[int], nums: list[int], answers: list[int]) -> int:
-    """The mask of ``elements[i]`` over every i with ``nums[i]`` in ``answers``,
-    found by ``list.count`` and ``list.index``: no Python step per element
-    outside the class."""
-    mask = 0
+def _positions(nums: list[int], answers: list[int]) -> list[int]:
+    """Every i with ``nums[i]`` in ``answers``, found by ``list.count`` and
+    ``list.index``: no Python step per element outside the class."""
+    out = []
     for num in answers:
         i = -1
         for _ in range(nums.count(num)):
             i = nums.index(num, i + 1)
-            mask |= 1 << elements[i]
-    return mask
+            out.append(i)
+    return out
 
 
 def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
     """Solve one layer per batched round via singleton queries.
 
     Round k asks prefix + {e} for every unclassified element e as one
-    batch and classifies e from its value alone, through
-    :func:`decode_layer_answer` (:func:`_singleton_class`).  Uses exactly
-    one round per layer and pool-many queries per round; requires an
-    honest oracle over a known-(n, r) instance.
+    batch, a :class:`SingletonBatch` of the pool, and classifies e from
+    its value alone, through :func:`decode_layer_answer`
+    (:func:`_singleton_class`).  Uses exactly one round per layer and
+    pool-many queries per round; requires an honest oracle over a
+    known-(n, r) instance.  The pool is one increasing list of elements
+    for the whole solve, aligned with each round's answers: the r hidden
+    and r off-block elements are found by position and deleted from it.
     """
     n, r = config.n, config.r
     queries = 0
     prefix = 0
-    pool = (1 << config.effective_size) - 1
+    elems = list(range(config.effective_size))  # the pool, in increasing order
+    pool = (1 << config.effective_size) - 1  # the members of ``elems`` as a mask
 
     for layer in range(1, config.layer_count + 1):
-        elements = Subset(n, pool).indices()
-        pool_size = len(elements)
+        pool_size = len(elems)
         den = config.layer_factors[layer - 1] * 2 * pool_size  # D // d_k
         oracle.begin_round()
-        nums = oracle.answer_batch([prefix | 1 << e for e in elements])
+        nums = oracle.answer_batch(SingletonBatch(prefix, pool))
         queries += pool_size
         # Elements with the same answer share a class: decode each distinct
         # answer once, in order of first appearance.
         classes: dict[str, list[int]] = {"hidden": [], "off_block": [], "deeper": []}
         for num in dict.fromkeys(nums):
             classes[_singleton_class(num, den, pool_size, layer, r)].append(num)
-        hidden = _members(elements, nums, classes["hidden"])
-        off_block = _members(elements, nums, classes["off_block"])
-        if hidden.bit_count() != r or off_block.bit_count() != r:
+        hidden = _positions(nums, classes["hidden"])
+        off_block = _positions(nums, classes["off_block"])
+        if len(hidden) != r or len(off_block) != r:
             raise CorruptedOracleError(
-                f"layer {layer}: classified {hidden.bit_count()} hidden / "
-                f"{off_block.bit_count()} off-block, expected {r} each"
+                f"layer {layer}: classified {len(hidden)} hidden / "
+                f"{len(off_block)} off-block, expected {r} each"
             )
-        prefix |= hidden
-        pool &= ~(hidden | off_block)  # the rest of the pool is deeper
+        for i in hidden:
+            prefix |= 1 << elems[i]
+        for i in sorted(hidden + off_block, reverse=True):  # the rest of the pool is deeper
+            pool ^= 1 << elems.pop(i)
 
     # Every layer matched in its one round, so the minimum value is exactly 0.
     return SolverResult("singleton_parallel", Subset(n, prefix), Fraction(0), queries, config.layer_count)

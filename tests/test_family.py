@@ -26,7 +26,7 @@ from layeredsfm.family import (
 )
 from layeredsfm.oracles import HalvingAdversary, HonestOracle
 from layeredsfm.rng import SplitMix64
-from layeredsfm.sets import GroundConfig, Subset, enumerate_subsets
+from layeredsfm.sets import GroundConfig, SingletonBatch, Subset, enumerate_subsets
 from layeredsfm.solvers import brute_force_minimize
 from layeredsfm.verify import check_instance_properties
 
@@ -409,6 +409,7 @@ class TestMaskLoopNumerators:
         for pool, hidden in zip(inst.pools, inst.hidden_sets):
             batch = [prefix | 1 << e for e in pool.indices()]
             assert table.numerators(batch) == _scan_numerators(table, batch)
+            assert table.numerators(SingletonBatch(prefix, pool.bits)) == _scan_numerators(table, batch)
             prefix |= hidden.bits
         rng = SplitMix64(n)
         masks = [rng.bits(n) for _ in range(200)]
@@ -521,6 +522,44 @@ class TestHintedLookup:
             sys.setswitchinterval(interval)
         assert got == want
         assert oracle.stats()[0] == 400 + 800
+
+
+def _assert_singleton_batches_match_the_mask_loop(table, seed):
+    """Price singleton batches by class and as mask lists, each on a fresh
+    table (the hint steers both), against a linear scan too.  Bases diverge
+    at every committed layer and at none; members are empty, the base's
+    own bits, each pool, the whole ground set (earlier blocks and dummies)
+    and random masks."""
+    n, rng = table.config.n, SplitMix64(seed)
+    ground = (1 << n) - 1
+    pools = [row[2] for row in table.rows] + [table.pool]
+    for k in [None, *range(1, len(table.rows) + 1)]:
+        base = _mask_at_layer(table, k, rng)
+        for members in [0, base, ground, ground & ~base, rng.bits(n), rng.bits(n) & ~base, *pools]:
+            batch = SingletonBatch(base, members)
+            masks = list(batch)
+            got = _rebuilt(table).numerators(batch)
+            assert got == _rebuilt(table).numerators(masks) == _scan_numerators(table, masks), (k, members)
+
+
+class TestSingletonBatchNumerators:
+    """A :class:`SingletonBatch` is priced by class: far members share one
+    price, dummies take the base's, and the rest go through the mask loop."""
+
+    # 2r does not divide 13, 26 or 67: dummies.
+    @pytest.mark.parametrize("n,r", [(2, 1), (12, 1), (13, 2), (24, 2), (26, 2), (67, 3)])
+    def test_full_tables_match_the_mask_loop(self, n, r):
+        table = sample_instance(GroundConfig(n, r), 9 * n + r).table
+        _assert_singleton_batches_match_the_mask_loop(table, n + r)
+
+    @pytest.mark.parametrize("committed", range(9))
+    def test_adversary_tables_match_the_mask_loop(self, committed):
+        adversary = HalvingAdversary(GroundConfig(16, 1))
+        rng = SplitMix64(committed)
+        while len(adversary.table.rows) < committed:
+            adversary.answer_batch([rng.bits(16)])
+        assert len(adversary.table.rows) == committed
+        _assert_singleton_batches_match_the_mask_loop(adversary.table, committed)
 
 
 class TestExhaustiveScanMemory:

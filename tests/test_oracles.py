@@ -27,7 +27,7 @@ from layeredsfm.oracles import (
     _Oracle,
 )
 from layeredsfm.rng import SplitMix64
-from layeredsfm.sets import GroundConfig, Subset, enumerate_subsets
+from layeredsfm.sets import GroundConfig, SingletonBatch, Subset, enumerate_subsets
 from layeredsfm.solvers import SOLVERS, family_aware_minimize, singleton_parallel_minimize
 
 
@@ -165,6 +165,48 @@ class TestAnswerBatch:
                 assert len(oracle.transcript) == 0
                 assert oracle.engaged_layers == [] and oracle.commits == []
                 assert oracle.active_set == Subset.full(8)
+
+    @pytest.mark.parametrize("kind", ["honest", "sequential", "adversary"])
+    @pytest.mark.parametrize("batch", [[0.5, 3], [3, 1.0], [0, 1.5, 3]])
+    def test_non_int_mask_leaves_no_state(self, kind, batch):
+        # A mask that is not an int, even one that is neither the batch's
+        # least nor its greatest, is rejected before anything is counted.
+        cfg = GroundConfig(8, 1)
+
+        class Sequential(HonestOracle):
+            answer_batch = _Oracle.answer_batch
+
+        if kind == "adversary":
+            oracle = HalvingAdversary(cfg)
+        else:
+            oracle = (HonestOracle if kind == "honest" else Sequential)(sample_instance(cfg, 3))
+        with pytest.raises(TypeError):
+            oracle.answer_batch(batch)
+        assert oracle.stats() == (0, 0)
+        if kind == "adversary":
+            assert len(oracle.transcript) == 0 and oracle.engaged_layers == []
+
+    @pytest.mark.parametrize("kind", ["honest", "adversary"])
+    def test_singleton_batches_are_checked_by_their_ints(self, kind):
+        # A singleton batch is checked by its base and members, and answered
+        # as the list of its masks.
+        cfg = GroundConfig(8, 1)
+
+        def fresh():
+            return HalvingAdversary(cfg) if kind == "adversary" else HonestOracle(sample_instance(cfg, 3))
+
+        for bad in (SingletonBatch(1 << 8, 1), SingletonBatch(0, 1 << 8 | 1), SingletonBatch(3, 1 << 9)):
+            oracle = fresh()
+            with pytest.raises(ValueError, match="must lie in"):
+                oracle.answer_batch(bad)
+            assert oracle.stats() == (0, 0)
+        batched, listed = fresh(), fresh()
+        for base, members in [(0, 0xFF), (0b101, 0b1110), (1 << 7, 0), (0x3C, 0xC3)]:
+            batch = SingletonBatch(base, members)
+            assert batched.answer_batch(batch) == listed.answer_batch(list(batch))
+        assert batched.stats() == listed.stats()
+        if kind == "adversary":
+            assert batched.transcript.to_json() == listed.transcript.to_json()
 
     @pytest.mark.parametrize("kind", ["honest", "adversary"])
     def test_range_batches_are_checked_by_their_ends(self, kind):

@@ -5,6 +5,7 @@ from layeredsfm.sets import (
     EXHAUSTIVE_CAP,
     GroundConfig,
     Relation,
+    SingletonBatch,
     Subset,
     enumerate_subsets,
     relate,
@@ -187,3 +188,24 @@ def test_scatter_places_bit_p_on_the_carriers_pth_member():
     assert scatter(0, carrier) == 0
     assert scatter(0b111111, carrier) == carrier  # bits past the last member drop
     assert scatter(0b1, 0) == 0
+
+
+class TestSingletonBatch:
+    """A read-only sequence of ``base | 1 << e`` over the members, in increasing e."""
+
+    @pytest.mark.parametrize("base,members", [(0, 0), (0, 0b1), (0b1010, 0b0110), (0b1, 1 << 70 | 0b101), (7, 7)])
+    def test_iterates_and_indexes_as_the_mask_list(self, base, members):
+        want = [base | 1 << e for e in range(members.bit_length()) if members >> e & 1]
+        batch = SingletonBatch(base, members)
+        assert len(batch) == len(want) and bool(batch) == bool(want)
+        assert list(batch) == want
+        assert [batch[i] for i in range(len(want))] == want
+        assert [batch[-i] for i in range(1, len(want) + 1)] == want[::-1]
+        for i in (len(want), -len(want) - 1, 1 << 40):
+            with pytest.raises(IndexError):
+                batch[i]
+
+    @pytest.mark.parametrize("base,members", [(-1, 3), (3, -1), (-2, -8)])
+    def test_negative_inputs_raise(self, base, members):
+        with pytest.raises(ValueError):
+            SingletonBatch(base, members)

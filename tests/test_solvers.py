@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layeredsfm import solvers
+from layeredsfm import family, solvers
 
 from layeredsfm.family import (
     LayeredInstance,
@@ -950,6 +950,30 @@ class TestOneRoundOneBatch:
                     assert len(oracle.log) == chunks and sum(size for _, size in oracle.log) == 1 << n
                     want = [(1, size) for _, size in oracle.log]
                 assert oracle.log == want, name
+
+    def test_a_singleton_round_prices_by_class(self, monkeypatch):
+        # Every far member of a round shares one price, so a round makes at
+        # most 2r + 2 layer pricings (A_k's members, one far member and the
+        # base), not one per pool element.
+        cfg = GroundConfig(256, 2)
+        inst = sample_instance(cfg, 3)
+        calls = []
+        price = family._layer_numerator
+
+        def counted(row, s_bits):
+            calls[-1] += 1
+            return price(row, s_bits)
+
+        class Rounds(HonestOracle):
+            def begin_round(self):
+                calls.append(0)
+                super().begin_round()
+
+        monkeypatch.setattr(family, "_layer_numerator", counted)
+        result = singleton_parallel_minimize(Rounds(inst), cfg)
+        assert result.minimizer == true_minimizer(inst)
+        assert len(calls) == cfg.layer_count
+        assert 0 < max(calls) <= 2 * cfg.r + 2
 
 
 class _OffLatticeAt(HonestOracle):
