@@ -267,7 +267,8 @@ class LayerTable:
     hidden set and pool (the elements still unclassified when it opens)
     as masks, the pool's size, and ``config.layer_factors[k-1]``.
     ``prefix_unions[k-1] = A_1 | .. | A_k``, ``hidden_union`` joins the
-    committed R's and ``pool`` is the next layer's pool.  Every layer
+    committed R's, ``pool`` is the next layer's pool and ``pool_card`` its
+    size.  Every layer
     enters through :meth:`push`.  An instance adopts a full table; the
     halving adversary pushes each layer as it commits, and its finalized
     instance adopts that table.  ``_hint`` is the layer of the last mask
@@ -276,7 +277,7 @@ class LayerTable:
     lookups that race on one table cost speed, never a wrong layer.
     """
 
-    __slots__ = ("config", "rows", "prefix_unions", "hidden_union", "pool", "_hint")
+    __slots__ = ("config", "rows", "prefix_unions", "hidden_union", "pool", "pool_card", "_hint")
 
     def __init__(self, config: GroundConfig):
         self.config = config
@@ -284,11 +285,12 @@ class LayerTable:
         self.prefix_unions: list[int] = []
         self.hidden_union = 0
         self.pool = (1 << config.effective_size) - 1
+        self.pool_card = config.effective_size
         self._hint: int | None = None
 
     def next_row(self, block: int, hidden: int) -> tuple[int, int, int, int, int]:
         """The row that ``push(block, hidden)`` appends as the next layer."""
-        return block, hidden, self.pool, self.pool.bit_count(), self.config.layer_factors[len(self.rows)]
+        return block, hidden, self.pool, self.pool_card, self.config.layer_factors[len(self.rows)]
 
     def push(self, block: int, hidden: int) -> None:
         """Commit the next layer's block and hidden set, as masks.
@@ -312,6 +314,7 @@ class LayerTable:
         self.prefix_unions.append((self.prefix_unions[-1] if self.prefix_unions else 0) | block)
         self.hidden_union |= hidden
         self.pool &= ~block
+        self.pool_card -= 2 * r
 
     def layer_of(self, s_bits: int) -> int | None:
         """First committed layer k (1-based) with ``s cap A_k != R_k``, or None.

@@ -329,7 +329,7 @@ class HalvingAdversary(_Oracle):
                 layer=layer,
                 block=Subset(self.config.n, block_bits),
                 hidden=Subset(self.config.n, hidden_bits),
-                pool_size=self.table.pool.bit_count(),
+                pool_size=self.table.pool_card,
                 engaged_queries=self._engaged_count,
                 cause=cause,
             )

@@ -15,12 +15,26 @@ Bounded draws use rejection sampling, so they are exactly uniform.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from .sets import Subset, scatter
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_CHUNK = 4096  # draws mixed at once by count_matches, one per 128-bit lane; a power of two
+
+
+@functools.cache
+def _lanes() -> tuple[int, int, int]:
+    """Lane constants of a full chunk of ``_CHUNK`` 128-bit lanes: 1 in
+    every lane, d in lane d, and 2^64 - 1 in every lane."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * _CHUNK, "little")
+    ramp, half = 0, 1
+    while half < _CHUNK:  # lanes half..2 half - 1 are lanes 0..half - 1 plus half
+        ramp |= (ramp + half * (ones & ((1 << (half << 7)) - 1))) << (half << 7)
+        half <<= 1
+    return ones, ramp, ones * _MASK64
 
 
 def _mix(z: int) -> int:
@@ -67,10 +81,17 @@ class SplitMix64:
         """How many of the next ``draws`` values of ``bits(count)`` satisfy
         ``draw & mask == target``, leaving the state where those draws would.
 
-        Word i of a draw is the output of state ``s + (i + 1) * GOLDEN``, with
-        ``s`` the state before it, so only the 64-bit words that ``mask``
-        touches are mixed, and a draw stops at the first word that differs.
-        A ``target`` with a bit outside ``mask & (2^count - 1)`` matches none.
+        Word i of draw d is the output of state ``s + d * stride + (i + 1) *
+        GOLDEN``, with ``s`` the state before the first draw and ``stride``
+        the GOLDEN steps one draw takes, so only the 64-bit words that
+        ``mask`` touches are mixed.  They are mixed a chunk of up to
+        ``_CHUNK`` draws at a time, one draw per 128-bit lane of one int:
+        the lanes' states come from the cached ``_lanes`` constants, and
+        each shift or multiply is ANDed back to the low 64 bits of every
+        lane.  A 64 x 64-bit product fits in its 128-bit lane, so no lane
+        carries into the next.  A draw misses when some touched word
+        differs from the target's; ``lanes - misses`` are the hits.  A
+        ``target`` with a bit outside ``mask & (2^count - 1)`` matches none.
         """
         if count < 0 or draws < 0:
             raise ValueError(f"count and draws must be non-negative, got {count} and {draws}")
@@ -88,14 +109,25 @@ class SplitMix64:
                 words.append((offset, mask & _MASK64, target & _MASK64))
             mask >>= 64
             target >>= 64
+        full_ones, full_ramp, full_m64 = _lanes()
         hits = 0
-        for _ in range(draws):
-            for offset, mask_word, target_word in words:
-                if _mix((state + offset) & _MASK64) & mask_word != target_word:
-                    break
+        for done in range(0, draws, _CHUNK):
+            lanes = min(_CHUNK, draws - done)
+            if lanes == _CHUNK:
+                ones, ramp, m64 = full_ones, full_ramp, full_m64
             else:
-                hits += 1
-            state = (state + stride) & _MASK64
+                low = (1 << (lanes << 7)) - 1
+                ones, ramp, m64 = full_ones & low, full_ramp & low, full_m64 & low
+            steps = state * ones + stride * ramp  # lane d: s + d * stride, below 2^77 per word of a draw
+            diff = 0
+            for offset, mask_word, target_word in words:
+                z = (steps + offset * ones) & m64
+                z = ((z ^ ((z >> 30) & m64)) * 0xBF58476D1CE4E5B9) & m64
+                z = ((z ^ ((z >> 27) & m64)) * 0x94D049BB133111EB) & m64
+                diff |= ((z ^ (z >> 31)) & mask_word * ones) ^ target_word * ones
+            # Adding 2^64 - 1 carries into bit 64 of exactly the lanes that differ.
+            hits += lanes - (((diff + m64) >> 64) & ones).bit_count()
+            state = (state + lanes * stride) & _MASK64
         return hits
 
     def sample(self, seq: Sequence[int], k: int) -> list[int]:

@@ -1,6 +1,8 @@
 import argparse
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,6 +25,8 @@ from layeredsfm.harness import (
     run_verify,
 )
 from layeredsfm.sets import EXHAUSTIVE_CAP
+from test_report_digests import REPORTS
+from test_rng import _early_stop_matches
 
 
 def cfg(**kwargs):
@@ -224,6 +228,22 @@ class TestRunParallel:
                 total += hits
             assert total > 0
 
+    def test_default_queries_per_round_cross_a_chunk(self, monkeypatch):
+        # n = 66 asks the default Q = n^2 = 4,356 random queries per round,
+        # one full chunk of lanes and a short one; the same run with the
+        # scalar early-stop loop as count_matches gives the same report.
+        from layeredsfm.rng import _CHUNK, SplitMix64
+
+        config = cfg(mode="parallel", n=66, r=1, trials=3)
+        assert config.queries_per_round is None and _CHUNK < 66 * 66 < 2 * _CHUNK
+        report = run_parallel(config)
+        monkeypatch.setattr(SplitMix64, "count_matches", _early_stop_matches)
+        reference = run_parallel(config)
+        lucky = report.aggregate["naive_lucky_hit_distribution"]
+        assert lucky == reference.aggregate["naive_lucky_hit_distribution"]
+        assert report.to_json_text() == reference.to_json_text()
+        assert sum(int(hits) * trials for hits, trials in lucky.items()) > 0
+
     def test_minimizers_match_brute_force(self):
         # Re-derive each trial's instance from its recorded seed and compare
         # the reported minimizer against an exhaustive scan.
@@ -384,6 +404,28 @@ class TestCli:
             (mode, help_text) for mode, (_, help_text) in RUNNERS.items()
         ]
         assert all(run is globals()[f"run_{mode}"] for mode, (run, _) in RUNNERS.items())
+
+    def test_python_floor_writes_the_pinned_parallel_report(self, tmp_path):
+        # pyproject.toml declares requires-python >= 3.10; where a python3.10
+        # runs, the CLI under it must write the pinned multi-word parallel
+        # report byte for byte.
+        exe = shutil.which("python3.10")
+        probe = exe and subprocess.run([exe, "-c", "import sys; assert sys.version_info[:2] == (3, 10)"],
+                                       capture_output=True, timeout=60)
+        if not probe or probe.returncode != 0:
+            pytest.skip("no python3.10 that runs")
+        (config, digest), = [(c, d) for c, d in REPORTS if c.mode == "parallel" and c.n == (256,)]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = tmp_path / "parallel.json"
+        proc = subprocess.run(
+            [exe, "-m", "layeredsfm.cli", "parallel", "--n", "256", "--r", str(config.r),
+             "--seed", str(config.seed), "--trials", str(config.trials),
+             "--queries-per-round", str(config.queries_per_round), "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_entry_point_runs_as_module(self):
         # The subprocess does not inherit pytest's pythonpath setting.

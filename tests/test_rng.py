@@ -1,7 +1,10 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
-from layeredsfm.rng import SplitMix64
+from layeredsfm.rng import _CHUNK, _GOLDEN, _MASK64, SplitMix64, _mix
 from layeredsfm.sets import Subset
 
 
@@ -145,6 +148,103 @@ def test_count_matches_target_outside_the_mask_matches_nothing():
     # An empty mask matches every draw at target 0.
     assert SplitMix64(3).count_matches(200, 0, 0, 7) == 7
     assert SplitMix64(3).count_matches(200, 1 << 200, 0, 7) == 7
+
+
+def _early_stop_matches(rng, count, mask, target, draws):
+    """``SplitMix64.count_matches`` one draw at a time, mixing only the words
+    the mask touches and dropping a draw at the first word that differs:
+    the scalar reference for the lane-packed kernel."""
+    if count < 0 or draws < 0:
+        raise ValueError(f"count and draws must be non-negative, got {count} and {draws}")
+    state = rng._state
+    stride = ((count + 63) >> 6) * _GOLDEN
+    rng._state = (state + draws * stride) & _MASK64
+    mask &= (1 << count) - 1
+    if target & ~mask:
+        return 0
+    words = []
+    offset = 0
+    while mask:
+        offset += _GOLDEN
+        if mask & _MASK64:
+            words.append((offset, mask & _MASK64, target & _MASK64))
+        mask >>= 64
+        target >>= 64
+    hits = 0
+    for _ in range(draws):
+        for offset, mask_word, target_word in words:
+            if _mix((state + offset) & _MASK64) & mask_word != target_word:
+                break
+        else:
+            hits += 1
+        state = (state + stride) & _MASK64
+    return hits
+
+
+def test_count_matches_at_lane_and_chunk_edges():
+    # Draw counts on both sides of a 64-lane word of flags and of a chunk,
+    # three chunks plus a short one, against drawing every word.  Targets
+    # are the masked bits of the first draw, of the last draw (the last lane
+    # of the last chunk) and 0.
+    assert _CHUNK == 4096
+    for count in (1, 64, 65, 512, 1024):
+        sparse = 1 | 1 << (count - 1) | (1 << 64 if count > 64 else 0) | (1 << 700 if count > 700 else 0)
+        for draws in (63, 64, 65, 4095, 4096, 4097, 3 * 4096 + 5):
+            full = SplitMix64(count + draws)
+            values = [full.bits(count) for _ in range(draws)]
+            for mask in (sparse, 0, (1 << count) - 1, -1, -(1 << 64), 0b101 << (count - 3) if count > 2 else -2):
+                for target in {values[0] & mask, values[-1] & mask, 0}:
+                    fast = SplitMix64(count + draws)
+                    expected = sum(v & mask == target for v in values)
+                    assert fast.count_matches(count, mask, target, draws) == expected, (count, draws, mask, target)
+                    assert fast._state == full._state
+
+
+def test_count_matches_fuzz_against_early_stop_loop():
+    # 2,000 seeded cases with up to 300 draws: counts of 0 to 1,100 bits,
+    # sparse, dense, negative and empty masks, and targets from a draw,
+    # inside the mask, or anywhere.
+    rand = random.Random(20)
+    hit_cases = 0
+    for _ in range(2000):
+        count = rand.choice([0, 1, 63, 64, 65, 128, 512, 1024, rand.randint(0, 1100)])
+        shape = rand.randrange(4)
+        if shape == 0:
+            mask = sum(1 << rand.randrange(count + 1) for _ in range(rand.randint(0, 6)))
+        elif shape == 1:
+            mask = rand.getrandbits(count + 8)
+        elif shape == 2:
+            mask = -1 - rand.getrandbits(80)
+        else:
+            mask = 0
+        seed, draws = rand.getrandbits(64), rand.randint(0, 300)
+        pick = rand.randrange(3)
+        if pick == 0:
+            target = SplitMix64(seed).bits(count) & mask
+        elif pick == 1:
+            target = rand.getrandbits(count + 1) & mask & ((1 << count) - 1)
+        else:
+            target = rand.getrandbits(count + 70) - (1 << 40)
+        fast, ref = SplitMix64(seed), SplitMix64(seed)
+        hits = fast.count_matches(count, mask, target, draws)
+        assert hits == _early_stop_matches(ref, count, mask, target, draws), (count, mask, target, draws, seed)
+        assert fast._state == ref._state
+        hit_cases += hits > 0
+    assert hit_cases > 500
+
+
+def test_count_matches_memory_is_bounded_by_the_chunk():
+    # The default Q = n^2 draws at n = 256: 2^16 draws of 1,024 bits, a mask
+    # in four words.  Lanes are mixed a chunk at a time, so the peak stays
+    # near a few chunk-sized ints, not 2^16 lanes.
+    mask = 1 | 1 << 300 | 1 << 600 | 1 << 1000
+    tracemalloc.start()
+    try:
+        SplitMix64(3).count_matches(1024, mask, 1, 2**16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def _copying_sample(rng, seq, k):
