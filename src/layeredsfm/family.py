@@ -10,12 +10,10 @@ exactly 0 and the union of the hidden sets is the unique minimizer.
 
 Two evaluators are provided: a literal recursion through nested building
 blocks (the definitional path, kept for cross-checking) and a closed form
-that locates the first divergent layer and prices it directly.  They agree
-exactly on every subset.  Neither is the query path: honest batches,
-transcript replays and verify tables read :meth:`LayerTable.numerators`,
-integers over one denominator.  The closed form and those numerators find
-and price a query's layer in one :class:`LayerTable`, the one home of the
-layer lookup.
+that reads :meth:`LayerTable.numerators`, the one evaluator core: it finds
+a query's first divergent layer and prices it, in integers over one
+denominator, for honest answers and batches, transcript replays and verify
+tables alike.  The two evaluators agree exactly on every subset.
 """
 
 from __future__ import annotations
@@ -243,8 +241,9 @@ def _layer_numerator(row: tuple[int, int, int, int, int], s_bits: int) -> int:
     |pool_k|, f_k)``: ``f_k * (score * 2 * |pool_k| + corr)``.
 
     The one home of the layer rule: :meth:`LayerTable.numerators` and the
-    adversary price table rows with it, and :func:`_layer_value` passes a
-    row with ``f_k = 1``.  Raises ValueError unless the query diverges here.
+    adversary price table rows with it, and the test reference
+    :func:`_layer_value` passes a row with ``f_k = 1``.  Raises ValueError
+    unless the query diverges here.
     """
     block_bits, hidden_bits, pool_bits, pool_card, factor = row
     sa = s_bits & block_bits
@@ -467,36 +466,32 @@ def _take_coordinates(coords: list[int], bits: int, depth: int) -> int:
 
 def first_divergent_layer(inst: LayeredInstance, s: Subset) -> int | None:
     """Smallest layer k (1-based) with ``s cap A_k != R_k``, or None if all match."""
+    if s.size != inst.config.n:
+        raise ValueError(f"query must live on the {inst.config.n}-element ground set")
     return inst.table.layer_of(s.bits)
 
 
 def _layer_value(
     block_bits: int, hidden_bits: int, pool_bits: int, pool_card: int, denom: int, s_bits: int
 ) -> ExactValue:
-    """Scaled score of one divergent layer, given raw masks.
-
-    The closed-form evaluator's pricing; assumes the query already diverges
-    at this layer.
+    """Scaled score of one divergent layer, given raw masks, as a ``Fraction``
+    over ``denom * 2 * pool_card``.  No evaluator calls it; tests use it as
+    the per-layer reference for the kernel.  Assumes the query diverges here.
     """
     row = (block_bits, hidden_bits, pool_bits, pool_card, 1)
     return Fraction(_layer_numerator(row, s_bits), denom * 2 * pool_card)
 
 
 def evaluate_closed_form(inst: LayeredInstance, s: Subset) -> ExactValue:
-    """Value of the instance at ``s`` via the first-divergent-layer formula.
-
-    Costs O(log layers) big-int ANDs plus O(n) bit work and one rational
-    reduction; it serves :meth:`HonestOracle.answer` and the library API,
-    while batches read :meth:`LayerTable.numerators`.  Agrees exactly with
-    :func:`evaluate_recursive`.
+    """Value of the instance at ``s`` via the first-divergent-layer formula:
+    the :meth:`LayerTable.numerators` numerator at ``s`` over
+    ``config.value_denominator``.  It serves :meth:`HonestOracle.answer`
+    and agrees exactly with :func:`evaluate_recursive`.
     """
     if s.size != inst.config.n:
         raise ValueError(f"query must live on the {inst.config.n}-element ground set")
-    k = first_divergent_layer(inst, s)
-    if k is None:
-        return ZERO
-    block, hidden, pool, pool_card, _ = inst.table.rows[k - 1]
-    return _layer_value(block, hidden, pool, pool_card, inst.config.scale_denominators[k - 1], s.bits)
+    (num,) = inst.table.numerators([s.bits])
+    return Fraction(num, inst.config.value_denominator)
 
 
 def evaluate_recursive(inst: LayeredInstance, s: Subset) -> ExactValue:

@@ -230,10 +230,10 @@ class _Oracle:
 class HonestOracle(_Oracle):
     """Evaluation oracle over a fixed instance, with query/round counters.
 
-    Batches are priced by the instance's layer table, and may be asked
-    concurrently within a round (counting is synchronized).  They do not
-    route through ``answer``: a subclass rewriting answers overrides
-    ``answer_batch``, or overrides ``answer`` and sets ``answer_batch = _Oracle.answer_batch``.
+    ``answer`` and batches are both priced by the instance's layer table,
+    and may be asked concurrently within a round (counting is synchronized).
+    Batches do not route through ``answer``: a subclass rewriting answers
+    overrides ``answer_batch``, or overrides ``answer`` and sets ``answer_batch = _Oracle.answer_batch``.
     """
 
     def __init__(self, inst: LayeredInstance):

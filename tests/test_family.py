@@ -140,6 +140,17 @@ class TestEvaluators:
         assert first_divergent_layer(inst, Subset(4)) == 1
         assert first_divergent_layer(inst, subset(4, 0, 3)) == 2
 
+    def test_every_evaluator_rejects_a_query_of_another_ground_size(self):
+        inst = sample_instance(GroundConfig(4, 1), 1)
+        s = Subset(8, true_minimizer(inst).bits)  # matches every layer on the low 4 bits
+        for evaluate in (first_divergent_layer, evaluate_closed_form, evaluate_recursive):
+            with pytest.raises(ValueError, match="query must live on the 4-element ground set"):
+                evaluate(inst, s)
+        for oracle in (HonestOracle(inst), HalvingAdversary(inst.config)):
+            with pytest.raises(ValueError, match="query must live on the 4-element ground set"):
+                oracle.answer(s)
+            assert oracle.stats() == (0, 0)
+
     @pytest.mark.parametrize("n,r", [(2, 1), (5, 2), (6, 3), (7, 1), (11, 3), (16, 1), (23, 2), (64, 1)])
     def test_first_divergent_layer_matches_linear_scan(self, n, r):
         # Covers L = 1, 2r not dividing n (dummy bits set in the query), a

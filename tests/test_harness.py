@@ -315,6 +315,23 @@ class TestReports:
         assert data["config"]["mode"] == "verify"
 
 
+def _runnable_python310():
+    """A python3.10 that runs: the one on PATH, else one installed under
+    pyenv's ``versions`` directory (a pyenv shim on PATH fails when no 3.10
+    is selected).  None when no 3.10 interpreter runs."""
+    versions = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+    candidates = [shutil.which("python3.10"), *sorted(map(str, versions.glob("3.10.*/bin/python3.10")))]
+    for exe in filter(None, candidates):
+        try:
+            probe = subprocess.run([exe, "-c", "import sys; assert sys.version_info[:2] == (3, 10)"],
+                                   capture_output=True, timeout=60)
+        except OSError:
+            continue
+        if probe.returncode == 0:
+            return exe
+    return None
+
+
 class TestCli:
     def test_verify_exit_zero(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -409,10 +426,8 @@ class TestCli:
         # pyproject.toml declares requires-python >= 3.10; where a python3.10
         # runs, the CLI under it must write the pinned multi-word parallel
         # report byte for byte.
-        exe = shutil.which("python3.10")
-        probe = exe and subprocess.run([exe, "-c", "import sys; assert sys.version_info[:2] == (3, 10)"],
-                                       capture_output=True, timeout=60)
-        if not probe or probe.returncode != 0:
+        exe = _runnable_python310()
+        if exe is None:
             pytest.skip("no python3.10 that runs")
         (config, digest), = [(c, d) for c, d in REPORTS if c.mode == "parallel" and c.n == (256,)]
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -2,12 +2,15 @@ import itertools
 import json
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from layeredsfm import family
 from layeredsfm.family import (
     LayeredInstance,
+    LayerTable,
     _layer_value,
     complete_instance,
     evaluate_closed_form,
@@ -103,6 +106,20 @@ def _deep_masks(inst, count, seed):
     return masks
 
 
+def _linear_scan_value(inst, mask):
+    """The value at ``mask``: a linear scan of ``inst.blocks`` and
+    ``inst.hidden_sets`` finds the first divergent layer k, and the
+    ``Fraction`` reference ``_layer_value`` prices it over d_k.  Shares
+    neither the table's layer search nor its numerators over D."""
+    cfg = inst.config
+    pool = (1 << cfg.effective_size) - 1
+    for k, (block, hidden) in enumerate(zip(inst.blocks, inst.hidden_sets), start=1):
+        if mask & block.bits != hidden.bits:
+            return _layer_value(block.bits, hidden.bits, pool, pool.bit_count(), cfg.scale_denominators[k - 1], mask)
+        pool &= ~block.bits
+    return Fraction(0)
+
+
 class TestAnswerBatch:
     """``answer_batch`` gives the numerators of ``answer`` over one denominator."""
 
@@ -125,6 +142,7 @@ class TestAnswerBatch:
         nums = oracle.answer_batch(masks)
         big_d = cfg.value_denominator
         assert nums == [oracle.answer(Subset(n, m)) * big_d for m in masks]
+        assert nums == [_linear_scan_value(inst, m) * big_d for m in masks]
         depths = {first_divergent_layer(inst, Subset(n, m)) for m in masks}
         assert None in depths and max(d for d in depths if d is not None) > cfg.layer_count // 2
 
@@ -272,6 +290,38 @@ class TestAnswerBatch:
         assert batched.commits == looped.commits
         assert batched.stats() == looped.stats() == (6 * n, 2)
         assert batched.finalize() == looped.finalize()
+
+
+class TestOneEvaluator:
+    """The closed form and ``HonestOracle.answer`` price a query with one
+    :meth:`LayerTable.numerators` call, and never with the ``Fraction``
+    reference ``_layer_value``."""
+
+    @pytest.mark.parametrize("n,r", [(7, 1), (16, 2), (64, 1)])
+    def test_single_answers_price_through_the_kernel(self, monkeypatch, n, r):
+        calls = Counter()
+        numerators, layer_value = LayerTable.numerators, family._layer_value
+
+        def counting_numerators(self, masks):
+            calls["numerators"] += 1
+            return numerators(self, masks)
+
+        def counting_layer_value(*args):
+            calls["_layer_value"] += 1
+            return layer_value(*args)
+
+        monkeypatch.setattr(LayerTable, "numerators", counting_numerators)
+        monkeypatch.setattr(family, "_layer_value", counting_layer_value)
+        inst = sample_instance(GroundConfig(n, r), n)
+        oracle = HonestOracle(inst)
+        masks = _deep_masks(inst, 50, seed=n)
+        expected = [_linear_scan_value(inst, m) for m in masks]
+        for evaluate in (lambda s: evaluate_closed_form(inst, s), oracle.answer):
+            for m, value in zip(masks, expected):
+                calls.clear()
+                assert evaluate(Subset(n, m)) == value
+                assert calls == Counter(numerators=1)
+        assert oracle.stats() == (len(masks), 1)
 
 
 class TestAdversaryOpen:
@@ -651,13 +701,16 @@ def _assert_records_match_fraction_evaluators(transcript, inst):
     for rec in transcript.records:
         value = Fraction(rec.num, big_d)
         assert value == evaluate_closed_form(inst, Subset(inst.config.n, rec.mask)), rec.index
+        assert value == _linear_scan_value(inst, rec.mask), rec.index
         if inst.config.n <= 16:
             assert value == evaluate_recursive(inst, Subset(inst.config.n, rec.mask)), rec.index
 
 
 class TestIntegerRecords:
-    """The adversary prices and records in numerators over D; the independent
-    ``Fraction`` evaluators, run on the finalized instance, agree with every record."""
+    """The adversary prices and records in numerators over D; the ``Fraction``
+    evaluators, run on the finalized instance, agree with every record: the
+    closed form (the honest kernel), and two references independent of the
+    kernel, a linear scan priced by ``_layer_value`` and (n <= 16) the recursion."""
 
     # Brute force asks all 2^n subsets, so it duels at n <= 16 only.
     @pytest.mark.parametrize("solver,n", [
