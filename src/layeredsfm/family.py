@@ -270,13 +270,16 @@ class LayerTable:
     size.  Every layer
     enters through :meth:`push`.  An instance adopts a full table; the
     halving adversary pushes each layer as it commits, and its finalized
-    instance adopts that table.  ``_hint`` is the layer of the last mask
-    that :meth:`numerators` or :meth:`layer_of` placed (None before the
-    first): the next lookup starts from it.  It steers the search only, so
-    lookups that race on one table cost speed, never a wrong layer.
+    instance adopts that table.  ``_hints`` holds the last two distinct
+    layers that :meth:`layer_of` placed, the later first (0 before there
+    is one): the next lookup tries both before it searches.  They steer
+    the lookup only, so lookups that race on one table cost speed, never a
+    wrong layer.  ``_subcube_index`` keeps the coordinate map of the last
+    width :meth:`_subcube` tabulated.
     """
 
-    __slots__ = ("config", "rows", "prefix_unions", "hidden_union", "pool", "pool_card", "_hint")
+    __slots__ = ("config", "rows", "prefix_unions", "hidden_union", "pool", "pool_card", "_hints",
+                 "_subcube_index")
 
     def __init__(self, config: GroundConfig):
         self.config = config
@@ -285,7 +288,8 @@ class LayerTable:
         self.hidden_union = 0
         self.pool = (1 << config.effective_size) - 1
         self.pool_card = config.effective_size
-        self._hint: int | None = None
+        self._hints = (0, 0)
+        self._subcube_index: tuple[int, list[int]] | None = None
 
     def next_row(self, block: int, hidden: int) -> tuple[int, int, int, int, int]:
         """The row that ``push(block, hidden)`` appends as the next layer."""
@@ -318,12 +322,28 @@ class LayerTable:
     def layer_of(self, s_bits: int) -> int | None:
         """First committed layer k (1-based) with ``s cap A_k != R_k``, or None.
 
-        The search gallops out from the hint, and a layer found becomes
-        the hint.
+        The one home of the hinted lookup.  With ``x = s ^ hidden_union``,
+        two ANDs (``x`` meets A_1 | .. | A_k but not A_1 | .. | A_(k-1))
+        prove that k is the layer, since that test is monotone in k.  The
+        mask tries the two hints, the later first, and only a mask that
+        fails both gallops out from the later (:func:`_divergent_layer`).
+        A layer found that is not the later hint becomes it, and the later
+        becomes the earlier; a mask that matches every committed layer
+        leaves the hints as they were.  A query whose layer alternates
+        between k and k + 1, as the family-aware solver's do, so finds it
+        without a search.
         """
-        k = _divergent_layer(self.prefix_unions, s_bits ^ self.hidden_union, self._hint)
-        if k is not None:
-            self._hint = k
+        unions, x = self.prefix_unions, s_bits ^ self.hidden_union
+        last, before = self._hints
+        if last and x & unions[last - 1] and (last == 1 or not x & unions[last - 2]):
+            return last
+        if before and x & unions[before - 1] and (before == 1 or not x & unions[before - 2]):
+            k = before
+        else:
+            k = _divergent_layer(unions, x, last or None)
+            if k is None:
+                return None
+        self._hints = (k, last)
         return k
 
     def numerators(self, masks: Sequence[int]) -> list[int]:
@@ -334,14 +354,9 @@ class LayerTable:
         (:meth:`_singletons`).  On a full table, an aligned sub-cube (a
         step-1 ``range`` of 2^b masks whose start is a multiple of 2^b) is
         tabulated by :meth:`_subcube`.  Mask lists, other ranges and other
-        sequences are priced mask by mask.  A mask first tries the
-        layer k of the last mask priced, in this call or an earlier one
-        (the hint): with ``x = m ^ hidden_union``, two ANDs (``x`` meets
-        A_1 | .. | A_k but not A_1 | .. | A_(k-1)) prove k is its first
-        divergent layer, since that test is monotone in k.  A mask that
-        fails the test gallops out from k (:func:`_divergent_layer`), and
-        the layer it finds becomes the hint; a mask that matches every
-        committed layer leaves the hint as it was.
+        sequences are priced mask by mask: :meth:`layer_of` places each
+        mask, trying the two layers placed last (in this call or an earlier
+        one) before it searches, and its layer's row prices it.
         """
         rows = self.rows
         if not isinstance(masks, list):
@@ -351,19 +366,11 @@ class LayerTable:
                 size = len(masks)
                 if size and not size & (size - 1) and not masks.start % size:
                     return self._subcube(masks.start, size.bit_length() - 1)
-        prefix_unions, hidden_union = self.prefix_unions, self.hidden_union
+        layer_of = self.layer_of
         out = []
-        k = self._hint
         for m in masks:
-            x = m ^ hidden_union
-            if k is None or not x & prefix_unions[k - 1] or (k > 1 and x & prefix_unions[k - 2]):
-                found = _divergent_layer(prefix_unions, x, k)
-                if found is None:
-                    out.append(0)
-                    continue
-                k = found
-            out.append(_layer_numerator(rows[k - 1], m))
-        self._hint = k
+            k = layer_of(m)
+            out.append(_layer_numerator(rows[k - 1], m) if k else 0)
         return out
 
     def _singletons(self, base: int, members: int) -> list[int]:
@@ -418,10 +425,10 @@ class LayerTable:
         layer price of each deeper popcount (plus the fixed bits below A_k).
         The price is linear in that count, so :func:`_layer_numerator` at two
         sample masks gives it.  Free bits outside every block take the top
-        coordinates, and one coordinate list maps the table to mask order.
+        coordinates, and one index list (:meth:`_coordinate_index`) maps the
+        table to mask order.
         """
         free = (1 << width) - 1
-        coords = [0] * width  # coordinate of each free bit
         depth = 0  # coordinates taken so far
         table, pops = [0], [0]  # values, and popcounts, over those coordinates
         for row in reversed(self.rows):
@@ -443,14 +450,32 @@ class LayerTable:
                 prices = [v0 + slope * (base + c) for c in range(depth + 1)]
                 values += map(prices.__getitem__, pops)
             table = values
-            depth = _take_coordinates(coords, loose, depth)
-        dummies = free & ~self.prefix_unions[-1]
-        table *= 1 << dummies.bit_count()
-        _take_coordinates(coords, dummies, depth)
+            depth += loose.bit_count()
+        table *= 1 << (free & ~self.prefix_unions[-1]).bit_count()
+        return list(map(table.__getitem__, self._coordinate_index(width)))
+
+    def _coordinate_index(self, width: int) -> list[int]:
+        """For each of the 2^width masks of a sub-cube, in mask order, its
+        position in :meth:`_subcube`'s table.
+
+        It depends on the width and the rows only, so the table keeps the
+        last width's list: brute force asks one width for every chunk, and
+        the memory held stays that of the largest sub-cube asked.
+        """
+        cached = self._subcube_index
+        if cached is not None and cached[0] == width:
+            return cached[1]
+        free = (1 << width) - 1
+        coords = [0] * width  # coordinate of each free bit
+        depth = 0
+        for row in reversed(self.rows):
+            depth = _take_coordinates(coords, row[0] & free, depth)
+        _take_coordinates(coords, free & ~self.prefix_unions[-1], depth)
         index = [0]
         for c in coords:
             index += list(map((1 << c).__add__, index))
-        return list(map(table.__getitem__, index))
+        self._subcube_index = (width, index)
+        return index
 
 
 def _take_coordinates(coords: list[int], bits: int, depth: int) -> int:
@@ -487,11 +512,21 @@ def evaluate_closed_form(inst: LayeredInstance, s: Subset) -> ExactValue:
     the :meth:`LayerTable.numerators` numerator at ``s`` over
     ``config.value_denominator``.  It serves :meth:`HonestOracle.answer`
     and agrees exactly with :func:`evaluate_recursive`.
+
+    The numerator is a multiple of its layer's factor ``f_k``, so the
+    ``Fraction`` is reduced over ``D // f_k = d_k * 2 * |pool_k|``, not
+    over the full D; :meth:`LayerTable.layer_of` finds k at once, as the
+    lookup just placed it.
     """
     if s.size != inst.config.n:
         raise ValueError(f"query must live on the {inst.config.n}-element ground set")
-    (num,) = inst.table.numerators([s.bits])
-    return Fraction(num, inst.config.value_denominator)
+    table = inst.table
+    (num,) = table.numerators([s.bits])
+    if not num:
+        return ZERO
+    k = table.layer_of(s.bits)
+    _, _, _, pool_card, factor = table.rows[k - 1]
+    return Fraction(num // factor, inst.config.scale_denominators[k - 1] * 2 * pool_card)
 
 
 def evaluate_recursive(inst: LayeredInstance, s: Subset) -> ExactValue:

@@ -56,8 +56,10 @@ class QueryRecord(NamedTuple):
     mask over the ground set, and the value's numerator over
     ``D = config.value_denominator``.
     Four ints, since a transcript keeps one per query (6,399 in a duel at
-    n = 512).  :meth:`to_json` writes the query as its sorted index list
-    and the value as the reduced ``"p/q"``."""
+    n = 512), which the adversary builds with ``tuple.__new__``, at tuple
+    cost: the keyword ``__new__`` of a named tuple is a Python-level call.
+    :meth:`to_json` writes the query as its sorted index list and the value
+    as the reduced ``"p/q"``."""
 
     index: int
     round: int
@@ -156,18 +158,19 @@ class Transcript:
 
 def _check_masks(n: int, masks: Sequence[int]) -> None:
     """Reject a batch with a mask outside ``[0, 2^n)``, or not an int, before
-    anything of it is counted.  A range is monotone, so its two ends are its
-    extremes; a :class:`SingletonBatch` is read by its two ints.  Other
-    batches are OR-reduced: the union is negative exactly when some mask
-    is, and a non-int mask raises TypeError."""
+    anything of it is counted.  A list, as every one-mask batch is, is
+    tested first.  It and any other batch but the two below are OR-reduced:
+    the union is negative exactly when some mask is, and a non-int mask
+    raises TypeError.  A range is monotone, so its two ends are its
+    extremes; a :class:`SingletonBatch` is read by its two ints."""
     if not masks:
         return
-    if isinstance(masks, range):
-        low, high = sorted((masks[0], masks[-1]))
-    elif isinstance(masks, SingletonBatch):
-        low, high = masks.base, masks.base | masks.members
-    else:
+    if isinstance(masks, list) or not isinstance(masks, (range, SingletonBatch)):
         low = high = reduce(or_, masks)
+    elif isinstance(masks, range):
+        low, high = sorted((masks[0], masks[-1]))
+    else:
+        low, high = masks.base, masks.base | masks.members
     if low < 0 or high >> n:
         raise ValueError(f"query masks must lie in [0, 2^{n})")
 
@@ -387,7 +390,7 @@ class HalvingAdversary(_Oracle):
                 engaged = len(self.commits) + 1
                 num = self._engage_active(s_bits)
             engaged_layers.append(engaged)
-            append(QueryRecord(index, round_no, s_bits, num))
+            append(tuple.__new__(QueryRecord, (index, round_no, s_bits, num)))
             out.append(num)
         return out
 

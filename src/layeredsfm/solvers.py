@@ -68,8 +68,10 @@ class LayerAnswer(NamedTuple):
     pool elements were queried; see :meth:`disambiguate`).  ``outside_block``
     counts queried pool elements below the block; it is None exactly when
     the value carries no such count (incomparable, or an exact match whose
-    residual encodes deeper layers instead).  A named tuple: immutable,
-    equal by fields, and built at tuple cost once per query.
+    residual encodes deeper layers instead).  A named tuple: immutable and
+    equal by fields.  The decoder builds one per query with
+    ``tuple.__new__``, at tuple cost: the keyword ``__new__`` of a named
+    tuple is a Python-level call.
     """
 
     relation: Relation | None
@@ -92,7 +94,7 @@ class LayerAnswer(NamedTuple):
             raise CorruptedOracleError(
                 "comparable answer with r queried pool elements would be an exact match"
             )
-        return LayerAnswer(relation=rel, outside_block=self.outside_block, layer=self.layer)
+        return tuple.__new__(LayerAnswer, (rel, self.outside_block, self.layer))
 
 
 def decode_layer_answer(num: int, den: int, pool_size: int, layer: int) -> LayerAnswer:
@@ -115,19 +117,19 @@ def decode_layer_answer(num: int, den: int, pool_size: int, layer: int) -> Layer
     if q < 0 or q > 2 * one or (q == 2 * one and rest):
         raise CorruptedOracleError(f"normalized value {format_value(Fraction(num, den))} outside [0, 2]")
     if q == 2 * one:
-        return LayerAnswer(relation=Relation.INCOMPARABLE, outside_block=None, layer=layer)
+        return tuple.__new__(LayerAnswer, (Relation.INCOMPARABLE, None, layer))
     if q == one and not rest:
-        return LayerAnswer(relation=None, outside_block=0, layer=layer)
+        return tuple.__new__(LayerAnswer, (None, 0, layer))
     if q == 0 or (q == 1 and not rest):
         # An exact match's residual (deeper layers' value) is at most 1/(4 * pool).
-        return LayerAnswer(relation=Relation.EQUAL, outside_block=None, layer=layer)
+        return tuple.__new__(LayerAnswer, (Relation.EQUAL, None, layer))
     # 2 * pool * |v - 1| = |x - 4 * pool| / 2 counts the queried pool elements below the block.
     twice = q - one
     if rest or twice % 2 or abs(twice) > 2 * pool_size:
         raise CorruptedOracleError(f"normalized value {format_value(Fraction(num, den))} matches no layer case")
     if twice > 0:
-        return LayerAnswer(relation=Relation.STRICT_SUBSET, outside_block=twice // 2, layer=layer)
-    return LayerAnswer(relation=Relation.STRICT_SUPERSET, outside_block=-twice // 2, layer=layer)
+        return tuple.__new__(LayerAnswer, (Relation.STRICT_SUBSET, twice // 2, layer))
+    return tuple.__new__(LayerAnswer, (Relation.STRICT_SUPERSET, -twice // 2, layer))
 
 
 def brute_force_minimize(oracle) -> SolverResult:

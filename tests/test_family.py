@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import threading
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from layeredsfm import family
 from layeredsfm.family import (
     LayeredInstance,
     LayerTable,
@@ -341,6 +343,26 @@ class TestSubcubeNumerators:
     def test_canonical_instance_subcubes(self):
         _assert_aligned_subcubes_match_the_mask_loop(canonical_instance(GroundConfig(12, 2)).table)
 
+    def test_brute_force_chunks_match_the_mask_loop(self):
+        # The 16 chunks of one brute-force round at (16, 2) share one width,
+        # so one coordinate map.
+        table = sample_instance(GroundConfig(16, 2), 16).table
+        for start in range(0, 1 << 16, 1 << 12):
+            chunk = range(start, start + (1 << 12))
+            assert table.numerators(chunk) == table.numerators(list(chunk)), start
+            if not start:
+                cached = table._subcube_index
+            assert table._subcube_index is cached
+
+    def test_widths_asked_in_turn_match_the_mask_loop(self):
+        # The table keeps one width's map; a new width replaces it.
+        table = sample_instance(GroundConfig(14, 1), 3).table
+        for width, start in [(12, 1 << 12), (8, 3 << 8), (12, 0), (12, 3 << 12), (8, 0), (3, 8)]:
+            masks = range(start, start + (1 << width))
+            assert table.numerators(masks) == table.numerators(list(masks)), (width, start)
+            assert table._subcube_index[0] == width
+            assert len(table._subcube_index[1]) == 1 << width
+
     @pytest.mark.parametrize("masks", [range(1, 5), range(3, 11), range(0, 12), range(5, 6), range(0, 16, 2),
                                        range(15, -1, -1), range(8, 8), range(-4, 0)])
     def test_other_ranges_match_the_mask_loop(self, masks):
@@ -385,8 +407,8 @@ def _mask_at_layer(table, k, rng):
 
 
 class TestMaskLoopNumerators:
-    """Mask lists are priced mask by mask, each first trying the previous
-    mask's layer; a linear scan over the rows is the reference.  The orders
+    """Mask lists are priced mask by mask, each first trying the last two
+    distinct layers placed; a linear scan over the rows is the reference.  The orders
     below change layer in every way that test can get wrong."""
 
     ORDERS = {
@@ -456,11 +478,12 @@ def _rebuilt(table):
 
 
 class TestHintedLookup:
-    """Lookups start from the layer of the last mask a table priced, across
-    calls; every hint must give the layer a linear scan gives."""
+    """Lookups try the last two distinct layers a table placed, across
+    calls, before they search from the later; every pair of hints must
+    give the layer a linear scan gives."""
 
-    # L = 0 (no committed layer), 1 and 40; (3, 1) and (81, 1) have one dummy.
-    @pytest.mark.parametrize("n,r,layers", [(4, 1, 0), (3, 1, 1), (4, 2, 1), (81, 1, 40), (160, 2, 40)])
+    # L = 0 (no committed layer), 1, 4 and 40; (3, 1) and (81, 1) have one dummy.
+    @pytest.mark.parametrize("n,r,layers", [(4, 1, 0), (3, 1, 1), (4, 2, 1), (9, 1, 4), (81, 1, 40), (160, 2, 40)])
     def test_every_hint_gives_the_linear_scan_layer(self, n, r, layers):
         cfg = GroundConfig(n, r)
         table = LayerTable(cfg)
@@ -478,6 +501,61 @@ class TestHintedLookup:
             for hint in [None, *range(1, layers + 1)]:
                 assert _divergent_layer(unions, mismatch, hint) == want, (mismatch, hint)
                 assert _divergent_layer(unions, mismatch | outside, hint) == want, (mismatch, hint)
+            # layer_of with every (later, earlier) pair of hints, 0 for none, equal ones too.
+            for hints in itertools.product(range(layers + 1), repeat=2):
+                table._hints = hints
+                assert table.layer_of(mismatch ^ table.hidden_union) == want, (mismatch, hints)
+                assert table._hints == (hints if want in (None, hints[0]) else (want, hints[0]))
+
+    @pytest.mark.parametrize("n,r", [(12, 1), (26, 2), (64, 1), (81, 1), (160, 2)])
+    def test_alternating_one_mask_orders_match_a_linear_scan(self, n, r):
+        # One-mask batches whose layer alternates between k and k + 1, as the
+        # family-aware solver's do, with runs, all-match masks and jumps between.
+        inst = sample_instance(GroundConfig(n, r), 2 * n + r)
+        table, rng, ell = inst.table, SplitMix64(n + 2 * r), inst.layer_count
+        order = []
+        for k in range(1, ell):
+            order += [k, k + 1] * 3 + [k + 1, k + 1, None, k, k + 1, ell + 1 - k, k]
+        for i, k in enumerate(order):
+            mask = _mask_at_layer(table, k, rng)
+            assert table.numerators([mask]) == _scan_numerators(table, [mask]), (i, k)
+            assert table.layer_of(mask) == k, (i, k)
+            assert table.layer_of(_mask_at_layer(table, k, rng)) == k, (i, k)
+
+    # 3, 12, 41, 83 and 255 random queries leave 1 to 5 of the 8 layers committed.
+    @pytest.mark.parametrize("queries", [3, 12, 41, 83, 255])
+    def test_alternating_one_mask_orders_on_a_partial_adversary_table(self, queries):
+        adversary = HalvingAdversary(GroundConfig(16, 1))
+        rng = SplitMix64(queries + 1)
+        adversary.answer_batch([rng.bits(16) for _ in range(queries)])
+        table = adversary.table
+        committed = len(table.rows)
+        assert committed == [3, 12, 41, 83, 255].index(queries) + 1
+        order = [None]
+        for k in range(1, committed + 1):
+            order += [k, min(k + 1, committed)] * 3 + [None, k, 1, committed, k]
+        for i, k in enumerate(order):
+            mask = _mask_at_layer(table, k, rng)
+            assert table.numerators([mask]) == _scan_numerators(table, [mask]), (i, k)
+            assert table.layer_of(mask) == k, (i, k)
+
+    @pytest.mark.parametrize("n,r", [(26, 2), (128, 1)])
+    def test_layer_of_after_numerators_finds_the_layer_without_a_search(self, n, r, monkeypatch):
+        # evaluate_closed_form reads the layer of a mask it just priced at a
+        # nonzero value, so of a mask that diverges somewhere.
+        inst = sample_instance(GroundConfig(n, r), n * r)
+        table, rng = inst.table, SplitMix64(n)
+        order = [None, *range(1, inst.layer_count + 1)] * 2
+        random.Random(n).shuffle(order)
+        searches = []
+        monkeypatch.setattr(family, "_divergent_layer", lambda *args: searches.append(args) or _divergent_layer(*args))
+        for k in order:
+            mask = _mask_at_layer(table, k, rng)
+            table.numerators([mask])
+            before = len(searches)
+            assert table.layer_of(mask) == k
+            if k is not None:
+                assert len(searches) == before, k
 
     @pytest.mark.parametrize("n,r", [(24, 2), (64, 1), (81, 1)])
     def test_one_table_across_calls_matches_a_fresh_table_per_call(self, n, r):
@@ -499,7 +577,7 @@ class TestHintedLookup:
         while len(table.rows) < 2:
             adversary.answer_batch([rng.bits(16)])
         masks = [_mask_at_layer(table, 2, rng), _mask_at_layer(table, 1, rng)]
-        assert table.numerators(masks) == _scan_numerators(table, masks)  # the hint is layer 1
+        assert table.numerators(masks) == _scan_numerators(table, masks)  # the hints are layers 1 and 2
         while len(table.rows) < 6:
             adversary.answer_batch([rng.bits(16)])
         for k in [None, 6, 1, 5, 3, 2, 4, 6, None]:
@@ -537,7 +615,7 @@ class TestHintedLookup:
 
 def _assert_singleton_batches_match_the_mask_loop(table, seed):
     """Price singleton batches by class and as mask lists, each on a fresh
-    table (the hint steers both), against a linear scan too.  Bases diverge
+    table (the hints steer both), against a linear scan too.  Bases diverge
     at every committed layer and at none; members are empty, the base's
     own bits, each pool, the whole ground set (earlier blocks and dummies)
     and random masks."""

@@ -733,3 +733,20 @@ class TestIntegerRecords:
         inst = adv.finalize(seed)
         assert answers == [Fraction(rec.num, cfg.value_denominator) for rec in adv.transcript.records]
         _assert_records_match_fraction_evaluators(adv.transcript, inst)
+
+    @pytest.mark.parametrize("solver,n", [("brute_force", 8), ("family_aware", 32), ("singleton_parallel", 32)])
+    def test_adversary_records_are_named_tuples(self, solver, n):
+        # The adversary builds records with tuple.__new__; each must behave
+        # as the keyword-built QueryRecord of its fields.
+        cfg = GroundConfig(n, 1)
+        adv = HalvingAdversary(cfg)
+        SOLVERS[solver](adv, cfg)
+        big_d = cfg.value_denominator
+        for rec in adv.transcript.records:
+            want = QueryRecord(index=rec.index, round=rec.round, mask=rec.mask, num=rec.num)
+            assert type(rec) is QueryRecord
+            assert rec._fields == ("index", "round", "mask", "num")
+            assert tuple(rec) == tuple(want) and all(type(v) is int for v in rec)
+            assert rec == want and hash(rec) == hash(want) and repr(rec) == repr(want)
+            assert rec._replace(num=0) == want._replace(num=0)
+            assert rec.to_json(n, big_d) == want.to_json(n, big_d)

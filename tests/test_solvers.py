@@ -330,6 +330,48 @@ class TestLayerAnswer:
             assert decided.disambiguate(2, 2) is decided
 
 
+class TestDecodedAnswersAreNamedTuples:
+    """The decoder and ``disambiguate`` build answers with ``tuple.__new__``;
+    each must behave as the keyword-built ``LayerAnswer`` of its fields."""
+
+    def _assert_named_tuple(self, ans, relation, outside_block, layer):
+        want = LayerAnswer(relation=relation, outside_block=outside_block, layer=layer)
+        assert type(ans) is LayerAnswer
+        assert ans._fields == ("relation", "outside_block", "layer")
+        assert (ans.relation, ans.outside_block, ans.layer) == tuple(ans) == tuple(want)
+        assert ans == want and hash(ans) == hash(want) and repr(ans) == repr(want)
+        assert ans._replace(layer=layer + 1) == want._replace(layer=layer + 1)
+        assert ans._asdict() == want._asdict()
+
+    @pytest.mark.parametrize("pool", [1, 2, 6, 1008])
+    def test_every_decoder_case(self, pool):
+        f, layer = 3, 5
+        den = f * 2 * pool
+        cases = [
+            (4 * pool * f, Relation.INCOMPARABLE, None),  # v = 2
+            (2 * pool * f, None, 0),  # v = 1, ambiguous
+            (0, Relation.EQUAL, None),
+            (f // 2, Relation.EQUAL, None),  # an exact match's residual
+            *(((2 * pool + c) * f, Relation.STRICT_SUBSET, c) for c in range(1, pool + 1)),
+            *(((2 * pool - c) * f, Relation.STRICT_SUPERSET, c) for c in range(1, pool + 1)),
+        ]
+        for num, relation, count in cases:
+            ans = decode_layer_answer(num, den, pool, layer)
+            self._assert_named_tuple(ans, relation, count, layer)
+            if relation is None:
+                self._assert_named_tuple(ans.disambiguate(0, 1), Relation.STRICT_SUBSET, 0, layer)
+                self._assert_named_tuple(ans.disambiguate(2, 1), Relation.STRICT_SUPERSET, 0, layer)
+
+    def test_every_family_aware_answer(self, monkeypatch):
+        cfg = GroundConfig(64, 2)
+        answers, decode = [], solvers.decode_layer_answer
+        monkeypatch.setattr(solvers, "decode_layer_answer", lambda *args: answers.append(decode(*args)) or answers[-1])
+        family_aware_minimize(HonestOracle(sample_instance(cfg, 9)), cfg)
+        assert {ans.relation for ans in answers} >= {None, Relation.EQUAL, Relation.STRICT_SUBSET}
+        for ans in answers:
+            self._assert_named_tuple(ans, *ans)
+
+
 @st.composite
 def _decoder_inputs(draw):
     """``(num, den, pool)``: on-lattice layer values over ``den = f * 2 * pool``,
@@ -430,10 +472,12 @@ class TestFamilyAwareHotPath:
     """Counts, not wall time: ``sys.setprofile`` over one solve (n = 64, seed 5)
     counts the Python calls each one-query round makes."""
 
-    # Measured 9.645 calls per query (12.07 when every query bisected and built
-    # a frozen dataclass) and 0.507 lookups past the hint (1.000 with no hint).
-    CALLS_PER_QUERY = 9.7
-    LOOKUPS_PER_QUERY = 0.6
+    # Measured 9.188 calls per query (9.645 with one hint and a keyword-built
+    # LayerAnswer, 12.07 when every query bisected and built a frozen
+    # dataclass) and 0.111 lookups past the two hints (0.507 past one hint,
+    # 1.000 with no hint).
+    CALLS_PER_QUERY = 9.2
+    LOOKUPS_PER_QUERY = 0.12
 
     def test_calls_per_query(self):
         cfg = GroundConfig(64, 1)
@@ -452,6 +496,17 @@ class TestFamilyAwareHotPath:
         assert result.queries == 521
         assert calls.total() / result.queries <= self.CALLS_PER_QUERY
         assert calls["_divergent_layer"] / result.queries <= self.LOOKUPS_PER_QUERY
+
+    def test_deepest_solve_rarely_searches(self, monkeypatch):
+        # The layer of family_aware's queries alternates between k and k + 1;
+        # with two hints 874 of the 14,455 lookups search (7,569 with one).
+        cfg = GroundConfig(1024, 1)
+        oracle = HonestOracle(sample_instance(cfg, 5))
+        searches, search = [], family._divergent_layer
+        monkeypatch.setattr(family, "_divergent_layer", lambda *args: searches.append(args) or search(*args))
+        result = family_aware_minimize(oracle, cfg)
+        assert result.queries == 14455
+        assert len(searches) <= 1000
 
 
 class TestSingletonParallel:
