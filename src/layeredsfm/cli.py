@@ -86,8 +86,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[{marker}] {assertion['name']}: {assertion['detail']}")
     rendered = report.to_csv_text() if args.format == "csv" else report.to_json_text()
     if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(rendered)
+        try:
+            args.out.parent.mkdir(parents=True, exist_ok=True)
+            args.out.write_text(rendered)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
         print(f"report written to {args.out}")
     else:
         print(rendered, end="")

@@ -194,38 +194,20 @@ class LayeredInstance:
         return cls(config, blocks, hidden)
 
 
-def _divergent_layer(prefix_unions: Sequence[int], mismatch: int, hint: int | None) -> int | None:
+def _divergent_layer(prefix_unions: Sequence[int], mismatch: int) -> int | None:
     """Smallest k (1-based) with ``mismatch & prefix_unions[k-1] != 0``, or None.
 
     With ``prefix_unions[k-1] = A_1 | .. | A_k`` over disjoint blocks and
     ``mismatch = s ^ (R_1 | .. | R_L)``, that k is the first layer with
     ``s cap A_k != R_k``: the mismatch meets A_k exactly when layer k
-    diverges.  The test is monotone in k, so k is found by search.  Given
-    a ``hint`` in ``1..len(prefix_unions)``, the search gallops out from it
-    (hint -/+ 1, 2, 4, ..) until the test changes and bisects only the
-    last gap: O(log |k - hint|) big-int ANDs, where plain bisection costs
-    O(log L).  The hint steers the search only; every hint, and None,
-    gives the same k.  Bits outside every block (dummies, or layers not
-    yet committed) never count.
+    diverges.  The test is monotone in k, so k is found by bisection, in
+    at most ceil(log2 L) + 1 big-int ANDs.  Bits outside every block
+    (dummies, or layers not yet committed) never count.
     """
     hi = len(prefix_unions)
     if hi == 0 or not mismatch & prefix_unions[-1]:
         return None
     lo = 1
-    if hint is not None:
-        step = 1
-        if mismatch & prefix_unions[hint - 1]:
-            hi = hint
-            while hint - step >= 1 and mismatch & prefix_unions[hint - step - 1]:
-                hi = hint - step
-                step *= 2
-            lo = max(hint - step + 1, 1)
-        else:
-            lo = hint + 1
-            while hint + step < hi and not mismatch & prefix_unions[hint + step - 1]:
-                lo = hint + step + 1
-                step *= 2
-            hi = min(hint + step, hi)
     while lo < hi:
         mid = (lo + hi) // 2
         if mismatch & prefix_unions[mid - 1]:
@@ -325,13 +307,12 @@ class LayerTable:
         The one home of the hinted lookup.  With ``x = s ^ hidden_union``,
         two ANDs (``x`` meets A_1 | .. | A_k but not A_1 | .. | A_(k-1))
         prove that k is the layer, since that test is monotone in k.  The
-        mask tries the two hints, the later first, and only a mask that
-        fails both gallops out from the later (:func:`_divergent_layer`).
-        A layer found that is not the later hint becomes it, and the later
-        becomes the earlier; a mask that matches every committed layer
-        leaves the hints as they were.  A query whose layer alternates
-        between k and k + 1, as the family-aware solver's do, so finds it
-        without a search.
+        mask tries the two hints, the later first; only a mask that fails
+        both is bisected (:func:`_divergent_layer`).  A layer found that is
+        not the later hint becomes it, and the later becomes the earlier; a
+        mask matching every committed layer leaves the hints alone.  So the
+        family-aware solver's queries, whose layer alternates between k and
+        k + 1, rarely search.
         """
         unions, x = self.prefix_unions, s_bits ^ self.hidden_union
         last, before = self._hints
@@ -340,7 +321,7 @@ class LayerTable:
         if before and x & unions[before - 1] and (before == 1 or not x & unions[before - 2]):
             k = before
         else:
-            k = _divergent_layer(unions, x, last or None)
+            k = _divergent_layer(unions, x)
             if k is None:
                 return None
         self._hints = (k, last)

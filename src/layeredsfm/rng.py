@@ -57,9 +57,9 @@ class SplitMix64:
         return _mix(self._state)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), via rejection (no modulo bias)."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        """Uniform integer in [0, bound) for bound in 1..2^64, via rejection (no modulo bias)."""
+        if not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must be in 1..2^64, got {bound}")
         threshold = ((1 << 64) // bound) * bound
         while True:
             v = self.next()

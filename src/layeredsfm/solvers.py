@@ -60,52 +60,30 @@ class SolverResult:
 
 
 class LayerAnswer(NamedTuple):
-    """What a single oracle value reveals about one layer.
-
-    ``relation`` compares the query's block part with the layer's hidden
-    set.  It is None in the one ambiguous case (normalized value exactly 1:
-    comparable, but the direction needs the caller's knowledge of how many
-    pool elements were queried; see :meth:`disambiguate`).  ``outside_block``
-    counts queried pool elements below the block; it is None exactly when
-    the value carries no such count (incomparable, or an exact match whose
-    residual encodes deeper layers instead).  A named tuple: immutable and
-    equal by fields.  The decoder builds one per query with
-    ``tuple.__new__``, at tuple cost: the keyword ``__new__`` of a named
-    tuple is a Python-level call.
+    """What a single oracle value reveals about one layer: ``relation``
+    compares the query's block part with the layer's hidden set, and
+    ``outside_block`` counts queried pool elements below the block (None
+    when the value carries no such count: incomparable, or an exact match
+    whose residual encodes deeper layers).  The decoder builds one per
+    query with ``tuple.__new__``, at tuple cost: a named tuple's keyword
+    ``__new__`` is a Python-level call.
     """
 
-    relation: Relation | None
+    relation: Relation
     outside_block: int | None
-    layer: int
-
-    def disambiguate(self, queried_in_pool: int, r: int) -> "LayerAnswer":
-        """Resolve the ambiguous comparable case given |query cap pool|.
-
-        With no queried elements below the block, the block part *is* the
-        queried pool part, so its size against r decides the direction.
-        """
-        if self.relation is not None:
-            return self
-        if queried_in_pool < r:
-            rel = Relation.STRICT_SUBSET
-        elif queried_in_pool > r:
-            rel = Relation.STRICT_SUPERSET
-        else:
-            raise CorruptedOracleError(
-                "comparable answer with r queried pool elements would be an exact match"
-            )
-        return tuple.__new__(LayerAnswer, (rel, self.outside_block, self.layer))
 
 
-def decode_layer_answer(num: int, den: int, pool_size: int, layer: int) -> LayerAnswer:
+def decode_layer_answer(num: int, den: int, pool_size: int, queried_in_pool: int, r: int) -> LayerAnswer:
     """Invert one oracle value into relation-and-count form.
 
     ``num / den`` (``den > 0``, unreduced) is the value over its layer's
     scale ``1/d_k``: an answer numerator over D has ``den = D // d_k =
-    config.layer_factors[k-1] * 2 * pool_size``.  The query must match
-    every layer before ``layer``; ``pool_size`` is the number of elements
-    still unclassified when it opens.  Values no instance can produce
-    raise :class:`CorruptedOracleError`.
+    config.layer_factors[k-1] * 2 * pool_size``.  The query matches every
+    layer before k and holds ``queried_in_pool`` of the ``pool_size``
+    elements unclassified when layer k opens; at normalized value 1
+    (nothing below the block) that count against r gives the relation.
+    Values no instance can produce raise :class:`CorruptedOracleError`,
+    value 1 with r queried pool elements among them (an exact match).
     """
     if den <= 0 or pool_size <= 0:
         raise ValueError("denominator and pool size must be positive")
@@ -117,19 +95,22 @@ def decode_layer_answer(num: int, den: int, pool_size: int, layer: int) -> Layer
     if q < 0 or q > 2 * one or (q == 2 * one and rest):
         raise CorruptedOracleError(f"normalized value {format_value(Fraction(num, den))} outside [0, 2]")
     if q == 2 * one:
-        return tuple.__new__(LayerAnswer, (Relation.INCOMPARABLE, None, layer))
+        return tuple.__new__(LayerAnswer, (Relation.INCOMPARABLE, None))
     if q == one and not rest:
-        return tuple.__new__(LayerAnswer, (None, 0, layer))
+        if queried_in_pool == r:
+            raise CorruptedOracleError("comparable answer with r queried pool elements would be an exact match")
+        rel = Relation.STRICT_SUBSET if queried_in_pool < r else Relation.STRICT_SUPERSET
+        return tuple.__new__(LayerAnswer, (rel, 0))
     if q == 0 or (q == 1 and not rest):
         # An exact match's residual (deeper layers' value) is at most 1/(4 * pool).
-        return tuple.__new__(LayerAnswer, (Relation.EQUAL, None, layer))
+        return tuple.__new__(LayerAnswer, (Relation.EQUAL, None))
     # 2 * pool * |v - 1| = |x - 4 * pool| / 2 counts the queried pool elements below the block.
     twice = q - one
     if rest or twice % 2 or abs(twice) > 2 * pool_size:
         raise CorruptedOracleError(f"normalized value {format_value(Fraction(num, den))} matches no layer case")
     if twice > 0:
-        return tuple.__new__(LayerAnswer, (Relation.STRICT_SUBSET, twice // 2, layer))
-    return tuple.__new__(LayerAnswer, (Relation.STRICT_SUPERSET, -twice // 2, layer))
+        return tuple.__new__(LayerAnswer, (Relation.STRICT_SUBSET, twice // 2))
+    return tuple.__new__(LayerAnswer, (Relation.STRICT_SUPERSET, -twice // 2))
 
 
 def brute_force_minimize(oracle) -> SolverResult:
@@ -196,9 +177,8 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
     ``pool[i]`` to ``pool[j - 1]``.  Classified elements are deleted from
     the list by index.  With ``base = prefix | T`` Phase A asks
     ``base | W`` and Phase B asks ``base ^ W``, each as a one-mask batch.
-    Each answer is decoded once, by :func:`decode_layer_answer`, and
-    disambiguated only when its relation is None.  A :class:`Subset` is
-    built only for the returned minimizer.
+    Each answer is decoded once, by :func:`decode_layer_answer`.  A
+    :class:`Subset` is built only for the returned minimizer.
     """
     n, r = config.n, config.r
     budget = query_budget(n)
@@ -229,10 +209,7 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
         while blocks and len(bad) < r:
             i, j = blocks.pop()
             w = pool & ((2 << elems[j - 1]) - (1 << elems[i]))
-            ans = decode_layer_answer(ask(base | w), den, pool_size, layer)
-            rel = ans.relation
-            if rel is None:
-                rel = ans.disambiguate(accepted + j - i, r).relation
+            rel = decode_layer_answer(ask(base | w), den, pool_size, accepted + j - i, r).relation
             if rel is Relation.EQUAL or rel is Relation.STRICT_SUBSET:
                 base |= w
                 accepted += j - i
@@ -257,10 +234,7 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
         while blocks and len(hidden) < r:
             i, j = blocks.pop()
             w = pool & ((2 << elems[j - 1]) - (1 << elems[i]))
-            ans = decode_layer_answer(ask(base ^ w), den, pool_size, layer)
-            rel = ans.relation
-            if rel is None:
-                rel = ans.disambiguate(len(elems) - (j - i), r).relation
+            rel = decode_layer_answer(ask(base ^ w), den, pool_size, len(elems) - (j - i), r).relation
             if rel is Relation.EQUAL:
                 pass  # W misses the hidden set entirely
             elif rel is Relation.STRICT_SUBSET:
@@ -302,7 +276,7 @@ def _singleton_class(num: int, den: int, pool_size: int, layer: int, r: int) -> 
     prefix + {e} at ``layer``, where prefix matches every earlier layer.
     A value no singleton query produces raises :class:`CorruptedOracleError`.
     """
-    ans = decode_layer_answer(num, den, pool_size, layer).disambiguate(1, r)
+    ans = decode_layer_answer(num, den, pool_size, 1, r)
     if ans.relation is Relation.EQUAL and r == 1:
         return "hidden"  # at r = 1 the hidden element's query is an exact match
     label = _SINGLETON_CLASSES.get((ans.relation, ans.outside_block))

@@ -477,10 +477,40 @@ def _rebuilt(table):
     return fresh
 
 
+class _CountedReads(list):
+    """A list that counts the entries read through ``[]``."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+class TestDivergentLayerSearch:
+    def test_reads_at_most_log_layers_plus_one_unions(self):
+        # A plain bisection on a full (1024, 1) table: at most
+        # ceil(log2 512) + 1 = 10 reads, for a mask diverging at any layer
+        # and for one matching every layer.
+        table = sample_instance(GroundConfig(1024, 1), 3).table
+        unions, rng = _CountedReads(table.prefix_unions), SplitMix64(1024)
+        bound = (len(unions) - 1).bit_length() + 1
+        assert bound == 10
+        outside = (1 << 1024) - 1 & ~unions[-1]
+        mismatches = [(0, None), (outside, None)]
+        for k, (block, *_) in enumerate(table.rows, start=1):
+            above = ~(unions[k - 2] if k > 1 else 0)
+            mismatches += [(block, k), (block & -block, k), ((rng.bits(1024) | block) & above, k)]
+        for mismatch, want in mismatches:
+            unions.reads = 0
+            assert _divergent_layer(unions, mismatch) == want
+            assert unions.reads <= bound, (want, unions.reads)
+
+
 class TestHintedLookup:
     """Lookups try the last two distinct layers a table placed, across
-    calls, before they search from the later; every pair of hints must
-    give the layer a linear scan gives."""
+    calls, before they search by bisection; every pair of hints must give
+    the layer a linear scan gives."""
 
     # L = 0 (no committed layer), 1, 4 and 40; (3, 1) and (81, 1) have one dummy.
     @pytest.mark.parametrize("n,r,layers", [(4, 1, 0), (3, 1, 1), (4, 2, 1), (9, 1, 4), (81, 1, 40), (160, 2, 40)])
@@ -498,9 +528,8 @@ class TestHintedLookup:
             mismatches += [block & -block, block, (rng.bits(n) | block & -block) & ~below]
         for mismatch in mismatches:
             want = _linear_layer(unions, mismatch)
-            for hint in [None, *range(1, layers + 1)]:
-                assert _divergent_layer(unions, mismatch, hint) == want, (mismatch, hint)
-                assert _divergent_layer(unions, mismatch | outside, hint) == want, (mismatch, hint)
+            assert _divergent_layer(unions, mismatch) == want, mismatch
+            assert _divergent_layer(unions, mismatch | outside) == want, mismatch
             # layer_of with every (later, earlier) pair of hints, 0 for none, equal ones too.
             for hints in itertools.product(range(layers + 1), repeat=2):
                 table._hints = hints

@@ -412,6 +412,18 @@ class TestCli:
         assert "Traceback" not in captured.err and captured.out == ""
         ExperimentConfig(mode="duel", n=(EXHAUSTIVE_CAP,), solver="brute_force")  # the cap itself is allowed
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        # Exit code 1 means a failed assertion; a report that cannot be
+        # written is an error line and exit 2, as for a bad config.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for out in (tmp_path, blocker / "report.json"):  # a directory; a parent that is a file
+            assert cli_main(["verify", "--n", "4", "--trials", "1", "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: cannot write report: ") and "Traceback" not in captured.err
+            assert "report written" not in captured.out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"] and blocker.read_text() == ""
+
     def test_subcommands_are_the_runner_table(self):
         # One list of modes: the subcommands, their order and their help text
         # all come from RUNNERS, which pairs each mode with its runner.

@@ -37,6 +37,19 @@ def test_below_bounds_and_rough_uniformity():
         rng.below(0)
 
 
+def test_below_rejects_bounds_past_one_draw():
+    # Above 2^64 no 64-bit draw is ever accepted, so the bound is refused
+    # instead of looping.  Bounds up to 2^64 keep their streams: 2^64 takes
+    # every draw as it is, and 2^64 - 1 every draw below it.
+    for bound in (2**64 + 1, 2**65, 2**1000):
+        with pytest.raises(ValueError, match=r"1\.\.2\^64"):
+            SplitMix64(1).below(bound)
+    a, b = SplitMix64(3), SplitMix64(3)
+    assert [a.below(2**64) for _ in range(8)] == [b.next() for _ in range(8)]
+    a, b = SplitMix64(3), SplitMix64(3)
+    assert [a.below(2**64 - 1) for _ in range(8)] == [b.next() for _ in range(8)]
+
+
 def test_sample_is_sorted_subset_without_replacement():
     rng = SplitMix64(11)
     for _ in range(100):

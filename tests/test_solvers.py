@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import sys
@@ -157,24 +158,28 @@ def _normalized(value, layer_scale):
     return value.numerator * layer_scale.denominator, value.denominator * layer_scale.numerator
 
 
-def _reference_decode(value, layer_scale, pool_size, layer):
+def _reference_decode(value, layer_scale, pool_size, queried_in_pool, r):
     """The decoder by Fraction division, kept as the reference."""
     v = Fraction(value) / layer_scale
     if v < 0 or v > 2:
         raise CorruptedOracleError(f"normalized value {format_value(v)} outside [0, 2]")
     if v == 2:
-        return LayerAnswer(relation=Relation.INCOMPARABLE, outside_block=None, layer=layer)
+        return LayerAnswer(relation=Relation.INCOMPARABLE, outside_block=None)
     if v == 1:
-        return LayerAnswer(relation=None, outside_block=0, layer=layer)
+        # Nothing below the block: the queried pool part is the block part.
+        if queried_in_pool == r:
+            raise CorruptedOracleError("comparable answer with r queried pool elements would be an exact match")
+        rel = Relation.STRICT_SUBSET if queried_in_pool < r else Relation.STRICT_SUPERSET
+        return LayerAnswer(relation=rel, outside_block=0)
     if v <= Fraction(1, 4 * pool_size):
-        return LayerAnswer(relation=Relation.EQUAL, outside_block=None, layer=layer)
+        return LayerAnswer(relation=Relation.EQUAL, outside_block=None)
     if v > 1:
         rel, count = Relation.STRICT_SUBSET, 2 * pool_size * (v - 1)
     else:
         rel, count = Relation.STRICT_SUPERSET, 2 * pool_size * (1 - v)
     if count.denominator != 1 or count > pool_size:
         raise CorruptedOracleError(f"normalized value {format_value(v)} matches no layer case")
-    return LayerAnswer(relation=rel, outside_block=int(count), layer=layer)
+    return LayerAnswer(relation=rel, outside_block=int(count))
 
 
 class TestDecode:
@@ -192,69 +197,81 @@ class TestDecode:
         exact = [Fraction(0), Fraction(2), Fraction(1, 4 * pool), *sides, *residuals]
         eps = Fraction(1, 64 * pool * pool)
         outcomes = []
-        for v in exact:
+        for v, queried in itertools.product(exact, (r - 1, r, r + 1)):
             for w in (v, v - eps, v + eps):
                 value = w * scale
                 try:
-                    want = _reference_decode(value, scale, pool, layer)
+                    want = _reference_decode(value, scale, pool, queried, r)
                 except CorruptedOracleError as exc:
                     with pytest.raises(CorruptedOracleError) as got:
-                        decode_layer_answer(*_normalized(value, scale), pool, layer)
+                        decode_layer_answer(*_normalized(value, scale), pool, queried, r)
                     assert str(got.value) == str(exc)
                     outcomes.append(False)
                 else:
-                    assert decode_layer_answer(*_normalized(value, scale), pool, layer) == want
+                    assert decode_layer_answer(*_normalized(value, scale), pool, queried, r) == want
                     outcomes.append(True)
         assert any(outcomes) and not all(outcomes)
 
     def test_strict_subset_with_count(self):
-        ans = decode_layer_answer(9, 8, 4, 1)
+        ans = decode_layer_answer(9, 8, 4, 1, 1)
         assert ans.relation is Relation.STRICT_SUBSET
         assert ans.outside_block == 1
 
     def test_incomparable(self):
-        ans = decode_layer_answer(2, 1, 4, 1)
+        ans = decode_layer_answer(2, 1, 4, 1, 1)
         assert ans.relation is Relation.INCOMPARABLE
         assert ans.outside_block is None
 
     def test_exact_match_is_unique_zero_region(self):
-        ans = decode_layer_answer(0, 1, 4, 1)
+        ans = decode_layer_answer(0, 1, 4, 1, 1)
         assert ans.relation is Relation.EQUAL
-        ans = decode_layer_answer(1, 32, 4, 1)
+        ans = decode_layer_answer(1, 32, 4, 1, 1)
         assert ans.relation is Relation.EQUAL
 
     def test_rejects_residual_above_exact_match_bound(self):
         # An exact match's residual is at most 1/(4 * pool): 1/32 at pool 8.
-        assert decode_layer_answer(1, 32, 8, 1).relation is Relation.EQUAL
+        assert decode_layer_answer(1, 32, 8, 1, 1).relation is Relation.EQUAL
         for v in (Fraction(1, 31), Fraction(1, 3)):
             with pytest.raises(CorruptedOracleError):
-                decode_layer_answer(v.numerator, v.denominator, 8, 1)
+                decode_layer_answer(v.numerator, v.denominator, 8, 1, 1)
 
     def test_strict_superset_with_count(self):
-        ans = decode_layer_answer(7, 8, 4, 1)
+        ans = decode_layer_answer(7, 8, 4, 3, 1)
         assert ans.relation is Relation.STRICT_SUPERSET
         assert ans.outside_block == 1
 
     def test_ambiguous_comparable_disambiguates(self):
-        ans = decode_layer_answer(1, 1, 4, 1)
-        assert ans.relation is None and ans.outside_block == 0
-        assert ans.disambiguate(0, 1).relation is Relation.STRICT_SUBSET
-        assert ans.disambiguate(2, 1).relation is Relation.STRICT_SUPERSET
+        # Normalized value 1 (nothing below the block): the pool count decides.
+        assert decode_layer_answer(1, 1, 4, 0, 1) == (Relation.STRICT_SUBSET, 0)
+        assert decode_layer_answer(1, 1, 4, 2, 1) == (Relation.STRICT_SUPERSET, 0)
         with pytest.raises(CorruptedOracleError):
-            ans.disambiguate(1, 1)
+            decode_layer_answer(1, 1, 4, 1, 1)
+
+    def test_pool_count_decides_only_the_comparable_case(self):
+        # At r = 2, pool 8: value 1 against r queried pool elements would be an
+        # exact match; every other value decodes the same at every count.
+        assert decode_layer_answer(1, 1, 8, 1, 2) == LayerAnswer(Relation.STRICT_SUBSET, 0)
+        assert decode_layer_answer(1, 1, 8, 3, 2) == LayerAnswer(Relation.STRICT_SUPERSET, 0)
+        with pytest.raises(CorruptedOracleError, match="exact match"):
+            decode_layer_answer(1, 1, 8, 2, 2)
+        for num, decided in [(17, LayerAnswer(Relation.STRICT_SUBSET, 1)), (0, LayerAnswer(Relation.EQUAL, None)),
+                             (15, LayerAnswer(Relation.STRICT_SUPERSET, 1)),
+                             (32, LayerAnswer(Relation.INCOMPARABLE, None))]:
+            for queried in range(9):
+                assert decode_layer_answer(num, 16, 8, queried, 2) == decided, (num, queried)
 
     def test_scaled_layers(self):
         # Same cases one layer deeper: everything shrinks by the scale factor
         # (n=6, layer 2: scale 1/48, pool of 4).
         scale = Fraction(1, 48)
-        ans = decode_layer_answer(*_normalized(Fraction(5, 4) * scale, scale), 4, 2)
+        ans = decode_layer_answer(*_normalized(Fraction(5, 4) * scale, scale), 4, 2, 1)
         assert ans.relation is Relation.STRICT_SUBSET
         assert ans.outside_block == 2
 
     @pytest.mark.parametrize("v", [Fraction(5, 2), Fraction(-1, 8), Fraction(7, 4), Fraction(19, 16)])
     def test_rejects_values_no_instance_produces(self, v):
         with pytest.raises(CorruptedOracleError):
-            decode_layer_answer(v.numerator, v.denominator, 4, 1)
+            decode_layer_answer(v.numerator, v.denominator, 4, 0, 1)
 
     @pytest.mark.parametrize("n,r,seed", [(6, 1, 0), (8, 2, 1), (10, 1, 2)])
     def test_round_trip_against_real_instances(self, n, r, seed):
@@ -268,10 +285,8 @@ class TestDecode:
                 continue
             pool = inst.pools[k - 1]
             ans = decode_layer_answer(
-                *_normalized(evaluate_closed_form(inst, s), inst.layer_scale(k)), len(pool), k
+                *_normalized(evaluate_closed_form(inst, s), inst.layer_scale(k)), len(pool), len(s & pool), r
             )
-            if ans.relation is None:
-                ans = ans.disambiguate(len(s & pool), r)
             block = inst.blocks[k - 1]
             from layeredsfm.sets import relate
 
@@ -291,84 +306,74 @@ class TestDecode:
             k = first_divergent_layer(inst, s)
             if k is None:
                 continue
-            pool = len(inst.pools[k - 1])
+            pool, queried = len(inst.pools[k - 1]), len(s & inst.pools[k - 1])
             assert cfg.layer_factors[k - 1] * 2 * pool * cfg.scale_denominators[k - 1] == cfg.value_denominator
-            got = decode_layer_answer(num, cfg.layer_factors[k - 1] * 2 * pool, pool, k)
+            got = decode_layer_answer(num, cfg.layer_factors[k - 1] * 2 * pool, pool, queried, r)
             assert got == decode_layer_answer(
-                *_normalized(evaluate_closed_form(inst, s), inst.layer_scale(k)), pool, k)
+                *_normalized(evaluate_closed_form(inst, s), inst.layer_scale(k)), pool, queried, r)
 
 
 class TestLayerAnswer:
     def test_fields_in_order(self):
-        ans = LayerAnswer(Relation.STRICT_SUBSET, 3, 7)
-        assert LayerAnswer._fields == ("relation", "outside_block", "layer")
-        assert (ans.relation, ans.outside_block, ans.layer) == (Relation.STRICT_SUBSET, 3, 7)
-        assert ans == LayerAnswer(relation=Relation.STRICT_SUBSET, outside_block=3, layer=7)
+        ans = LayerAnswer(Relation.STRICT_SUBSET, 3)
+        assert LayerAnswer._fields == ("relation", "outside_block")
+        assert (ans.relation, ans.outside_block) == (Relation.STRICT_SUBSET, 3)
+        assert ans == LayerAnswer(relation=Relation.STRICT_SUBSET, outside_block=3)
 
-    @pytest.mark.parametrize("field", ["relation", "outside_block", "layer", "other"])
+    @pytest.mark.parametrize("field", ["relation", "outside_block", "other"])
     def test_attributes_cannot_be_set(self, field):
-        ans = LayerAnswer(None, 0, 1)
+        ans = LayerAnswer(Relation.STRICT_SUBSET, 0)
         with pytest.raises(AttributeError):
             setattr(ans, field, 2)
 
     def test_equal_by_fields(self):
-        ans = LayerAnswer(Relation.EQUAL, None, 2)
-        assert ans == LayerAnswer(Relation.EQUAL, None, 2)
-        assert hash(ans) == hash(LayerAnswer(Relation.EQUAL, None, 2))
-        for other in (LayerAnswer(Relation.INCOMPARABLE, None, 2), LayerAnswer(Relation.EQUAL, 0, 2),
-                      LayerAnswer(Relation.EQUAL, None, 3)):
+        ans = LayerAnswer(Relation.EQUAL, None)
+        assert ans == LayerAnswer(Relation.EQUAL, None)
+        assert hash(ans) == hash(LayerAnswer(Relation.EQUAL, None))
+        for other in (LayerAnswer(Relation.INCOMPARABLE, None), LayerAnswer(Relation.EQUAL, 0)):
             assert ans != other
-
-    def test_disambiguate(self):
-        ambiguous = LayerAnswer(None, 0, 4)
-        assert ambiguous.disambiguate(1, 2) == LayerAnswer(Relation.STRICT_SUBSET, 0, 4)
-        assert ambiguous.disambiguate(3, 2) == LayerAnswer(Relation.STRICT_SUPERSET, 0, 4)
-        with pytest.raises(CorruptedOracleError, match="exact match"):
-            ambiguous.disambiguate(2, 2)
-        for rel in (Relation.EQUAL, Relation.STRICT_SUBSET, Relation.STRICT_SUPERSET, Relation.INCOMPARABLE):
-            decided = LayerAnswer(rel, 1, 4)
-            assert decided.disambiguate(2, 2) is decided
 
 
 class TestDecodedAnswersAreNamedTuples:
-    """The decoder and ``disambiguate`` build answers with ``tuple.__new__``;
-    each must behave as the keyword-built ``LayerAnswer`` of its fields."""
+    """The decoder builds answers with ``tuple.__new__``; each must behave
+    as the keyword-built ``LayerAnswer`` of its fields."""
 
-    def _assert_named_tuple(self, ans, relation, outside_block, layer):
-        want = LayerAnswer(relation=relation, outside_block=outside_block, layer=layer)
+    def _assert_named_tuple(self, ans, relation, outside_block):
+        want = LayerAnswer(relation=relation, outside_block=outside_block)
         assert type(ans) is LayerAnswer
-        assert ans._fields == ("relation", "outside_block", "layer")
-        assert (ans.relation, ans.outside_block, ans.layer) == tuple(ans) == tuple(want)
+        assert ans._fields == ("relation", "outside_block")
+        assert (ans.relation, ans.outside_block) == tuple(ans) == tuple(want)
         assert ans == want and hash(ans) == hash(want) and repr(ans) == repr(want)
-        assert ans._replace(layer=layer + 1) == want._replace(layer=layer + 1)
+        assert ans._replace(outside_block=7) == want._replace(outside_block=7)
         assert ans._asdict() == want._asdict()
 
     @pytest.mark.parametrize("pool", [1, 2, 6, 1008])
     def test_every_decoder_case(self, pool):
-        f, layer = 3, 5
+        f = 3
         den = f * 2 * pool
         cases = [
             (4 * pool * f, Relation.INCOMPARABLE, None),  # v = 2
-            (2 * pool * f, None, 0),  # v = 1, ambiguous
+            (2 * pool * f, None, 0),  # v = 1: the pool count against r decides
             (0, Relation.EQUAL, None),
             (f // 2, Relation.EQUAL, None),  # an exact match's residual
             *(((2 * pool + c) * f, Relation.STRICT_SUBSET, c) for c in range(1, pool + 1)),
             *(((2 * pool - c) * f, Relation.STRICT_SUPERSET, c) for c in range(1, pool + 1)),
         ]
         for num, relation, count in cases:
-            ans = decode_layer_answer(num, den, pool, layer)
-            self._assert_named_tuple(ans, relation, count, layer)
-            if relation is None:
-                self._assert_named_tuple(ans.disambiguate(0, 1), Relation.STRICT_SUBSET, 0, layer)
-                self._assert_named_tuple(ans.disambiguate(2, 1), Relation.STRICT_SUPERSET, 0, layer)
+            for queried, comparable in ((0, Relation.STRICT_SUBSET), (2, Relation.STRICT_SUPERSET)):
+                ans = decode_layer_answer(num, den, pool, queried, 1)
+                self._assert_named_tuple(ans, relation or comparable, count)
 
     def test_every_family_aware_answer(self, monkeypatch):
         cfg = GroundConfig(64, 2)
-        answers, decode = [], solvers.decode_layer_answer
-        monkeypatch.setattr(solvers, "decode_layer_answer", lambda *args: answers.append(decode(*args)) or answers[-1])
+        calls, decode = [], solvers.decode_layer_answer
+        monkeypatch.setattr(solvers, "decode_layer_answer",
+                            lambda *args: calls.append((args, decode(*args))) or calls[-1][1])
         family_aware_minimize(HonestOracle(sample_instance(cfg, 9)), cfg)
-        assert {ans.relation for ans in answers} >= {None, Relation.EQUAL, Relation.STRICT_SUBSET}
-        for ans in answers:
+        assert any(num == den for (num, den, *_), _ in calls)  # the comparable case, decided by the count
+        assert {ans.relation for _, ans in calls} >= {Relation.EQUAL, Relation.STRICT_SUBSET}
+        for _, ans in calls:
+            assert ans.relation is not None
             self._assert_named_tuple(ans, *ans)
 
 
@@ -399,18 +404,18 @@ def _decoder_inputs(draw):
 
 
 @settings(max_examples=2000, deadline=None)
-@given(_decoder_inputs(), st.integers(1, 512))
-def test_decoder_matches_fraction_reference(args, layer):
+@given(_decoder_inputs(), st.integers(0, 4), st.integers(1, 3))
+def test_decoder_matches_fraction_reference(args, queried, r):
     # The same LayerAnswer, or the same exception type and text.
     num, den, pool = args
     try:
-        want = _reference_decode(Fraction(num, den), Fraction(1), pool, layer)
+        want = _reference_decode(Fraction(num, den), Fraction(1), pool, queried, r)
     except CorruptedOracleError as exc:
         with pytest.raises(CorruptedOracleError) as got:
-            decode_layer_answer(num, den, pool, layer)
+            decode_layer_answer(num, den, pool, queried, r)
         assert str(got.value) == str(exc)
     else:
-        assert decode_layer_answer(num, den, pool, layer) == want
+        assert decode_layer_answer(num, den, pool, queried, r) == want
 
 
 class TestFamilyAware:
@@ -472,10 +477,11 @@ class TestFamilyAwareHotPath:
     """Counts, not wall time: ``sys.setprofile`` over one solve (n = 64, seed 5)
     counts the Python calls each one-query round makes."""
 
-    # Measured 9.188 calls per query (9.645 with one hint and a keyword-built
-    # LayerAnswer, 12.07 when every query bisected and built a frozen
-    # dataclass) and 0.111 lookups past the two hints (0.507 past one hint,
-    # 1.000 with no hint).
+    # Measured 9.125 calls per query with one decoder call per answer (9.188
+    # with a second call for the comparable case, 9.645 with one hint and a
+    # keyword-built LayerAnswer, 12.07 when every query bisected and built a
+    # frozen dataclass) and 0.111 lookups past the two hints (0.507 past one
+    # hint, 1.000 with no hint).
     CALLS_PER_QUERY = 9.2
     LOOKUPS_PER_QUERY = 0.12
 
@@ -639,8 +645,7 @@ def _reference_family_aware(oracle, config):
         scale = Fraction(1, config.scale_denominators[layer - 1])
 
         def decode(value, queried_in_pool):
-            ans = _reference_decode(value, scale, pool_size, layer)
-            return ans.disambiguate(queried_in_pool, r) if ans.relation is None else ans
+            return _reference_decode(value, scale, pool_size, queried_in_pool, r)
 
         accepted = Subset(n)
         bad = []
@@ -1089,7 +1094,7 @@ def _bisecting_family_aware(oracle, config):
         den = config.layer_factors[layer - 1] * 2 * pool_size
 
         def decode(num, queried_in_pool):
-            return decode_layer_answer(num, den, pool_size, layer).disambiguate(queried_in_pool, r)
+            return decode_layer_answer(num, den, pool_size, queried_in_pool, r)
 
         accepted = 0
         bad = 0
