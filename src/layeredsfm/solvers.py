@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import NamedTuple
 
 from .oracles import CorruptedOracleError
@@ -286,18 +287,6 @@ def _singleton_class(num: int, den: int, pool_size: int, layer: int, r: int) -> 
     return label
 
 
-def _positions(nums: list[int], answers: list[int]) -> list[int]:
-    """Every i with ``nums[i]`` in ``answers``, found by ``list.count`` and
-    ``list.index``: no Python step per element outside the class."""
-    out = []
-    for num in answers:
-        i = -1
-        for _ in range(nums.count(num)):
-            i = nums.index(num, i + 1)
-            out.append(i)
-    return out
-
-
 def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
     """Solve one layer per batched round via singleton queries.
 
@@ -307,8 +296,11 @@ def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
     (:func:`_singleton_class`).  Uses exactly one round per layer and
     pool-many queries per round; requires an honest oracle over a
     known-(n, r) instance.  The pool is one increasing list of elements
-    for the whole solve, aligned with each round's answers: the r hidden
-    and r off-block elements are found by position and deleted from it.
+    for the whole solve, aligned with each round's answers.  A round is
+    walked once as runs of equal answers (at most 4r + 1 on a consistent
+    oracle: the 2r near members and the far runs between them), and the r
+    hidden and r off-block elements are read off the run offsets and
+    deleted from the list.
     """
     n, r = config.n, config.r
     queries = 0
@@ -323,20 +315,31 @@ def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
         nums = oracle.answer_batch(SingletonBatch(prefix, pool))
         queries += pool_size
         # Elements with the same answer share a class: decode each distinct
-        # answer once, in order of first appearance.
-        classes: dict[str, list[int]] = {"hidden": [], "off_block": [], "deeper": []}
-        for num in dict.fromkeys(nums):
-            classes[_singleton_class(num, den, pool_size, layer, r)].append(num)
-        hidden = _positions(nums, classes["hidden"])
-        off_block = _positions(nums, classes["off_block"])
-        if len(hidden) != r or len(off_block) != r:
+        # answer once, in order of first appearance.  ``groupby`` compares
+        # neighbours in C, identity first, so an answer is hashed once or
+        # twice per run, not once per element.
+        labels: dict[int, str] = {}
+        hidden: list[int] = []  # positions in ``elems``, increasing
+        near: list[int] = []  # hidden and off-block positions, increasing
+        start = 0
+        for num, run in groupby(nums):
+            stop = start + len(list(run))
+            label = labels.get(num)
+            if label is None:
+                label = labels[num] = _singleton_class(num, den, pool_size, layer, r)
+            if label != "deeper":
+                near += range(start, stop)
+                if label == "hidden":
+                    hidden += range(start, stop)
+            start = stop
+        if len(hidden) != r or len(near) != 2 * r:
             raise CorruptedOracleError(
                 f"layer {layer}: classified {len(hidden)} hidden / "
-                f"{len(off_block)} off-block, expected {r} each"
+                f"{len(near) - len(hidden)} off-block, expected {r} each"
             )
         for i in hidden:
             prefix |= 1 << elems[i]
-        for i in sorted(hidden + off_block, reverse=True):  # the rest of the pool is deeper
+        for i in reversed(near):  # the rest of the pool is deeper
             pool ^= 1 << elems.pop(i)
 
     # Every layer matched in its one round, so the minimum value is exactly 0.

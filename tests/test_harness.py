@@ -68,6 +68,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="does not read queries_per_round"):
             cfg(mode=mode, n=8, queries_per_round=5)
 
+    def test_seed_is_below_two_to_the_64(self):
+        # SplitMix64 keeps a seed's low 64 bits, so a larger seed would
+        # silently rerun another one while its report echoed the large one.
+        assert cfg(seed=2**64 - 1).seed == 2**64 - 1
+        for seed in (2**64, 3 + 2**64):
+            with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
+                cfg(seed=seed)
+            with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
+                ExperimentConfig.from_json({"mode": "verify", "n": [6], "seed": seed})
+
     def test_json_round_trip(self):
         c = cfg(mode="bench", n=(8, 16), trials=3)
         assert ExperimentConfig.from_json(c.to_json()) == c
@@ -385,6 +395,14 @@ class TestCli:
     def test_setting_the_mode_does_not_read_exits_2(self, capsys, argv):
         assert cli_main(argv) == 2
         assert "does not read" in capsys.readouterr().err
+
+    def test_seed_at_two_to_the_64_exits_2(self, capsys):
+        assert cli_main(["verify", "--n", "6", "--trials", "1", "--seed", str(2**64 - 1)]) == 0
+        capsys.readouterr()
+        for seed in (2**64, 3 + 2**64):
+            assert cli_main(["verify", "--n", "6", "--trials", "1", "--seed", str(seed)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: seed must be below 2**64, got {seed}\n" and captured.out == ""
 
     def test_ground_size_above_capacity_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"

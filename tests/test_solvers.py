@@ -1217,3 +1217,113 @@ class TestRunSplitMatchesMaskBisection:
                 if isinstance(result, str):  # "[layer k: ]<first word> ..."
                     errors.add(result.split(": ", 1)[-1].split()[0])
         assert {"found", "removal", "normalized", "minimizer"} <= errors
+
+
+class _FreshInts(HonestOracle):
+    """Honest answers, each re-created as an equal but distinct int object;
+    ``batches`` keeps every list answered."""
+
+    def __init__(self, inst):
+        super().__init__(inst)
+        self.batches = []
+
+    def answer_batch(self, masks):
+        self.batches.append([(v ^ 1) ^ 1 for v in super().answer_batch(masks)])
+        return self.batches[-1]
+
+
+class _FarAnswerAsOffBlock(HonestOracle):
+    """Honest answers, except that in round 1 one far answer in the middle
+    of a run of far answers is replaced by that round's off-block answer."""
+
+    def answer_batch(self, masks):
+        nums = list(super().answer_batch(masks))
+        if self.rounds == 1:  # the pool is the whole ground set: positions are elements
+            block, hidden = self.instance.blocks[0].bits, self.instance.hidden_sets[0].bits
+            off = (block & ~hidden).bit_length() - 1
+            middle = next(i for i in range(1, len(nums) - 1) if not block >> (i - 1) & 0b111)
+            assert nums[middle - 1] == nums[middle] == nums[middle + 1] != nums[off]
+            nums[middle] = nums[off]
+        return nums
+
+
+class _HashCounted(int):
+    """An answer that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        _HashCounted.hashes += 1
+        return int.__hash__(self)
+
+
+class TestSingletonRunWalk:
+    """A singleton round is classified by runs of equal answers."""
+
+    @pytest.mark.parametrize("n,r", [(11, 1), (23, 2), (64, 8), (256, 1)])
+    def test_equal_answers_need_not_be_one_object(self, n, r):
+        cfg = GroundConfig(n, r)
+        for seed in range(3):
+            inst = sample_instance(cfg, seed)
+            oracle = _FreshInts(inst)
+            fresh = singleton_parallel_minimize(oracle, cfg)
+            assert fresh == singleton_parallel_minimize(HonestOracle(inst), cfg)
+            assert fresh.minimizer == true_minimizer(inst)
+            # Outside CPython's small-int cache no two answers are one object.
+            large = [v for nums in oracle.batches for v in nums if not -5 <= v <= 256]
+            assert len({id(v) for v in large}) == len(large) > cfg.n
+
+    @pytest.mark.parametrize("n,r", [(64, 1), (64, 2), (64, 4), (23, 2)])
+    def test_an_off_block_answer_inside_a_far_run_is_counted(self, n, r):
+        cfg = GroundConfig(n, r)
+        inst = sample_instance(cfg, 5)
+        message = f"layer 1: classified {r} hidden / {r + 1} off-block, expected {r} each"
+        with pytest.raises(CorruptedOracleError, match=f"^{re.escape(message)}$"):
+            singleton_parallel_minimize(_FarAnswerAsOffBlock(inst), cfg)
+
+    @pytest.mark.parametrize("n,r", [(64, 2), (256, 1), (256, 2)])
+    def test_each_distinct_answer_is_decoded_once(self, monkeypatch, n, r):
+        cfg = GroundConfig(n, r)
+        inst = sample_instance(cfg, 3)
+        decoded, distinct, runs = [], [], []
+        decode = solvers.decode_layer_answer
+
+        def counted(*args):
+            decoded[-1] += 1
+            return decode(*args)
+
+        class Rounds(HonestOracle):
+            def answer_batch(self, masks):
+                nums = super().answer_batch(masks)
+                decoded.append(0)
+                distinct.append(len(set(nums)))
+                runs.append(sum(1 for _ in itertools.groupby(nums)))
+                return nums
+
+        monkeypatch.setattr(solvers, "decode_layer_answer", counted)
+        result = singleton_parallel_minimize(Rounds(inst), cfg)
+        assert result.minimizer == true_minimizer(inst)
+        assert decoded == distinct and max(distinct) <= 3
+        # Some round repeats an answer in runs that are not adjacent.
+        assert any(k > d for k, d in zip(runs, distinct))
+
+    @pytest.mark.parametrize("n,r", [(64, 2), (256, 1), (256, 2)])
+    def test_a_round_hashes_at_most_two_answers_per_run(self, n, r):
+        cfg = GroundConfig(n, r)
+        inst = sample_instance(cfg, 3)
+        runs, marks = [], []
+
+        class Counted(HonestOracle):
+            def answer_batch(self, masks):
+                nums = super().answer_batch(masks)
+                runs.append(sum(1 for _ in itertools.groupby(nums)))
+                marks.append(_HashCounted.hashes)
+                return [_HashCounted(v) for v in nums]
+
+        result = singleton_parallel_minimize(Counted(inst), cfg)
+        assert result.minimizer == true_minimizer(inst)
+        hashes = [b - a for a, b in zip(marks, marks[1:] + [_HashCounted.hashes])]
+        assert len(hashes) == cfg.layer_count
+        assert all(h <= 2 * k for h, k in zip(hashes, runs)), list(zip(hashes, runs))
+        # Hashing every answer would break the bound in the first round.
+        assert cfg.pool_size(1) > 2 * runs[0]
