@@ -148,8 +148,9 @@ class LayeredInstance:
         return self.config.layer_count
 
     def layer_scale(self, layer: int) -> ExactValue:
-        """Product scale factor multiplying layer ``layer``'s score (1-based)."""
-        return Fraction(1, self.config.scale_denominators[layer - 1])
+        """``1/d_k = f_k * 2 * pool_size(k) / D``, the scale of layer ``layer``'s score (1-based)."""
+        config = self.config
+        return Fraction(2 * config.pool_size(layer) * config.layer_factors[layer - 1], config.value_denominator)
 
     def __eq__(self, other) -> bool:
         return (
@@ -200,21 +201,14 @@ def _divergent_layer(prefix_unions: Sequence[int], mismatch: int) -> int | None:
     With ``prefix_unions[k-1] = A_1 | .. | A_k`` over disjoint blocks and
     ``mismatch = s ^ (R_1 | .. | R_L)``, that k is the first layer with
     ``s cap A_k != R_k``: the mismatch meets A_k exactly when layer k
-    diverges.  The test is monotone in k, so k is found by bisection, in
-    at most ceil(log2 L) + 1 big-int ANDs.  Bits outside every block
-    (dummies, or layers not yet committed) never count.
+    diverges.  A mask that meets no block costs one AND; otherwise, as the
+    test is monotone in k, k is bisected below L, in at most ceil(log2 L)
+    + 1 big-int ANDs in all.  Bits outside every block (dummies, or layers
+    not yet committed) never count.
     """
-    hi = len(prefix_unions)
-    if hi == 0 or not mismatch & prefix_unions[-1]:
+    if not prefix_unions or not mismatch & prefix_unions[-1]:
         return None
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mismatch & prefix_unions[mid - 1]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return bisect_left(prefix_unions, 1, 0, len(prefix_unions) - 1, key=mismatch.__and__) + 1
 
 
 def _layer_numerator(row: tuple[int, int, int, int, int], s_bits: int) -> int:
@@ -506,8 +500,8 @@ def evaluate_closed_form(inst: LayeredInstance, s: Subset) -> ExactValue:
     if not num:
         return ZERO
     k = table.layer_of(s.bits)
-    _, _, _, pool_card, factor = table.rows[k - 1]
-    return Fraction(num // factor, inst.config.scale_denominators[k - 1] * 2 * pool_card)
+    factor = table.rows[k - 1][4]
+    return Fraction(num // factor, inst.config.value_denominator // factor)
 
 
 def evaluate_recursive(inst: LayeredInstance, s: Subset) -> ExactValue:

@@ -79,10 +79,9 @@ class ExperimentConfig:
             raise ValueError(f"n must not repeat a ground size, got {list(self.n)}")
         if len(self.n) != 1 and self.mode != "bench":
             raise ValueError(f"mode {self.mode!r} takes a single n")
-        if self.r < 1 or self.seed < 0 or self.trials < 1:
-            raise ValueError("r and trials must be positive, seed non-negative")
-        if self.seed >> 64:  # SplitMix64 keeps the low 64 bits: 3 + 2**64 would rerun seed 3
-            raise ValueError(f"seed must be below 2**64, got {self.seed}")
+        if self.r < 1 or self.trials < 1:
+            raise ValueError("r and trials must be positive")
+        SplitMix64(self.seed)  # raises on a seed outside [0, 2**64)
         if self.queries_per_round is not None and self.queries_per_round < 1:
             raise ValueError("queries_per_round must be positive")
         if not isinstance(self.solver, str) or self.solver not in SOLVERS:

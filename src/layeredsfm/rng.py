@@ -49,7 +49,12 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        # A seed is a 64-bit word: a wider one would alias another seed's stream.
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        if seed >> 64:
+            raise ValueError(f"seed must be below 2**64, got {seed}")
+        self._state = seed
 
     def next(self) -> int:
         """Next raw 64-bit output."""

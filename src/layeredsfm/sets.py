@@ -73,28 +73,19 @@ class GroundConfig:
         return self.effective_size - 2 * self.r * (layer - 1)
 
     @cached_property
-    def scale_denominators(self) -> tuple[int, ...]:
-        """``(d_1, .., d_L)``: layer k's values are scaled by ``1/d_k``, with
-        ``d_1 = 1`` and ``d_{k+1} = d_k * 8 * pool_size(k)``.  The growth hides
-        every deeper layer until a query matches layer k.
-        """
-        denoms = [1]
-        for layer in range(1, self.layer_count):
-            denoms.append(denoms[-1] * 8 * self.pool_size(layer))
-        return tuple(denoms)
-
-    @cached_property
     def value_denominator(self) -> int:
-        """``D = d_L * 2 * pool_size(L)``: every instance value is a multiple
-        of ``1/D``.  Layer k's values have denominator ``d_k * 2 * pool_size(k)``,
-        which divides ``d_{k+1} = 4 * d_k * 2 * pool_size(k)`` and so divides D.
-        """
-        return self.scale_denominators[-1] * 2 * self.pool_size(self.layer_count)
+        """``D = f_1 * 2 * pool_size(1)``, since ``d_1 = 1``: every instance
+        value is a multiple of ``1/D`` (see :attr:`layer_factors`)."""
+        return self.layer_factors[0] * 2 * self.effective_size
 
     @cached_property
     def layer_factors(self) -> tuple[int, ...]:
-        """``f_k = D // (d_k * 2 * pool_size(k))`` per layer, taking its numerators
-        to denominator D: ``f_L = 1`` and ``f_k = f_{k+1} * 8 * pool_size(k+1)``."""
+        """``(f_1, .., f_L)``, the one per-layer scale table.  Layer k is scaled
+        by ``1/d_k``, ``d_1 = 1`` and ``d_{k+1} = d_k * 8 * pool_size(k)``: the
+        growth hides every deeper layer until a query matches layer k.  Its
+        values have denominator ``d_k * 2 * pool_size(k)``, which divides
+        ``d_{k+1}`` and so ``D = d_L * 2 * pool_size(L)``; ``f_k`` takes them to
+        D.  Built backward: ``f_L = 1``, ``f_k = f_{k+1} * 8 * pool_size(k+1)``."""
         factors = [1]
         for layer in range(self.layer_count, 1, -1):
             factors.append(factors[-1] * 8 * self.pool_size(layer))
@@ -110,7 +101,7 @@ class Subset:
         if not 0 <= size <= MAX_GROUND_SIZE:
             raise ValueError(f"size must be in 0..{MAX_GROUND_SIZE}, got {size}")
         if bits < 0 or bits >> size:
-            raise ValueError(f"bits 0x{bits:x} out of range for size {size}")
+            raise ValueError(f"bits {bits:#x} out of range for size {size}")
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "bits", bits)
 

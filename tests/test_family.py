@@ -31,6 +31,7 @@ from layeredsfm.rng import SplitMix64
 from layeredsfm.sets import GroundConfig, SingletonBatch, Subset, enumerate_subsets
 from layeredsfm.solvers import brute_force_minimize
 from layeredsfm.verify import check_instance_properties
+from test_sets import scale_denominators
 
 
 def subset(n, *indices):
@@ -237,6 +238,16 @@ class TestEvaluators:
             pool = len(inst.pools[k - 1])
             assert v == 2 or abs(v - 1) * 2 * pool == int(abs(v - 1) * 2 * pool)
             assert Fraction(1, 2) <= v <= Fraction(3, 2) or v == 2
+
+    @pytest.mark.parametrize("n,r", [(2, 1), (10, 1), (12, 3), (64, 2), (1024, 1)])
+    def test_layer_scale_is_one_over_d_k(self, n, r):
+        # layer_scale reads layer_factors; d_k here comes from the forward recurrence.
+        inst = canonical_instance(GroundConfig(n, r))
+        for k, d in enumerate(scale_denominators(inst.config), start=1):
+            assert inst.layer_scale(k) == Fraction(1, d)
+        for k in (0, inst.layer_count + 1):
+            with pytest.raises(ValueError, match="layer must be in"):
+                inst.layer_scale(k)
 
     def test_information_hiding_exact(self):
         # Instances sharing a layer prefix answer identically on any query

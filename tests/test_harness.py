@@ -78,6 +78,10 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
                 ExperimentConfig.from_json({"mode": "verify", "n": [6], "seed": seed})
 
+    def test_negative_seed_is_refused_with_the_generators_rule(self):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            cfg(seed=-1)
+
     def test_json_round_trip(self):
         c = cfg(mode="bench", n=(8, 16), trials=3)
         assert ExperimentConfig.from_json(c.to_json()) == c
@@ -483,3 +487,29 @@ class TestCli:
             env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0
+
+    def test_runtime_imports_the_standard_library_only(self):
+        # The package declares no dependencies.  With site-packages off (-S)
+        # and the environment ignored (-I), importing the package and its CLI
+        # must load modules only from src/ or the interpreter's stdlib, which
+        # holds site-packages (purelib, platlib) and so excludes it by name.
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = (
+            f"import sys; sys.path.insert(0, {str(src)!r}); before = set(sys.modules)\n"
+            "import layeredsfm, layeredsfm.cli\n"
+            "new = {name: getattr(sys.modules[name], '__file__', None) for name in set(sys.modules) - before}\n"
+            "import json, sysconfig\n"
+            "print(json.dumps({'paths': sysconfig.get_paths(), 'new': new}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+
+        def under(file, keys):
+            return any(Path(file).resolve().is_relative_to(Path(loaded["paths"][key]).resolve()) for key in keys)
+
+        assert Path(loaded["new"]["layeredsfm.cli"]).resolve().is_relative_to(src)
+        outside = {name: file for name, file in loaded["new"].items()
+                   if file is not None and not Path(file).resolve().is_relative_to(src)
+                   and (not under(file, ("stdlib", "platstdlib")) or under(file, ("purelib", "platlib")))}
+        assert outside == {}

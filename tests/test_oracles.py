@@ -32,6 +32,7 @@ from layeredsfm.oracles import (
 from layeredsfm.rng import SplitMix64
 from layeredsfm.sets import GroundConfig, SingletonBatch, Subset, enumerate_subsets
 from layeredsfm.solvers import SOLVERS, family_aware_minimize, singleton_parallel_minimize
+from test_sets import scale_denominators
 
 
 def subset(n, *indices):
@@ -115,7 +116,7 @@ def _linear_scan_value(inst, mask):
     pool = (1 << cfg.effective_size) - 1
     for k, (block, hidden) in enumerate(zip(inst.blocks, inst.hidden_sets), start=1):
         if mask & block.bits != hidden.bits:
-            return _layer_value(block.bits, hidden.bits, pool, pool.bit_count(), cfg.scale_denominators[k - 1], mask)
+            return _layer_value(block.bits, hidden.bits, pool, pool.bit_count(), scale_denominators(cfg)[k - 1], mask)
         pool &= ~block.bits
     return Fraction(0)
 
@@ -396,7 +397,7 @@ class TestAdversaryAnswers:
                     pool_bits &= ~earlier.block.bits
                 assert value == _layer_value(
                     c.block.bits, c.hidden.bits, pool_bits, c.pool_size,
-                    cfg.scale_denominators[k - 1], s.bits,
+                    scale_denominators(cfg)[k - 1], s.bits,
                 )
                 assert adv.engaged_layers[-1] is None
                 depths.add(k)

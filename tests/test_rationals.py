@@ -42,6 +42,12 @@ def test_parse_rejects_malformed(bad):
         parse_value(bad)
 
 
+@pytest.mark.parametrize("text", ["1/0", "0/0", "-3/000"])
+def test_parse_rejects_a_zero_denominator(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_value(text)
+
+
 @given(st.fractions())
 def test_round_trip(v):
     assert parse_value(format_value(v)) == v

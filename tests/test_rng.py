@@ -4,8 +4,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from layeredsfm.family import sample_instance
 from layeredsfm.rng import _CHUNK, _GOLDEN, _MASK64, SplitMix64, _mix
-from layeredsfm.sets import Subset
+from layeredsfm.sets import GroundConfig, Subset
 
 
 def test_known_stream_from_zero_seed():
@@ -66,6 +67,27 @@ def test_bits_width():
     for width in (0, 1, 63, 64, 65, 130):
         v = rng.bits(width)
         assert 0 <= v < (1 << width) if width else v == 0
+
+
+def test_bits_rejects_a_negative_count():
+    with pytest.raises(ValueError, match=r"count must be non-negative, got -1$"):
+        SplitMix64(5).bits(-1)
+
+
+def test_seed_is_one_64_bit_word():
+    # Keeping a seed's low 64 bits would alias it: 3 + 2**64 would replay
+    # seed 3, and -1 seed 2**64 - 1.  Such seeds are refused by the
+    # generator, so every caller (sample_instance included) refuses them.
+    top = 2**64 - 1
+    assert SplitMix64(top).next() == _mix((top + _GOLDEN) & _MASK64)
+    assert sample_instance(GroundConfig(8, 1), top) != sample_instance(GroundConfig(8, 1), 0)
+    for seed, message in [(-1, r"seed must be non-negative, got -1$"),
+                          (2**64, rf"seed must be below 2\*\*64, got {2**64}$"),
+                          (3 + 2**64, rf"seed must be below 2\*\*64, got {3 + 2**64}$")]:
+        with pytest.raises(ValueError, match=message):
+            SplitMix64(seed)
+        with pytest.raises(ValueError, match=message):
+            sample_instance(GroundConfig(8, 1), seed)
 
 
 def test_subset_of_respects_carrier():

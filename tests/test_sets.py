@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +19,17 @@ def subset(n, *indices):
     return Subset.from_indices(n, indices)
 
 
+@functools.cache
+def scale_denominators(cfg):
+    """``(d_1, .., d_L)`` by the paper's forward recurrence: ``d_1 = 1`` and
+    ``d_{k+1} = d_k * 8 * pool_size(k)``.  Independent of ``cfg.layer_factors``,
+    which the package builds backward; layer k's values are scaled by ``1/d_k``."""
+    denoms = [1]
+    for layer in range(1, cfg.layer_count):
+        denoms.append(denoms[-1] * 8 * cfg.pool_size(layer))
+    return tuple(denoms)
+
+
 class TestGroundConfig:
     def test_derived_fields(self):
         cfg = GroundConfig(10, 2)
@@ -25,7 +38,7 @@ class TestGroundConfig:
         assert not cfg.divides_evenly
         assert cfg.pool_size(1) == 8
         assert cfg.pool_size(2) == 4
-        assert cfg.scale_denominators == (1, 8 * 8)
+        assert scale_denominators(cfg) == (1, 8 * 8)
         assert cfg.value_denominator == 8 * 8 * 2 * 4
         assert cfg.layer_factors == (8 * 4, 1)
 
@@ -33,7 +46,7 @@ class TestGroundConfig:
     def test_value_denominator_is_a_multiple_of_every_layer_denominator(self, n, r):
         cfg = GroundConfig(n, r)
         assert len(cfg.layer_factors) == cfg.layer_count
-        for k, d in enumerate(cfg.scale_denominators, start=1):
+        for k, d in enumerate(scale_denominators(cfg), start=1):
             assert cfg.value_denominator % (d * 2 * cfg.pool_size(k)) == 0
             assert cfg.layer_factors[k - 1] == cfg.value_denominator // (d * 2 * cfg.pool_size(k))
 
@@ -56,6 +69,11 @@ class TestGroundConfig:
     def test_layer_count_at_least_one(self):
         assert GroundConfig(2, 1).layer_count == 1
         assert GroundConfig(1024, 512).layer_count == 1
+
+    @pytest.mark.parametrize("layer", [0, -1, 3, 4])
+    def test_pool_size_rejects_a_layer_out_of_range(self, layer):
+        with pytest.raises(ValueError, match=rf"layer must be in 1\.\.2, got {layer}$"):
+            GroundConfig(10, 2).pool_size(layer)
 
 
 class TestRelate:
@@ -125,6 +143,16 @@ class TestAlgebra:
         assert list(s) == [1, 4]
         assert s.indices() == [1, 4]
 
+    @pytest.mark.parametrize("size", [-1, 1025])
+    def test_rejects_a_size_outside_capacity(self, size):
+        with pytest.raises(ValueError, match=rf"size must be in 0\.\.1024, got {size}$"):
+            Subset(size)
+
+    @pytest.mark.parametrize("size,bits,text", [(4, -1, "-0x1"), (4, 1 << 4, "0x10"), (0, 1, "0x1")])
+    def test_rejects_bits_out_of_range(self, size, bits, text):
+        with pytest.raises(ValueError, match=rf"^bits {text} out of range for size {size}$"):
+            Subset(size, bits)
+
     def test_immutability(self):
         s = subset(3, 0)
         with pytest.raises(AttributeError):
@@ -176,6 +204,10 @@ class TestEnumerateSubsets:
     def test_yields_distinct_power_set(self, n):
         seen = set(s.bits for s in enumerate_subsets(n))
         assert len(seen) == 1 << n
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match=r"n must be non-negative, got -1$"):
+            next(enumerate_subsets(-1))
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):

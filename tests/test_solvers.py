@@ -31,6 +31,7 @@ from layeredsfm.solvers import (
     family_aware_minimize,
     singleton_parallel_minimize,
 )
+from test_sets import scale_denominators
 
 
 def subset(n, *indices):
@@ -190,7 +191,7 @@ class TestDecode:
         # 8 pool); plus values just off it and counts above the pool.
         cfg = GroundConfig(n, r)
         pool = cfg.pool_size(layer)
-        scale = Fraction(1, cfg.scale_denominators[layer - 1])
+        scale = Fraction(1, scale_denominators(cfg)[layer - 1])
         sides = [1 + Fraction(c, 2 * pool) for c in range(-pool - 2, pool + 3)]
         deeper = max(pool - 2 * r, 1)
         residuals = [(1 + Fraction(c, 2 * deeper)) / (8 * pool) for c in range(-deeper, deeper + 1)]
@@ -234,6 +235,12 @@ class TestDecode:
         for v in (Fraction(1, 31), Fraction(1, 3)):
             with pytest.raises(CorruptedOracleError):
                 decode_layer_answer(v.numerator, v.denominator, 8, 1, 1)
+
+    @pytest.mark.parametrize("den,pool_size", [(0, 4), (-8, 4), (8, 0), (8, -4)])
+    def test_rejects_a_non_positive_denominator_or_pool(self, den, pool_size):
+        # A caller's error, not an oracle's, so not CorruptedOracleError.
+        with pytest.raises(ValueError, match="denominator and pool size must be positive"):
+            decode_layer_answer(1, den, pool_size, 1, 1)
 
     def test_strict_superset_with_count(self):
         ans = decode_layer_answer(7, 8, 4, 3, 1)
@@ -307,7 +314,7 @@ class TestDecode:
             if k is None:
                 continue
             pool, queried = len(inst.pools[k - 1]), len(s & inst.pools[k - 1])
-            assert cfg.layer_factors[k - 1] * 2 * pool * cfg.scale_denominators[k - 1] == cfg.value_denominator
+            assert cfg.layer_factors[k - 1] * 2 * pool * scale_denominators(cfg)[k - 1] == cfg.value_denominator
             got = decode_layer_answer(num, cfg.layer_factors[k - 1] * 2 * pool, pool, queried, r)
             assert got == decode_layer_answer(
                 *_normalized(evaluate_closed_form(inst, s), inst.layer_scale(k)), pool, queried, r)
@@ -642,7 +649,7 @@ def _reference_family_aware(oracle, config):
     pool = Subset.from_indices(n, range(config.effective_size))
     for layer in range(1, config.layer_count + 1):
         pool_size = len(pool)
-        scale = Fraction(1, config.scale_denominators[layer - 1])
+        scale = Fraction(1, scale_denominators(config)[layer - 1])
 
         def decode(value, queried_in_pool):
             return _reference_decode(value, scale, pool_size, queried_in_pool, r)
@@ -703,7 +710,7 @@ def _reference_singleton_parallel(oracle, config):
     queries = rounds = 0
     for layer in range(1, config.layer_count + 1):
         pool_size = len(pool)
-        denom = config.scale_denominators[layer - 1]
+        denom = scale_denominators(config)[layer - 1]
         oracle.begin_round()
         rounds += 1
         classes = {"hidden": [], "off_block": [], "deeper": []}
