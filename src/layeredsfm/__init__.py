@@ -16,7 +16,6 @@ from .family import (
     evaluate_closed_form,
     evaluate_recursive,
     first_divergent_layer,
-    minimizer_is_unique,
     sample_instance,
     submodularizer,
     true_minimizer,
@@ -112,7 +111,6 @@ __all__ = [
     "find_submodularizer_violation",
     "first_divergent_layer",
     "format_value",
-    "minimizer_is_unique",
     "parse_value",
     "relate",
     "run_bench",

@@ -8,9 +8,9 @@ score on that block, a cardinality correction on the elements below it,
 and a geometric per-layer scale factor.  Sets matching every layer score
 exactly 0 and the union of the hidden sets is the unique minimizer.
 
-Two evaluators are provided: a literal recursion through nested building
-blocks (the definitional path, kept for cross-checking) and a closed form
-that reads :meth:`LayerTable.numerators`, the one evaluator core: it finds
+Two evaluators are provided: the definition's recursion through nested
+building blocks (kept for cross-checking) and a closed form that reads
+:meth:`LayerTable.numerators`, the one evaluator core: it finds
 a query's first divergent layer and prices it, in integers over one
 denominator, for honest answers and batches, transcript replays and verify
 tables alike.  The two evaluators agree exactly on every subset.
@@ -142,10 +142,6 @@ class LayeredInstance:
         self.blocks = [Subset(config.n, row[0]) for row in rows]
         self.hidden_sets = [Subset(config.n, row[1]) for row in rows]
         self.pools = [Subset(config.n, row[2]) for row in rows]
-
-    @property
-    def layer_count(self) -> int:
-        return self.config.layer_count
 
     def layer_scale(self, layer: int) -> ExactValue:
         """``1/d_k = f_k * 2 * pool_size(k) / D``, the scale of layer ``layer``'s score (1-based)."""
@@ -505,31 +501,29 @@ def evaluate_closed_form(inst: LayeredInstance, s: Subset) -> ExactValue:
 
 
 def evaluate_recursive(inst: LayeredInstance, s: Subset) -> ExactValue:
-    """Value of the instance at ``s`` by literal recursion through block values.
+    """Value of the instance at ``s`` by the definition's recursion through block values.
 
     Layer k is a :func:`block_value` over the pool of still-unclassified
-    elements, whose gated inner function is the recursion on the next
-    layer; the last layer is a bare containment score.  Dummy elements are
-    ignored.  Kept as the independent cross-check for the closed form.
+    elements, whose gated inner function is layer k + 1; the last layer is a
+    bare containment score.  Dummy elements are ignored.  Kept as the
+    independent cross-check for the closed form.  An inner function is read
+    only on a match, so the query is walked down to its first divergent
+    layer and the values are folded back up, each block's inner a constant:
+    the stack does not grow with L.
     """
     if s.size != inst.config.n:
         raise ValueError(f"query must live on the {inst.config.n}-element ground set")
-
-    def level(k: int, s_here: Subset) -> ExactValue:
-        block = inst.blocks[k - 1]
-        hidden = inst.hidden_sets[k - 1]
-        if k == inst.layer_count:
-            return containment_score(block, hidden, s_here & block)
-        return block_value(
-            inst.pools[k - 1],
-            block,
-            hidden,
-            INNER_BOUND,
-            lambda deeper: level(k + 1, deeper),
-            s_here,
-        )
-
-    return level(1, s & inst.pools[0])
+    last, depth = inst.config.layer_count, 1
+    while depth < last and s.bits & inst.blocks[depth - 1].bits == inst.hidden_sets[depth - 1].bits:
+        depth += 1
+    value = ZERO  # the deepest layer reached never reads its inner function
+    for k in range(depth, 0, -1):
+        block, hidden, part = inst.blocks[k - 1], inst.hidden_sets[k - 1], s & inst.pools[k - 1]
+        if k == last:
+            value = containment_score(block, hidden, part & block)
+        else:
+            value = block_value(inst.pools[k - 1], block, hidden, INNER_BOUND, lambda _, v=value: v, part)
+    return value
 
 
 def true_minimizer(inst: LayeredInstance) -> Subset:
@@ -539,10 +533,6 @@ def true_minimizer(inst: LayeredInstance) -> Subset:
     the effective prefix (adding dummies never changes the value).
     """
     return Subset(inst.config.n, inst.table.hidden_union)
-
-
-def minimizer_is_unique(inst: LayeredInstance) -> bool:
-    return inst.config.divides_evenly
 
 
 def lowest_first(items: Sequence[int], count: int) -> list[int]:

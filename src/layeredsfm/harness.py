@@ -106,7 +106,7 @@ class ExperimentConfig:
         # so verify's unique-minimizer check would fail on correct instances.
         if self.mode in ("verify", "parallel", "bench"):
             for n in self.n:
-                if n % (2 * self.r) != 0:
+                if not GroundConfig(n, self.r).divides_evenly:
                     raise ValueError(f"mode {self.mode!r} requires 2*r | n, got r={self.r}, n={n}")
 
     def to_json(self) -> dict:

@@ -25,10 +25,7 @@ _VALUE_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))$|^(-?[0-9]+)$")
 
 def format_value(v: ExactValue) -> str:
     """Render a value as ``"p/q"`` (or ``"p"`` for integers), reduced."""
-    v = Fraction(v)
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    return str(Fraction(v))
 
 
 def parse_value(text: str) -> ExactValue:

@@ -64,6 +64,7 @@ class GroundConfig:
 
     @property
     def divides_evenly(self) -> bool:
+        """True when 2r divides n: there are no dummies, and the minimizer is unique."""
         return self.effective_size == self.n
 
     def pool_size(self, layer: int) -> int:
@@ -166,28 +167,21 @@ class Subset:
         if self.size != other.size:
             raise ValueError(f"mismatched ground sizes: {self.size} vs {other.size}")
 
-    def union(self, other: "Subset") -> "Subset":
+    def __or__(self, other: "Subset") -> "Subset":
         self._check_peer(other)
         return Subset(self.size, self.bits | other.bits)
 
-    def intersection(self, other: "Subset") -> "Subset":
+    def __and__(self, other: "Subset") -> "Subset":
         self._check_peer(other)
         return Subset(self.size, self.bits & other.bits)
 
-    def difference(self, other: "Subset") -> "Subset":
+    def __sub__(self, other: "Subset") -> "Subset":
         self._check_peer(other)
         return Subset(self.size, self.bits & ~other.bits)
-
-    def complement(self) -> "Subset":
-        return Subset(self.size, ((1 << self.size) - 1) & ~self.bits)
 
     def is_subset_of(self, other: "Subset") -> bool:
         self._check_peer(other)
         return self.bits & ~other.bits == 0
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
 
     def to_json(self) -> list[int]:
         """Sorted index list, the wire format used everywhere."""
@@ -206,13 +200,13 @@ class Subset:
 
 class SingletonBatch:
     """The masks ``base | 1 << e`` for each member ``e`` of ``members``, in
-    increasing ``e``: a read-only sequence of ints that builds no mask list.
+    increasing ``e``: a sized iterable of ints that builds no mask list.
 
-    A singleton round asks one of these.  Consumers that iterate or index
-    it see plain masks; :meth:`LayerTable.numerators` reads ``base`` and
+    A singleton round asks one of these.  Consumers that iterate it see
+    plain masks; :meth:`LayerTable.numerators` reads ``base`` and
     ``members`` and prices the whole batch by class.  A plain class, not a
-    ``collections.abc.Sequence``: the kernel type-tests every batch it
-    prices, and a test against an ABC is the slower one.
+    ``collections.abc`` type: the kernel type-tests every batch it prices,
+    and a test against an ABC is the slower one.
     """
 
     __slots__ = ("base", "members")
@@ -232,15 +226,6 @@ class SingletonBatch:
             low = bits & -bits
             yield base | low
             bits ^= low
-
-    def __getitem__(self, i: int) -> int:
-        size = self.members.bit_count()
-        if not -size <= i < size:
-            raise IndexError("singleton batch index out of range")
-        bits = self.members
-        for _ in range(i % size):
-            bits &= bits - 1  # drop the lowest member
-        return self.base | (bits & -bits)
 
 
 def check_json_keys(data: object, keys: tuple[str, ...], what: str) -> None:

@@ -96,9 +96,7 @@ def _tabulate(fn: SetFunction | LayeredInstance, n: int) -> tuple[list[int], int
         price, den = _instance_prices(fn, n)
         return price(range(1 << n)), den
     values = [fn(Subset(n, bits)) for bits in range(1 << n)]
-    den = 1
-    for v in values:
-        den = den * v.denominator // math.gcd(den, v.denominator)
+    den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
 

@@ -21,7 +21,6 @@ from layeredsfm.family import (
     evaluate_recursive,
     first_divergent_layer,
     lowest_first,
-    minimizer_is_unique,
     sample_instance,
     submodularizer,
     true_minimizer,
@@ -190,6 +189,31 @@ class TestEvaluators:
             for s in enumerate_subsets(n):
                 assert evaluate_closed_form(inst, s) == evaluate_recursive(inst, s)
 
+    @pytest.mark.parametrize("n,r,layers", [(1024, 1, (1, 256, 331, 512)), (1024, 14, (1, 18, 36))])
+    def test_recursion_equals_the_kernel_at_n1024(self, n, r, layers):
+        # The recursion at the paper's scale, at layer 1, the middle, past
+        # the depth where nested calls would reach the recursion limit, layer
+        # L, and the minimizer, each with deeper elements and dummies set.
+        cfg = GroundConfig(n, r)
+        inst, rng = sample_instance(cfg, 5), SplitMix64(n + r)
+        dummies = Subset.full(n) - Subset.from_indices(n, range(cfg.effective_size))
+        minimizer = true_minimizer(inst)
+        queries = [minimizer, minimizer | dummies]
+        for k in layers:
+            block, hidden = inst.blocks[k - 1], inst.hidden_sets[k - 1]
+            deeper = inst.pools[k - 1] - block
+            matched = minimizer - inst.pools[k - 1]
+            other = (block - hidden).indices()[0]
+            for part in (hidden - subset(n, hidden.indices()[0]),  # strictly inside R_k
+                         hidden | subset(n, other),  # strictly outside
+                         (hidden - subset(n, hidden.indices()[0])) | subset(n, other)):  # neither
+                s = matched | part | rng.subset_of(deeper | dummies)
+                assert first_divergent_layer(inst, s) == k
+                queries.append(s)
+        den = cfg.value_denominator
+        for s, num in zip(queries, inst.table.numerators([s.bits for s in queries])):
+            assert evaluate_recursive(inst, s) == Fraction(num, den)
+
     def test_closed_form_equals_recursion_with_dummies(self):
         # 2r does not divide n: trailing elements must never affect values.
         cfg = GroundConfig(11, 2)
@@ -212,7 +236,7 @@ class TestEvaluators:
             inst = sample_instance(cfg, seed)
             zeros = [s for s in enumerate_subsets(8) if evaluate_closed_form(inst, s) == 0]
             assert zeros == [true_minimizer(inst)]
-            assert minimizer_is_unique(inst)
+            assert inst.config.divides_evenly
 
     def test_range_and_unique_minimizer_n12(self):
         cfg = GroundConfig(12, 2)
@@ -245,7 +269,7 @@ class TestEvaluators:
         inst = canonical_instance(GroundConfig(n, r))
         for k, d in enumerate(scale_denominators(inst.config), start=1):
             assert inst.layer_scale(k) == Fraction(1, d)
-        for k in (0, inst.layer_count + 1):
+        for k in (0, inst.config.layer_count + 1):
             with pytest.raises(ValueError, match="layer must be in"):
                 inst.layer_scale(k)
 
@@ -280,7 +304,7 @@ class TestTrueMinimizer:
 
     def test_not_unique_with_dummies(self):
         inst = canonical_instance(GroundConfig(5, 1))
-        assert not minimizer_is_unique(inst)
+        assert not inst.config.divides_evenly
         best = true_minimizer(inst)
         padded = best | subset(5, 4)
         assert evaluate_closed_form(inst, best) == evaluate_closed_form(inst, padded) == 0
@@ -319,9 +343,9 @@ class TestLayerTable:
     def test_rows_hold_each_layer(self, n, r):
         inst = sample_instance(GroundConfig(n, r), n)
         table, factors = inst.table, inst.config.layer_factors
-        assert len(table.rows) == inst.layer_count
+        assert len(table.rows) == inst.config.layer_count
         seen = hidden = 0
-        for k in range(1, inst.layer_count + 1):
+        for k in range(1, inst.config.layer_count + 1):
             a, h, pool = inst.blocks[k - 1], inst.hidden_sets[k - 1], inst.pools[k - 1]
             assert pool.bits == (1 << inst.config.effective_size) - 1 & ~seen
             assert table.rows[k - 1] == (a.bits, h.bits, pool.bits, len(pool), factors[k - 1])
@@ -552,7 +576,7 @@ class TestHintedLookup:
         # One-mask batches whose layer alternates between k and k + 1, as the
         # family-aware solver's do, with runs, all-match masks and jumps between.
         inst = sample_instance(GroundConfig(n, r), 2 * n + r)
-        table, rng, ell = inst.table, SplitMix64(n + 2 * r), inst.layer_count
+        table, rng, ell = inst.table, SplitMix64(n + 2 * r), inst.config.layer_count
         order = []
         for k in range(1, ell):
             order += [k, k + 1] * 3 + [k + 1, k + 1, None, k, k + 1, ell + 1 - k, k]
@@ -585,7 +609,7 @@ class TestHintedLookup:
         # nonzero value, so of a mask that diverges somewhere.
         inst = sample_instance(GroundConfig(n, r), n * r)
         table, rng = inst.table, SplitMix64(n)
-        order = [None, *range(1, inst.layer_count + 1)] * 2
+        order = [None, *range(1, inst.config.layer_count + 1)] * 2
         random.Random(n).shuffle(order)
         searches = []
         monkeypatch.setattr(family, "_divergent_layer", lambda *args: searches.append(args) or _divergent_layer(*args))
@@ -601,7 +625,7 @@ class TestHintedLookup:
     def test_one_table_across_calls_matches_a_fresh_table_per_call(self, n, r):
         inst = sample_instance(GroundConfig(n, r), 5 * n + r)
         shared, rng = inst.table, SplitMix64(n)
-        order = [None, *range(1, inst.layer_count + 1)] * 3
+        order = [None, *range(1, inst.config.layer_count + 1)] * 3
         random.Random(n + r).shuffle(order)
         for i, k in enumerate(order):
             # One-mask batches, as one query per round asks, and some longer ones.

@@ -95,7 +95,7 @@ def _deep_masks(inst, count, seed):
     """Seeded masks that match a random number of leading layers, then
     a random subset of the pool left (so every depth is queried)."""
     rng = SplitMix64(seed)
-    layers = inst.layer_count
+    layers = inst.config.layer_count
     masks = []
     for _ in range(count):
         keep = rng.below(layers + 1)
@@ -202,6 +202,29 @@ class TestAnswerBatch:
         with pytest.raises(TypeError):
             oracle.answer_batch(batch)
         assert oracle.stats() == (0, 0)
+        if kind == "adversary":
+            assert len(oracle.transcript) == 0 and oracle.engaged_layers == []
+
+    @pytest.mark.parametrize("kind", ["honest", "sequential", "adversary"])
+    def test_a_batch_without_a_length_is_refused_unread(self, kind):
+        # A generator could be read only once: it is refused with TypeError
+        # before any of its masks is read, counted, answered or recorded.
+        cfg = GroundConfig(8, 1)
+
+        class Sequential(HonestOracle):
+            answer_batch = _Oracle.answer_batch
+
+        if kind == "adversary":
+            oracle = HalvingAdversary(cfg)
+        else:
+            oracle = (HonestOracle if kind == "honest" else Sequential)(sample_instance(cfg, 3))
+        masks = iter([3, 5])
+        with pytest.raises(TypeError, match="a batch must have a length, got list_iterator"):
+            oracle.answer_batch(masks)
+        with pytest.raises(TypeError, match="got generator"):
+            oracle.answer_batch(m for m in (3, 5))
+        assert oracle.stats() == (0, 0)
+        assert list(masks) == [3, 5]
         if kind == "adversary":
             assert len(oracle.transcript) == 0 and oracle.engaged_layers == []
 

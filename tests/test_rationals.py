@@ -30,6 +30,20 @@ def test_format_examples():
     assert format_value(Fraction(5)) == "5"
 
 
+def _format_by_parts(v):
+    """The ``p/q`` rendering spelled out, as the one-call format replaced."""
+    v = Fraction(v)
+    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+@pytest.mark.parametrize("v", [
+    0, 7, -7, 2**70, -(2**200) - 1,
+    Fraction(2**70, 3), Fraction(-(2**70) - 1, 2**64), Fraction(3**90 + 2, 2**101), Fraction(2**5000 + 1, 7)])
+def test_format_matches_the_spelled_out_form(v):
+    assert format_value(v) == _format_by_parts(v)
+    assert parse_value(format_value(v)) == v
+
+
 def test_parse_examples():
     assert parse_value("0") == Fraction(0)
     assert parse_value("2/4") == Fraction(1, 2)

@@ -122,6 +122,17 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             subset(2, 0) | subset(3, 0)
 
+    @pytest.mark.parametrize("op", [
+        lambda s, t: s | t, lambda s, t: s & t, lambda s, t: s - t, Subset.is_subset_of])
+    def test_every_binary_operation_rejects_mismatched_sizes(self, op):
+        with pytest.raises(ValueError, match="mismatched ground sizes: 2 vs 3"):
+            op(subset(2, 0), subset(3, 0))
+
+    @pytest.mark.parametrize("op", [lambda s, t: s | t, lambda s, t: s & t, lambda s, t: s - t])
+    def test_set_operators_reject_a_non_subset(self, op):
+        with pytest.raises(TypeError, match="^expected Subset, got int$"):
+            op(subset(2, 0), 1)
+
     @pytest.mark.parametrize("n", [2, 3, 5, 10])
     def test_inclusion_exclusion_exhaustive(self, n):
         for sb in range(1 << n):
@@ -135,7 +146,7 @@ class TestAlgebra:
     def test_difference_via_complement(self, args):
         n, sb, tb = args
         s, t = Subset(n, sb), Subset(n, tb)
-        assert s - t == s & t.complement()
+        assert s - t == s & (Subset.full(n) - t)
 
     def test_membership_and_iteration(self):
         s = subset(6, 1, 4)
@@ -223,19 +234,14 @@ def test_scatter_places_bit_p_on_the_carriers_pth_member():
 
 
 class TestSingletonBatch:
-    """A read-only sequence of ``base | 1 << e`` over the members, in increasing e."""
+    """An iterable of ``base | 1 << e`` over the members, in increasing e, with a length."""
 
     @pytest.mark.parametrize("base,members", [(0, 0), (0, 0b1), (0b1010, 0b0110), (0b1, 1 << 70 | 0b101), (7, 7)])
-    def test_iterates_and_indexes_as_the_mask_list(self, base, members):
+    def test_iterates_as_the_mask_list(self, base, members):
         want = [base | 1 << e for e in range(members.bit_length()) if members >> e & 1]
         batch = SingletonBatch(base, members)
         assert len(batch) == len(want) and bool(batch) == bool(want)
         assert list(batch) == want
-        assert [batch[i] for i in range(len(want))] == want
-        assert [batch[-i] for i in range(1, len(want) + 1)] == want[::-1]
-        for i in (len(want), -len(want) - 1, 1 << 40):
-            with pytest.raises(IndexError):
-                batch[i]
 
     @pytest.mark.parametrize("base,members", [(-1, 3), (3, -1), (-2, -8)])
     def test_negative_inputs_raise(self, base, members):
