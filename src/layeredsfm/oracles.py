@@ -158,22 +158,20 @@ class Transcript:
 
 def _check_masks(n: int, masks: Sequence[int]) -> None:
     """Reject a batch with a mask outside ``[0, 2^n)``, or not an int, before
-    anything of it is counted.  A list, as every one-mask batch is, is
-    tested first.  It and any other batch with a length but the two below
-    are OR-reduced: the union is negative exactly when some mask is, and a
-    non-int mask raises TypeError.  A range is monotone, so its two ends are
-    its extremes; a :class:`SingletonBatch` is read by its two ints.  A batch
-    without a length (a generator) raises TypeError unread."""
-    if not masks:
+    anything of it is counted.  A batch without a length (a generator)
+    raises TypeError unread.  A list, as every one-mask batch is, is tested
+    first.  It and any other batch but the two below are OR-reduced: the
+    union is negative exactly when some mask is, and a non-int mask raises
+    TypeError.  A range is monotone, so its two ends are its extremes; a
+    :class:`SingletonBatch` is read by its two ints."""
+    if not len(masks):
         return
-    if isinstance(masks, list) or not isinstance(masks, (range, SingletonBatch)) and hasattr(masks, "__len__"):
+    if isinstance(masks, list) or not isinstance(masks, (range, SingletonBatch)):
         low = high = reduce(or_, masks)
     elif isinstance(masks, range):
         low, high = sorted((masks[0], masks[-1]))
-    elif isinstance(masks, SingletonBatch):
-        low, high = masks.base, masks.base | masks.members
     else:
-        raise TypeError(f"a batch must have a length, got {type(masks).__name__}")
+        low, high = masks.base, masks.base | masks.members
     if low < 0 or high >> n:
         raise ValueError(f"query masks must lie in [0, 2^{n})")
 

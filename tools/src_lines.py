@@ -4,7 +4,7 @@ A code-only line holds a token other than a comment, and lies outside every
 docstring (the leading string statement of a module, class or function body).
 So blank lines, comment lines and docstring lines do not count.  Stdlib only.
 
-    python tools/src_lines.py [package_dir]
+    python tools/src_lines.py
 """
 
 from __future__ import annotations
@@ -43,11 +43,10 @@ def count_lines(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code - docstrings)
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[1]) if len(argv) > 1 else PACKAGE
+def main() -> int:
     total_physical = total_code = 0
     print(f"{'module':<16}{'physical':>10}{'code-only':>11}")
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         physical, code = count_lines(path.read_text(encoding="utf-8"))
         total_physical += physical
         total_code += code
@@ -57,4 +56,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
