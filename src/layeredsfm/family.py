@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .rationals import ExactValue, format_value
 from .rng import SplitMix64
-from .sets import GroundConfig, Relation, SingletonBatch, Subset, check_json_keys, relate, scatter
+from .sets import GroundConfig, Relation, SingletonBatch, Subset, check_json_keys, relate
 
 ZERO = Fraction(0)
 
@@ -246,8 +247,8 @@ class LayerTable:
     layers that :meth:`layer_of` placed, the later first (0 before there
     is one): the next lookup tries both before it searches.  They steer
     the lookup only, so lookups that race on one table cost speed, never a
-    wrong layer.  ``_subcube_index`` keeps the coordinate map of the last
-    width :meth:`_subcube` tabulated.
+    wrong layer.  ``_subcube_index`` keeps ``(width, plan)`` for the last
+    width :meth:`_subcube` tabulated (:meth:`_subcube_plan`).
     """
 
     __slots__ = ("config", "rows", "prefix_unions", "hidden_union", "pool", "pool_card", "_hints",
@@ -261,7 +262,7 @@ class LayerTable:
         self.pool = (1 << config.effective_size) - 1
         self.pool_card = config.effective_size
         self._hints = (0, 0)
-        self._subcube_index: tuple[int, list[int]] | None = None
+        self._subcube_index: tuple[int, tuple[Callable, list[Callable]]] | None = None
 
     def next_row(self, block: int, hidden: int) -> tuple[int, int, int, int, int]:
         """The row that ``push(block, hidden)`` appends as the next layer."""
@@ -388,65 +389,86 @@ class LayerTable:
         of 2^width, on a full table: the low ``width`` bits are free and the
         others fixed at ``start``'s.
 
-        Built layer by layer from the deepest, with list operations and no
+        Built layer by layer from the deepest, with list copies and no
         Python step per mask.  Each layer's free block bits take the next
         coordinates, so the table over layers k..L holds, for each assignment
-        of A_k's free bits in turn, one segment over the deeper coordinates:
-        the deeper table where the block part equals R_k, and otherwise the
-        layer price of each deeper popcount (plus the fixed bits below A_k).
-        The price is linear in that count, so :func:`_layer_numerator` at two
-        sample masks gives it.  Free bits outside every block take the top
-        coordinates, and one index list (:meth:`_coordinate_index`) maps the
-        table to mask order.
+        of A_k's free bits in turn (submasks in increasing order), one
+        segment over the deeper coordinates: the deeper table where the
+        block part equals R_k, and otherwise the layer price of each deeper
+        popcount (plus the fixed bits below A_k).  That price line, from
+        :func:`_layer_numerator` at two sample masks, depends only on whether
+        the block part (which holds nothing below A_k) is a strict subset or
+        superset of R_k or neither, so each such segment is built once per
+        layer.  Free bits outside every block take the top coordinates.  The
+        gathers of :meth:`_subcube_plan` spread each line over the deeper
+        popcounts and map the table to mask order.
         """
         free = (1 << width) - 1
-        depth = 0  # coordinates taken so far
-        table, pops = [0], [0]  # values, and popcounts, over those coordinates
-        for row in reversed(self.rows):
+        index_gather, pop_gathers = self._subcube_plan(width)
+        table = [0]  # values over the coordinates taken so far
+        depth = 0
+        for row, pop_gather in zip(reversed(self.rows), pop_gathers):
             block, hidden, pool = row[0], row[1], row[2]
-            while len(pops) < len(table):
-                pops += list(map((1).__add__, pops))
             below = pool & ~block
             sample = below & -below  # an element below the block, if there is one
             fixed, base = start & block, (start & below).bit_count()
             loose = block & free
-            values: list[int] = []
-            for a in range(1 << loose.bit_count()):
-                s_bits = scatter(a, loose) | fixed
+            deeper, table = table, []
+            segments: dict[tuple[bool, bool], tuple[int, ...]] = {}
+            sub = 0
+            while True:
+                s_bits = sub | fixed
                 if s_bits == hidden:
-                    values += table
-                    continue
-                v0 = _layer_numerator(row, s_bits)
-                slope = _layer_numerator(row, s_bits | sample) - v0
-                prices = [v0 + slope * (base + c) for c in range(depth + 1)]
-                values += map(prices.__getitem__, pops)
-            table = values
+                    table += deeper
+                else:
+                    kind = (not s_bits & ~hidden, not hidden & ~s_bits)
+                    segment = segments.get(kind)
+                    if segment is None:
+                        v0 = _layer_numerator(row, s_bits)
+                        slope = _layer_numerator(row, s_bits | sample) - v0
+                        prices = [v0 + slope * (base + c) for c in range(depth + 1)]
+                        segment = segments[kind] = pop_gather(prices)
+                    table += segment
+                sub = (sub - loose) & loose
+                if not sub:
+                    break
             depth += loose.bit_count()
         table *= 1 << (free & ~self.prefix_unions[-1]).bit_count()
-        return list(map(table.__getitem__, self._coordinate_index(width)))
+        del deeper  # as large as the table when the top layer has no free bit
+        table = index_gather(table)  # in mask order; the coordinate-order list is freed
+        return list(table)
 
-    def _coordinate_index(self, width: int) -> list[int]:
-        """For each of the 2^width masks of a sub-cube, in mask order, its
-        position in :meth:`_subcube`'s table.
+    def _subcube_plan(self, width: int) -> tuple[Callable, list[Callable]]:
+        """``(index_gather, pop_gathers)`` for :meth:`_subcube` at ``width``.
 
-        It depends on the width and the rows only, so the table keeps the
-        last width's list: brute force asks one width for every chunk, and
-        the memory held stays that of the largest sub-cube asked.
+        ``index_gather(table)`` reads the 2^width values of a sub-cube, in
+        mask order, off :meth:`_subcube`'s table.  ``pop_gathers[i]``, for
+        the i-th layer from the deepest, reads ``prices[popcount(c)]`` for
+        each of the 2^depth coordinates ``c`` that the deeper layers took;
+        layers starting at one depth share it.  The plan depends on the
+        width and the rows only, so the table keeps the last width's: brute
+        force asks one width for every chunk, and the memory held stays that
+        of the largest sub-cube asked.
         """
         cached = self._subcube_index
         if cached is not None and cached[0] == width:
             return cached[1]
         free = (1 << width) - 1
         coords = [0] * width  # coordinate of each free bit
-        depth = 0
+        depth, pop_gathers = 0, []
+        gathers = {0: tuple}  # by depth; depth 0 reads one price (itemgetter(0) would return it bare)
         for row in reversed(self.rows):
+            if depth not in gathers:
+                gathers[depth] = itemgetter(*map(int.bit_count, range(1 << depth)))
+            pop_gathers.append(gathers[depth])
             depth = _take_coordinates(coords, row[0] & free, depth)
         _take_coordinates(coords, free & ~self.prefix_unions[-1], depth)
         index = [0]
         for c in coords:
             index += list(map((1 << c).__add__, index))
-        self._subcube_index = (width, index)
-        return index
+        plan = (itemgetter(*index) if width else tuple, pop_gathers)
+        self._subcube_index = (width, plan)
+        return plan
 
 
 def _take_coordinates(coords: list[int], bits: int, depth: int) -> int:

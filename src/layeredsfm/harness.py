@@ -33,6 +33,7 @@ from .solvers import (
     brute_force_minimize,
     family_aware_minimize,
     query_budget,
+    query_cap,
     singleton_parallel_minimize,
 )
 from .verify import EXHAUSTIVE_PAIR_CAP, check_function_properties
@@ -226,6 +227,11 @@ def run_verify(
     return report
 
 
+def _above_query_floor(queries: int, n: int) -> bool:
+    """``queries >= (n/2) * log2(n/4)`` in integers: ``4^(queries + n) >= n^n``."""
+    return 4 ** (queries + n) >= n**n
+
+
 def run_duel(config: ExperimentConfig) -> Report:
     """Duel the named solver against the halving adversary.
 
@@ -261,7 +267,7 @@ def run_duel(config: ExperimentConfig) -> Report:
         "floor": floor,
         "layers": ground.layer_count,
     }
-    above_floor = result.queries >= floor
+    above_floor = _above_query_floor(result.queries, n)
     report.check(
         "query_floor",
         above_floor,
@@ -527,7 +533,7 @@ def run_bench(config: ExperimentConfig) -> Report:
         budget = query_budget(n)
         alpha_here = max(q / (n * math.log2(max(n, 2))) for q in queries)
         alpha_max = max(alpha_max, alpha_here)
-        if max(queries) > budget:
+        if max(queries) > query_cap(n):
             within_budget = False
         per_n[str(n)] = {
             "queries": _summary(queries),

@@ -40,6 +40,12 @@ def query_budget(n: int) -> float:
     return QUERY_BUDGET_ALPHA * n * math.log2(max(n, 2))
 
 
+def query_cap(n: int) -> int:
+    """``floor(query_budget(n))`` in integers: with ``m = max(n, 2)``,
+    ``q <= ALPHA * n * log2(m)`` exactly when ``2^q <= m^(ALPHA * n)``."""
+    return (max(n, 2) ** (QUERY_BUDGET_ALPHA * n)).bit_length() - 1
+
+
 @dataclass(frozen=True)
 class SolverResult:
     """Outcome of one minimization run."""
@@ -169,7 +175,7 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
     hidden set, so splitting on "strict subset" isolates the r hidden
     elements.  The 2r classified elements leave the pool and the next
     layer repeats.  Every query gets its own round (the procedure is fully
-    adaptive).  Query use is asserted against :func:`query_budget`.
+    adaptive).  Query use is asserted against :func:`query_cap`.
 
     The pool is one increasing list of elements for the whole solve, and
     a block is a run ``(i, j)`` of it: it splits into ``(i, mid)`` and
@@ -182,7 +188,7 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
     :class:`Subset` is built only for the returned minimizer.
     """
     n, r = config.n, config.r
-    budget = query_budget(n)
+    budget, cap = query_budget(n), query_cap(n)
     queries = 0  # every query opens its own round, so this counts rounds too
     begin_round, answer_batch = oracle.begin_round, oracle.answer_batch
 
@@ -191,7 +197,7 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
         begin_round()
         [num] = answer_batch([mask])
         queries += 1
-        if queries > budget:
+        if queries > cap:
             raise RuntimeError(f"query budget exceeded: {queries} > {budget:.0f} at n={n}, r={r}")
         return num
 

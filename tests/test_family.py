@@ -6,6 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from layeredsfm import family
 from layeredsfm.family import (
@@ -363,6 +364,17 @@ def _assert_aligned_subcubes_match_the_mask_loop(table):
             assert table.numerators(range(start, start + (1 << b))) == reference[start : start + (1 << b)]
 
 
+@st.composite
+def _aligned_subcubes(draw):
+    # (n, r, seed, width, start): a random instance and one of its aligned
+    # sub-cubes; 2r need not divide n, and start's fixed bits may cut a block.
+    n = draw(st.integers(2, 12))
+    r = draw(st.integers(1, n // 2))
+    width = draw(st.integers(0, n))
+    start = draw(st.integers(0, (1 << (n - width)) - 1)) << width
+    return n, r, draw(st.integers(0, 2**64 - 1)), width, start
+
+
 class TestSubcubeNumerators:
     """A step-1 range of 2^b masks starting at a multiple of 2^b, on a full
     table, is tabulated layer by layer; a list of the same masks is priced
@@ -390,13 +402,26 @@ class TestSubcubeNumerators:
             assert table._subcube_index is cached
 
     def test_widths_asked_in_turn_match_the_mask_loop(self):
-        # The table keeps one width's map; a new width replaces it.
+        # The table keeps one width's plan; a new width replaces it.
         table = sample_instance(GroundConfig(14, 1), 3).table
         for width, start in [(12, 1 << 12), (8, 3 << 8), (12, 0), (12, 3 << 12), (8, 0), (3, 8)]:
             masks = range(start, start + (1 << width))
             assert table.numerators(masks) == table.numerators(list(masks)), (width, start)
-            assert table._subcube_index[0] == width
-            assert len(table._subcube_index[1]) == 1 << width
+            held_width, (index_gather, _) = table._subcube_index
+            assert held_width == width
+            assert sorted(index_gather(range(1 << width))) == list(range(1 << width))
+
+    # (11, 2) has 3 dummies. With 5 free bits, one of its two 4-element
+    # blocks over 0..7 has members on both sides of bit 5.
+    @example((11, 2, 5, 5, 3 << 5))
+    @example((11, 2, 5, 11, 0))
+    @settings(max_examples=150, deadline=None)
+    @given(_aligned_subcubes())
+    def test_aligned_subcubes_match_the_linear_scan(self, case):
+        n, r, seed, width, start = case
+        table = sample_instance(GroundConfig(n, r), seed).table
+        masks = range(start, start + (1 << width))
+        assert table.numerators(masks) == _scan_numerators(table, masks)
 
     @pytest.mark.parametrize("masks", [range(1, 5), range(3, 11), range(0, 12), range(5, 6), range(0, 16, 2),
                                        range(15, -1, -1), range(8, 8), range(-4, 0)])

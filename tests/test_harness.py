@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -17,6 +18,7 @@ from layeredsfm.harness import (
     MODES,
     RUNNERS,
     ExperimentConfig,
+    _above_query_floor,
     run_bench,
     run_duel,
     run_experiment,
@@ -25,6 +27,7 @@ from layeredsfm.harness import (
     run_verify,
 )
 from layeredsfm.sets import EXHAUSTIVE_CAP
+from layeredsfm.solvers import query_budget, query_cap
 from test_report_digests import REPORTS
 from test_rng import _early_stop_matches
 
@@ -136,6 +139,27 @@ class TestRunVerify:
         assert not report.passed
         failing = [a for a in report.assertions if not a["passed"]]
         assert any("evidence" in a for a in failing)
+
+
+class TestExactQueryBounds:
+    """The floor and budget checks run in integers and agree with the
+    printed float forms."""
+
+    SIZES = [1, 2, 4, 12, 16, 1000, 1024]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_floor_check_agrees_with_the_float_floor(self, n):
+        floor = (n / 2) * math.log2(n / 4)
+        first = max(0, math.ceil(floor))
+        for q in range(max(0, first - 2), first + 3):
+            assert _above_query_floor(q, n) == (q >= floor), (n, q)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_cap_agrees_with_the_float_budget(self, n):
+        cap, budget = query_cap(n), query_budget(n)
+        assert cap == math.floor(budget)
+        for q in (cap - 1, cap, cap + 1):
+            assert (q <= cap) == (q <= budget), (n, q)
 
 
 class TestRunDuel:

@@ -895,10 +895,9 @@ class TestFamilyAwareErrorExits:
         cfg = GroundConfig(64, 1)
         inst = sample_instance(cfg, 0)
         queries = family_aware_minimize(HonestOracle(inst), cfg).queries
-        scale = cfg.n * math.log2(cfg.n)
-        monkeypatch.setattr(solvers, "QUERY_BUDGET_ALPHA", (queries + 0.5) / scale)
+        monkeypatch.setattr(solvers, "query_cap", lambda n: queries)
         assert family_aware_minimize(HonestOracle(inst), cfg).queries == queries
-        monkeypatch.setattr(solvers, "QUERY_BUDGET_ALPHA", (queries - 0.5) / scale)
+        monkeypatch.setattr(solvers, "query_cap", lambda n: queries - 1)
         with pytest.raises(RuntimeError, match=f"^query budget exceeded: {queries} > "):
             family_aware_minimize(HonestOracle(inst), cfg)
 
