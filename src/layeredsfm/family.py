@@ -505,21 +505,11 @@ def evaluate_closed_form(inst: LayeredInstance, s: Subset) -> ExactValue:
     the :meth:`LayerTable.numerators` numerator at ``s`` over
     ``config.value_denominator``.  It serves :meth:`HonestOracle.answer`
     and agrees exactly with :func:`evaluate_recursive`.
-
-    The numerator is a multiple of its layer's factor ``f_k``, so the
-    ``Fraction`` is reduced over ``D // f_k = d_k * 2 * |pool_k|``, not
-    over the full D; :meth:`LayerTable.layer_of` finds k at once, as the
-    lookup just placed it.
     """
     if s.size != inst.config.n:
         raise ValueError(f"query must live on the {inst.config.n}-element ground set")
-    table = inst.table
-    (num,) = table.numerators([s.bits])
-    if not num:
-        return ZERO
-    k = table.layer_of(s.bits)
-    factor = table.rows[k - 1][4]
-    return Fraction(num // factor, inst.config.value_denominator // factor)
+    (num,) = inst.table.numerators([s.bits])
+    return Fraction(num, inst.config.value_denominator)
 
 
 def evaluate_recursive(inst: LayeredInstance, s: Subset) -> ExactValue:

@@ -144,17 +144,15 @@ class Report:
     def passed(self) -> bool:
         return all(a["passed"] for a in self.assertions)
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json_text(self) -> str:
+        data = {
             "config": self.config.to_json(),
             "trials": self.trials,
             "aggregate": self.aggregate,
             "assertions": self.assertions,
             "passed": self.passed,
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return json.dumps(data, indent=2) + "\n"
 
     def to_csv_text(self) -> str:
         """Flat section,key,value mirror of the aggregate table and verdicts."""

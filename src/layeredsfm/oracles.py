@@ -226,10 +226,6 @@ class _Oracle:
             out.append(num)
         return out
 
-    def stats(self) -> tuple[int, int]:
-        """(queries answered, rounds opened)."""
-        return self.queries, self.rounds
-
 
 class HonestOracle(_Oracle):
     """Evaluation oracle over a fixed instance, with query/round counters.
@@ -284,8 +280,8 @@ class LayerCommit:
 class HalvingAdversary(_Oracle):
     """Adaptive oracle that commits the instance as late as possible (r = 1).
 
-    Supports the same ``answer``/``answer_batch``/``begin_round``/``stats``
-    surface as the honest oracle so any solver can be dueled unmodified.
+    Supports the same ``answer``/``answer_batch``/``begin_round`` surface
+    as the honest oracle so any solver can be dueled unmodified.
     A batch is counted once and answered mask by mask in integers, with
     the same records, indices, round tags and commits as one ``answer``
     per mask.  Each commit is pushed into ``table``, and the finalized
@@ -312,17 +308,9 @@ class HalvingAdversary(_Oracle):
     # -- inspection helpers -------------------------------------------------
 
     @property
-    def committed(self) -> list[tuple[Subset, Subset]]:
-        return [(c.block, c.hidden) for c in self.commits]
-
-    @property
     def active_set(self) -> Subset | None:
         """Current candidate set for the active layer's block; None once full."""
         return None if self._instance is not None else Subset(self.config.n, self._active_u)
-
-    @property
-    def fully_committed(self) -> bool:
-        return self._instance is not None
 
     # -- core mechanics -----------------------------------------------------
 

@@ -77,8 +77,12 @@ class TestSubmodularizer:
         assert submodularizer(universe, block, hidden, subset(4, 0, 2, 3)) == 0
 
     def test_containment_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="block must lie inside the universe"):
             submodularizer(subset(4, 0, 1), subset(4, 0, 2), subset(4, 0), Subset(4))
+        with pytest.raises(ValueError, match="hidden set must lie inside the block"):
+            submodularizer(Subset.full(4), subset(4, 0, 1), subset(4, 2), Subset(4))
+        with pytest.raises(ValueError, match="query must lie inside the universe"):
+            submodularizer(subset(4, 0, 1, 2), subset(4, 0, 1), subset(4, 0), subset(4, 3))
 
 
 class TestBlockValue:
@@ -118,6 +122,15 @@ class TestBlockValue:
         with pytest.raises(ValueError, match="contract"):
             block_value(self.universe, self.block, self.hidden, Fraction(2), bad, subset(4, 0))
 
+    def test_rejects_an_empty_set_and_a_non_positive_bound(self):
+        u, a, r = self.universe, self.block, self.hidden
+        for universe, block, hidden in ((Subset(4), a, r), (u, Subset(4), r), (u, a, Subset(4))):
+            with pytest.raises(ValueError, match="must be non-empty"):
+                block_value(universe, block, hidden, Fraction(2), self.inner, subset(4, 0))
+        for bound in (Fraction(0), Fraction(-1, 2)):
+            with pytest.raises(ValueError, match=f"inner bound must be positive, got {bound}"):
+                block_value(u, a, r, bound, self.inner, subset(4, 0))
+
     def test_generic_bound_scales_gate(self):
         # Same inner function but a larger declared bound shrinks its weight:
         # the gate coefficient is 1/(4 * bound * |universe|).
@@ -152,7 +165,7 @@ class TestEvaluators:
         for oracle in (HonestOracle(inst), HalvingAdversary(inst.config)):
             with pytest.raises(ValueError, match="query must live on the 4-element ground set"):
                 oracle.answer(s)
-            assert oracle.stats() == (0, 0)
+            assert (oracle.queries, oracle.rounds) == (0, 0)
 
     @pytest.mark.parametrize("n,r", [(2, 1), (5, 2), (6, 3), (7, 1), (11, 3), (16, 1), (23, 2), (64, 1)])
     def test_first_divergent_layer_matches_linear_scan(self, n, r):
@@ -337,6 +350,9 @@ class TestInstanceValidation:
         assert data == {"n": 4, "r": 1, "layers": [
             {"A": [0, 1], "R": [0]}, {"A": [2, 3], "R": [2]}]}
         assert LayeredInstance.from_json(data) == two_layer_instance
+
+    def test_repr_lists_each_layer(self, two_layer_instance):
+        assert repr(two_layer_instance) == "LayeredInstance(n=4, r=1, A1=[0, 1]/R1=[0], A2=[2, 3]/R2=[2])"
 
 
 class TestLayerTable:
@@ -630,8 +646,8 @@ class TestHintedLookup:
 
     @pytest.mark.parametrize("n,r", [(26, 2), (128, 1)])
     def test_layer_of_after_numerators_finds_the_layer_without_a_search(self, n, r, monkeypatch):
-        # evaluate_closed_form reads the layer of a mask it just priced at a
-        # nonzero value, so of a mask that diverges somewhere.
+        # The lookup's hints hold the layer that numerators just placed, so
+        # asking again for that mask's layer costs no search.
         inst = sample_instance(GroundConfig(n, r), n * r)
         table, rng = inst.table, SplitMix64(n)
         order = [None, *range(1, inst.config.layer_count + 1)] * 2
@@ -699,7 +715,7 @@ class TestHintedLookup:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
-        assert oracle.stats()[0] == 400 + 800
+        assert oracle.queries == 400 + 800
 
 
 def _assert_singleton_batches_match_the_mask_loop(table, seed):
@@ -864,6 +880,8 @@ class TestSampler:
     def test_same_seed_same_instance(self):
         cfg = GroundConfig(12, 2)
         assert sample_instance(cfg, 77) == sample_instance(cfg, 77)
+        assert hash(sample_instance(cfg, 77)) == hash(sample_instance(cfg, 77))
+        assert len({sample_instance(cfg, seed) for seed in (77, 77, 78)}) == 2
 
     def test_base_case_frequencies(self):
         # n=2, r=1: the hidden singleton is {0} or {1}, half the time each.

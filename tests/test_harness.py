@@ -1,5 +1,8 @@
 import argparse
+import csv
+import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from layeredsfm import harness
 from layeredsfm.cli import build_parser
 from layeredsfm.cli import main as cli_main
 from layeredsfm.family import evaluate_closed_form
@@ -106,6 +110,10 @@ class TestConfigValidation:
         {"mode": "verify", "n": 6},
         {"mode": "bench", "n": 8},
         {"mode": "verify", "n": (6,)},
+        {"mode": "verify", "n": [6], "r": 0},
+        {"mode": "verify", "n": [6], "trials": 0},
+        {"mode": "parallel", "n": [8], "queries_per_round": 0},
+        {"mode": "verify", "n": [14]},
     ])
     def test_from_json_rejects_malformed(self, data):
         with pytest.raises(ValueError):
@@ -352,6 +360,99 @@ class TestReports:
         assert data["passed"] is True
         assert data["config"]["mode"] == "verify"
 
+    def test_bench_csv_flattens_the_per_n_table(self):
+        # The CSV spells each nested aggregate key as a dotted path; rebuilt,
+        # the paths give back the aggregate.
+        report = run_bench(cfg(mode="bench", n=(8, 16), trials=2))
+        rows = list(csv.reader(io.StringIO(report.to_csv_text())))
+        nested: dict = {}
+        for section, key, value in rows:
+            if section == "aggregate":
+                *path, last = key.split(".")
+                node = nested
+                for part in path:
+                    node = node.setdefault(part, {})
+                node[last] = json.loads(value)
+        assert nested == report.aggregate
+        assert ["aggregate", "per_n.16.queries.max", str(report.aggregate["per_n"]["16"]["queries"]["max"])] in rows
+
+
+def _failing_entry(report, name):
+    """The failing assertion ``name`` of ``report``, read back from its JSON
+    text once both that text and the CSV text are checked to carry the failure."""
+    data = json.loads(report.to_json_text())
+    assert data["passed"] is False
+    rows = list(csv.reader(io.StringIO(report.to_csv_text())))
+    assert ["assertion", name, "fail"] in rows and rows[-1] == ["result", "passed", "false"]
+    (entry,) = [a for a in data["assertions"] if a["name"] == name]
+    assert entry["passed"] is False
+    return entry
+
+
+class TestFailingReports:
+    """Faults injected into a run fail its report, which still serializes and
+    carries the evidence to replay the failure."""
+
+    def test_parallel_trial_with_a_wrong_minimizer(self, monkeypatch):
+        from layeredsfm.family import sample_instance
+        from layeredsfm.sets import GroundConfig, Subset
+
+        solve = harness.singleton_parallel_minimize
+        monkeypatch.setattr(harness, "singleton_parallel_minimize",
+                            lambda oracle, config: dataclasses.replace(solve(oracle, config), minimizer=Subset(8)))
+        report = run_parallel(cfg(mode="parallel", n=8, trials=2, queries_per_round=4))
+        assert report.aggregate["rounds_exact"] == 2 and report.aggregate["correct"] == 0
+        _failing_entry(report, "all_correct")
+        for trial in report.trials:
+            evidence = _failing_entry(report, f"trial_{trial['trial']}")["evidence"]
+            assert evidence["instance"] == sample_instance(GroundConfig(8, 1), trial["seed"]).to_json()
+            assert evidence["result"] == trial["result"] and evidence["result"]["minimizer"] == []
+
+    def test_hiding_triple_whose_second_instance_drops_the_prefix(self, monkeypatch):
+        from layeredsfm.family import LayeredInstance, evaluate_closed_form, sample_instance
+        from layeredsfm.rationals import format_value
+        from layeredsfm.sets import Subset
+
+        calls = 0
+
+        def second_drops_the_prefix(ground, seed, prefix=()):
+            nonlocal calls
+            calls += 1
+            return sample_instance(ground, seed, prefix if calls % 2 else ())
+
+        monkeypatch.setattr(harness, "sample_instance", second_drops_the_prefix)
+        report = run_hiding(cfg(mode="hiding", n=8, trials=100, seed=6))
+        assert calls == 2 * 1000 and report.aggregate["exact_hiding_identical"] < 1000
+        evidence = _failing_entry(report, "exact_hiding")["evidence"]
+        query = Subset.from_json(8, evidence["query"])
+        for side in ("a", "b"):
+            inst = LayeredInstance.from_json(evidence[f"instance_{side}"])
+            assert format_value(evaluate_closed_form(inst, query)) == evidence[f"value_{side}"]
+        assert evidence["value_a"] != evidence["value_b"]
+
+    def test_bench_trial_with_a_wrong_minimizer(self, monkeypatch):
+        from layeredsfm.family import sample_instance
+        from layeredsfm.sets import GroundConfig, Subset
+
+        solve = harness.family_aware_minimize
+        monkeypatch.setattr(harness, "family_aware_minimize",
+                            lambda oracle, config: dataclasses.replace(solve(oracle, config), minimizer=Subset(8)))
+        report = run_bench(cfg(mode="bench", n=(8,), trials=2))
+        assert report.aggregate["per_n"]["8"]["correct"] == 0
+        assert report.aggregate["per_n"]["8"]["cross_checked_brute"] == 0
+        _failing_entry(report, "all_correct")
+        for trial in report.trials:
+            evidence = _failing_entry(report, f"bench_n8_trial_{trial['trial']}")["evidence"]
+            assert evidence["instance"] == sample_instance(GroundConfig(8, 1), trial["seed"]).to_json()
+            assert evidence["result"]["minimizer"] == [] and evidence["result"]["queries"] == trial["queries"]
+
+    def test_bench_over_its_query_cap(self, monkeypatch):
+        monkeypatch.setattr(harness, "query_cap", lambda n: 0)
+        report = run_bench(cfg(mode="bench", n=(8,), trials=2))
+        entry = _failing_entry(report, "query_budget")
+        assert entry["detail"] == f"measured alpha {report.aggregate['measured_alpha']:.3f} <= 8"
+        assert report.aggregate["per_n"]["8"]["correct"] == 2
+
 
 def _runnable_python310():
     """A python3.10 that runs: the one on PATH, else one installed under
@@ -407,7 +508,7 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", ['{"n": "abc"}', '{"n": [6], "trials": 1.5}', '[6]', '{"n": [',
-                                         '{"n": [6], "trials": 2, "sed": 9}'])
+                                         '{"n": [6], "trials": 2, "sed": 9}', '{"mode": "duel", "n": [6]}'])
     def test_malformed_config_file_exits_2(self, tmp_path, capsys, content):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(content)
@@ -423,6 +524,13 @@ class TestCli:
     def test_setting_the_mode_does_not_read_exits_2(self, capsys, argv):
         assert cli_main(argv) == 2
         assert "does not read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["abc", "8,x", "1.5"])
+    def test_non_integer_n_is_a_usage_error(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["verify", "--n", text])
+        assert exc.value.code == 2
+        assert f"expected integer or comma-separated integers, got {text!r}" in capsys.readouterr().err
 
     def test_seed_at_two_to_the_64_exits_2(self, capsys):
         assert cli_main(["verify", "--n", "6", "--trials", "1", "--seed", str(2**64 - 1)]) == 0

@@ -53,7 +53,7 @@ class TestHonestOracle:
     def test_answers_and_counts(self, two_layer_instance):
         oracle = HonestOracle(two_layer_instance)
         assert oracle.answer(subset(4, 0, 2)) == 0
-        assert oracle.stats() == (1, 1)
+        assert (oracle.queries, oracle.rounds) == (1, 1)
 
     def test_empty_query(self, two_layer_instance):
         oracle = HonestOracle(two_layer_instance)
@@ -65,13 +65,13 @@ class TestHonestOracle:
             oracle.begin_round()
             for _ in range(3):
                 oracle.answer(Subset(4))
-        assert oracle.stats() == (6, 2)
+        assert (oracle.queries, oracle.rounds) == (6, 2)
 
     def test_counts_every_call(self, two_layer_instance):
         oracle = HonestOracle(two_layer_instance)
         for i, s in enumerate(enumerate_subsets(4), start=1):
             oracle.answer(s)
-            assert oracle.stats()[0] == i
+            assert oracle.queries == i
 
     def test_concurrent_answers_counted_atomically(self, two_layer_instance):
         import threading
@@ -88,7 +88,7 @@ class TestHonestOracle:
             t.start()
         for t in threads:
             t.join()
-        assert oracle.stats() == (2000, 1)
+        assert (oracle.queries, oracle.rounds) == (2000, 1)
 
 
 def _deep_masks(inst, count, seed):
@@ -131,7 +131,7 @@ class TestAnswerBatch:
         nums = oracle.answer_batch(range(1 << n))
         big_d = cfg.value_denominator
         assert nums == [oracle.answer(Subset(n, m)) * big_d for m in range(1 << n)]
-        assert oracle.stats() == (2 << n, 1)
+        assert (oracle.queries, oracle.rounds) == (2 << n, 1)
 
     @pytest.mark.parametrize("n,r", [(1024, 1), (512, 2)])
     def test_matches_answer_at_every_depth(self, n, r):
@@ -150,10 +150,10 @@ class TestAnswerBatch:
     def test_counts_every_mask_with_implicit_round(self, two_layer_instance):
         oracle = HonestOracle(two_layer_instance)
         oracle.answer_batch(range(5))
-        assert oracle.stats() == (5, 1)
+        assert (oracle.queries, oracle.rounds) == (5, 1)
         oracle.begin_round()
         oracle.answer_batch([3, 1])
-        assert oracle.stats() == (7, 2)
+        assert (oracle.queries, oracle.rounds) == (7, 2)
 
     @pytest.mark.parametrize("bad", [-1, 16, 1 << 40])
     def test_out_of_range_mask_counts_nothing(self, two_layer_instance, bad):
@@ -161,7 +161,7 @@ class TestAnswerBatch:
         oracle.answer_batch([0])
         with pytest.raises(ValueError):
             oracle.answer_batch([0, 5, bad, 15])
-        assert oracle.stats() == (1, 1)
+        assert (oracle.queries, oracle.rounds) == (1, 1)
 
     @pytest.mark.parametrize("kind", ["honest", "sequential", "adversary"])
     def test_bad_mask_mid_batch_leaves_no_state(self, kind):
@@ -179,7 +179,7 @@ class TestAnswerBatch:
                 oracle = (HonestOracle if kind == "honest" else Sequential)(sample_instance(cfg, 3))
             with pytest.raises(ValueError):
                 oracle.answer_batch([3, bad])
-            assert oracle.stats() == (0, 0)
+            assert (oracle.queries, oracle.rounds) == (0, 0)
             if kind == "adversary":
                 assert len(oracle.transcript) == 0
                 assert oracle.engaged_layers == [] and oracle.commits == []
@@ -201,7 +201,7 @@ class TestAnswerBatch:
             oracle = (HonestOracle if kind == "honest" else Sequential)(sample_instance(cfg, 3))
         with pytest.raises(TypeError):
             oracle.answer_batch(batch)
-        assert oracle.stats() == (0, 0)
+        assert (oracle.queries, oracle.rounds) == (0, 0)
         if kind == "adversary":
             assert len(oracle.transcript) == 0 and oracle.engaged_layers == []
 
@@ -223,7 +223,7 @@ class TestAnswerBatch:
             oracle.answer_batch(masks)
         with pytest.raises(TypeError, match=r"'generator' has no len\(\)"):
             oracle.answer_batch(m for m in (3, 5))
-        assert oracle.stats() == (0, 0)
+        assert (oracle.queries, oracle.rounds) == (0, 0)
         assert list(masks) == [3, 5]
         if kind == "adversary":
             assert len(oracle.transcript) == 0 and oracle.engaged_layers == []
@@ -241,27 +241,37 @@ class TestAnswerBatch:
             oracle = fresh()
             with pytest.raises(ValueError, match="must lie in"):
                 oracle.answer_batch(bad)
-            assert oracle.stats() == (0, 0)
+            assert (oracle.queries, oracle.rounds) == (0, 0)
         batched, listed = fresh(), fresh()
         for base, members in [(0, 0xFF), (0b101, 0b1110), (1 << 7, 0), (0x3C, 0xC3)]:
             batch = SingletonBatch(base, members)
             assert batched.answer_batch(batch) == listed.answer_batch(list(batch))
-        assert batched.stats() == listed.stats()
+        assert (batched.queries, batched.rounds) == (listed.queries, listed.rounds)
         if kind == "adversary":
             assert batched.transcript.to_json() == listed.transcript.to_json()
 
-    @pytest.mark.parametrize("kind", ["honest", "adversary"])
+    @pytest.mark.parametrize("kind", ["honest", "sequential", "adversary"])
     def test_range_batches_are_checked_by_their_ends(self, kind):
-        # A range batch is checked at its ends; a rejected one counts nothing.
+        # A range batch is checked at its ends; a rejected one counts nothing,
+        # and an empty one is answered empty.
         cfg = GroundConfig(8, 1)
+
+        class Sequential(HonestOracle):
+            answer_batch = _Oracle.answer_batch
+
+        def fresh():
+            if kind == "adversary":
+                return HalvingAdversary(cfg)
+            return (HonestOracle if kind == "honest" else Sequential)(sample_instance(cfg, 3))
+
         for bad in (range(-1, 3), range(0, 2**8 + 1), range(2**8, -1, -1), range(3, -2, -1), range(-3, 2**9, 7)):
-            oracle = HalvingAdversary(cfg) if kind == "adversary" else HonestOracle(sample_instance(cfg, 3))
+            oracle = fresh()
             with pytest.raises(ValueError, match="must lie in"):
                 oracle.answer_batch(bad)
-            assert oracle.stats() == (0, 0)
-        oracle = HalvingAdversary(cfg) if kind == "adversary" else HonestOracle(sample_instance(cfg, 3))
+            assert (oracle.queries, oracle.rounds) == (0, 0)
+        oracle = fresh()
         assert oracle.answer_batch(range(5, 5)) == []
-        assert oracle.stats() == (0, 0)
+        assert (oracle.queries, oracle.rounds) == (0, 0)
         for good in (range(2**8 - 1, -1, -1), range(2**8 - 1, 0, -3), range(0, 2**8, 5)):
             assert len(oracle.answer_batch(good)) == len(good)
 
@@ -273,7 +283,7 @@ class TestAnswerBatch:
         for bad in (Subset(9), Subset(7, 1)):
             with pytest.raises(ValueError):
                 oracle.answer(bad)
-            assert oracle.stats() == (0, 0)
+            assert (oracle.queries, oracle.rounds) == (0, 0)
         if kind == "adversary":
             assert len(oracle.transcript) == 0 and oracle.engaged_layers == []
 
@@ -312,8 +322,14 @@ class TestAnswerBatch:
         assert batched.transcript.to_json() == looped.transcript.to_json()
         assert batched.engaged_layers == looped.engaged_layers
         assert batched.commits == looped.commits
-        assert batched.stats() == looped.stats() == (6 * n, 2)
+        assert (batched.queries, batched.rounds) == (looped.queries, looped.rounds) == (6 * n, 2)
         assert batched.finalize() == looped.finalize()
+
+
+def test_the_fraction_reference_refuses_a_layer_the_query_matches():
+    # Block {0, 1} hides {0}, and the query {0, 2} matches it there.
+    with pytest.raises(ValueError, match="^layer does not diverge on this query$"):
+        _layer_value(0b11, 0b01, 0b1111, 4, 1, 0b101)
 
 
 class TestOneEvaluator:
@@ -345,14 +361,14 @@ class TestOneEvaluator:
                 calls.clear()
                 assert evaluate(Subset(n, m)) == value
                 assert calls == Counter(numerators=1)
-        assert oracle.stats() == (len(masks), 1)
+        assert (oracle.queries, oracle.rounds) == (len(masks), 1)
 
 
 class TestAdversaryOpen:
     def test_initial_state(self):
         adv = HalvingAdversary(GroundConfig(8, 1))
         assert adv.active_set == Subset.full(8)
-        assert adv.committed == []
+        assert adv.commits == []
 
     def test_minimal_ground(self):
         adv = HalvingAdversary(GroundConfig(2, 1))
@@ -378,7 +394,7 @@ class TestAdversaryAnswers:
         assert adv.answer(subset(8, 4, 5)) == Fraction(9, 8)
         assert adv.active_set == subset(8, 0, 1, 2, 3)
         assert adv.answer(subset(8, 0, 1)) == Fraction(1)
-        assert adv.committed == [(subset(8, 0, 1), subset(8, 0))]
+        assert [(c.block, c.hidden) for c in adv.commits] == [(subset(8, 0, 1), subset(8, 0))]
 
     def test_tie_goes_to_superset_branch(self):
         adv = HalvingAdversary(GroundConfig(8, 1))
@@ -389,7 +405,7 @@ class TestAdversaryAnswers:
         adv = HalvingAdversary(GroundConfig(8, 1))
         adv.answer(subset(8, 0, 1, 2, 3))
         adv.answer(subset(8, 0, 1))  # commits layer 1 to ({0,1}, {0})
-        assert adv.committed == [(subset(8, 0, 1), subset(8, 0))]
+        assert [(c.block, c.hidden) for c in adv.commits] == [(subset(8, 0, 1), subset(8, 0))]
         # Diverges at layer 1 (contains 1 but not as {0}): exact value.
         value = adv.answer(subset(8, 1, 5))
         assert value == Fraction(2)
@@ -431,7 +447,7 @@ class TestAdversaryAnswers:
         adv = HalvingAdversary(GroundConfig(4, 1))
         for s in enumerate_subsets(4):
             adv.answer(s)
-        assert adv.fully_committed
+        assert len(adv.commits) == adv.config.layer_count
         inst = adv.finalize()
         assert adv.answer(true_minimizer(inst)) == 0
 
@@ -489,7 +505,8 @@ class TestAdversaryBatches:
         assert [rec.round for rec in records] == rounds
         assert batched.engaged_layers == one_by_one.engaged_layers
         assert batched.commits == one_by_one.commits
-        assert batched.stats() == one_by_one.stats() == (len(answers), cfg.layer_count)
+        counts = (len(answers), cfg.layer_count)
+        assert (batched.queries, batched.rounds) == (one_by_one.queries, one_by_one.rounds) == counts
         inst = batched.finalize()
         assert inst == one_by_one.finalize()
         assert inst.table.rows == one_by_one.table.rows
@@ -562,15 +579,15 @@ def _reference_finalize(adv, seed):
     ``complete_instance`` of the commits (a throwaway instance) re-committed
     layer by layer; returns the instance built from the commits."""
     cfg, n = adv.config, adv.config.n
-    if not adv.fully_committed:
+    if len(adv.commits) < cfg.layer_count:
         rng = None if seed is None else SplitMix64(seed)
         pick = lowest_first if rng is None else rng.sample
         a_idx = pick(adv.active_set.indices(), 2)
         adv._commit(Subset.from_indices(n, a_idx).bits, Subset.from_indices(n, pick(a_idx, 1)).bits, "finalize")
-        if not adv.fully_committed:
+        if len(adv.commits) < cfg.layer_count:
             if rng is not None:
                 pick = SplitMix64(rng.next()).sample
-            completed = complete_instance(cfg, adv.committed, pick)
+            completed = complete_instance(cfg, [(c.block, c.hidden) for c in adv.commits], pick)
             for k in range(len(adv.commits), cfg.layer_count):
                 adv._commit(completed.blocks[k].bits, completed.hidden_sets[k].bits, "finalize")
     return LayeredInstance(cfg, [c.block for c in adv.commits], [c.hidden for c in adv.commits])
@@ -597,7 +614,7 @@ class TestFinalizeOnePath:
         cfg = GroundConfig(16, 1)
         adv = HalvingAdversary(cfg)
         family_aware_minimize(adv, cfg)
-        assert adv.fully_committed
+        assert len(adv.commits) == adv.config.layer_count
         assert adv.finalize().table is adv.table
 
 
@@ -640,8 +657,8 @@ class TestAdversaryInvariants:
             adv.answer(rng.subset_of(ground))
             if adv.active_set is not None:
                 assert len(adv.active_set) >= 2
-                for block, _ in adv.committed:
-                    assert not (adv.active_set & block)
+                for c in adv.commits:
+                    assert not (adv.active_set & c.block)
 
 
 class TestTranscript:
@@ -717,7 +734,7 @@ class TestTranscript:
         adv.answer(subset(4, 0))
         rounds = [rec.round for rec in adv.transcript.records]
         assert rounds == [1, 2]
-        assert adv.stats() == (2, 2)
+        assert (adv.queries, adv.rounds) == (2, 2)
 
 
 def _assert_records_match_fraction_evaluators(transcript, inst):

@@ -50,7 +50,7 @@ def test_parse_examples():
     assert parse_value("-7/3") == Fraction(-7, 3)
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "1.5", "a/b", "1/-2", "1/ 2", "--3", "1e3", "١/٢"])
+@pytest.mark.parametrize("bad", ["", "1/0", "1.5", "a/b", "1/-2", "1/ 2", "--3", "1e3", "١/٢", 3, None])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_value(bad)

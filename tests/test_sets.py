@@ -154,6 +154,11 @@ class TestAlgebra:
         assert list(s) == [1, 4]
         assert s.indices() == [1, 4]
 
+    def test_hash_and_repr(self):
+        s = subset(6, 1, 4)
+        assert hash(s) == hash(Subset(6, 0b10010)) and len({s, Subset(6, 0b10010), Subset(7, 0b10010)}) == 2
+        assert repr(s) == "Subset(6, {1, 4})" and repr(Subset(3)) == "Subset(3, {})"
+
     @pytest.mark.parametrize("size", [-1, 1025])
     def test_rejects_a_size_outside_capacity(self, size):
         with pytest.raises(ValueError, match=rf"size must be in 0\.\.1024, got {size}$"):

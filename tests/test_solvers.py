@@ -128,7 +128,7 @@ class TestBruteForce:
         res = brute_force_minimize(oracle)
         assert res.minimizer == subset(13, *winner)
         assert res.min_value == 0
-        assert (res.queries, res.rounds) == oracle.stats() == (1 << 13, 1)
+        assert (res.queries, res.rounds) == (oracle.queries, oracle.rounds) == (1 << 13, 1)
 
     def test_off_lattice_answer_raises(self, two_layer_instance):
         off = Fraction(1, 7 * two_layer_instance.config.value_denominator)
@@ -610,7 +610,7 @@ class TestSolversAgree:
         first = SOLVERS[name](oracle, cfg)
         second = SOLVERS[name](oracle, cfg)
         assert (second.queries, second.rounds) == (first.queries, first.rounds)
-        assert oracle.stats() == (2 * first.queries, 2 * first.rounds)
+        assert (oracle.queries, oracle.rounds) == (2 * first.queries, 2 * first.rounds)
 
 
 def test_solver_result_json(two_layer_instance):
@@ -886,7 +886,7 @@ class TestFamilyAwareErrorExits:
 
             def answer(self, s):
                 value = super().answer(s)
-                return Fraction(1, cfg.value_denominator) if self.stats()[0] == last else value
+                return Fraction(1, cfg.value_denominator) if self.queries == last else value
 
         with pytest.raises(CorruptedOracleError, match="^minimizer query answered "):
             family_aware_minimize(LastAnswerOff(inst), cfg)
@@ -900,6 +900,17 @@ class TestFamilyAwareErrorExits:
         monkeypatch.setattr(solvers, "query_cap", lambda n: queries - 1)
         with pytest.raises(RuntimeError, match=f"^query budget exceeded: {queries} > "):
             family_aware_minimize(HonestOracle(inst), cfg)
+
+    def test_budget_error_names_the_enforced_cap(self, monkeypatch):
+        # At n = 5 the float budget 8 * 5 * log2(5) = 92.88 prints as 93, one
+        # above the cap of 92 that is enforced.  No n = 5 solve comes near
+        # it, so a 64-element solve is held to n = 5's cap and breaks it.
+        cap = solvers.query_cap(5)
+        assert (cap, f"{solvers.query_budget(5):.0f}") == (92, "93")
+        cfg = GroundConfig(64, 1)
+        monkeypatch.setattr(solvers, "query_cap", lambda n: cap)
+        with pytest.raises(RuntimeError, match=r"^query budget exceeded: 93 > 92 at n=64, r=1$"):
+            family_aware_minimize(HonestOracle(sample_instance(cfg, 0)), cfg)
 
 
 class TestNoIndexListPath:
@@ -1054,7 +1065,7 @@ class _OffLatticeAt(HonestOracle):
 
     def answer(self, s):
         value = super().answer(s)
-        if self.stats()[0] == self.index:
+        if self.queries == self.index:
             value += Fraction(1, 7 * self.config.value_denominator)
         return value
 
@@ -1168,7 +1179,7 @@ class _AnsweredAt(HonestOracle):
 
     def answer(self, s):
         value = super().answer(s)
-        return self.value if self.stats()[0] == self.index else value
+        return self.value if self.queries == self.index else value
 
 
 def _same_run(oracles):

@@ -222,6 +222,15 @@ class TestPropertyReports:
         assert report.all_ok
         assert report.minimizer.bits == (inst.hidden_sets[0] | inst.hidden_sets[1]).bits
 
+    def test_exhaustive_checks_refuse_what_they_cannot_tabulate(self):
+        score = lambda s: Fraction(0)
+        with pytest.raises(ValueError, match="capped at n=12"):
+            check_function_properties(score, 13, Subset(13))
+        with pytest.raises(ValueError, match="capped at 12 elements"):
+            check_block_properties(Subset.full(13), subset(13, 0, 1), subset(13, 0), Fraction(2), score)
+        with pytest.raises(ValueError, match="expects universe == full ground set"):
+            check_block_properties(subset(6, 0, 1, 2, 3), subset(6, 0, 1), subset(6, 0), Fraction(2), score)
+
     def test_block_report_matches_inner_minimizer(self):
         inner_block, inner_hidden = subset(4, 2, 3), subset(4, 2)
         inner = lambda s: containment_score(inner_block, inner_hidden, s & inner_block)
@@ -352,6 +361,17 @@ class TestSubmodularizerViolation:
     def test_rejects_r1(self):
         with pytest.raises(ValueError):
             find_submodularizer_violation(GroundConfig(4, 1))
+
+    @pytest.mark.parametrize("n,block,hidden,message", [
+        (8, (0, 1, 2, 3), (0, 4), "need hidden inside block"),  # hidden outside the block
+        (8, (0, 1, 2), (0, 1), "need hidden inside block"),  # one block element to spare
+        (4, None, None, "need at least one element below the block"),  # the block is the ground set
+    ])
+    def test_rejects_a_pattern_that_cannot_hold(self, n, block, hidden, message):
+        block = None if block is None else subset(n, *block)
+        hidden = None if hidden is None else subset(n, *hidden)
+        with pytest.raises(ValueError, match=message):
+            find_submodularizer_violation(GroundConfig(n, 2), block, hidden)
 
     def test_custom_block_n8(self):
         block, hidden = subset(8, 0, 1, 2, 3), subset(8, 0, 1)
