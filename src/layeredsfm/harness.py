@@ -69,19 +69,20 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        ints = [*self.n, self.r, self.seed, self.trials]
+        ints = [self.seed, self.trials]
         if self.queries_per_round is not None:
             ints.append(self.queries_per_round)
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in ints):
-            raise ValueError("n, r, seed, trials and queries_per_round must be integers")
-        if not self.n or any(v < 1 for v in self.n):
+            raise ValueError("seed, trials and queries_per_round must be integers")
+        if not self.n:
             raise ValueError("n must be one or more positive integers")
+        grounds = [GroundConfig(n, self.r) for n in self.n]  # the one check of each n and of r
         if len(set(self.n)) != len(self.n):
             raise ValueError(f"n must not repeat a ground size, got {list(self.n)}")
         if len(self.n) != 1 and self.mode != "bench":
             raise ValueError(f"mode {self.mode!r} takes a single n")
-        if self.r < 1 or self.trials < 1:
-            raise ValueError("r and trials must be positive")
+        if self.trials < 1:
+            raise ValueError("trials must be positive")
         SplitMix64(self.seed)  # raises on a seed outside [0, 2**64)
         if self.queries_per_round is not None and self.queries_per_round < 1:
             raise ValueError("queries_per_round must be positive")
@@ -92,8 +93,6 @@ class ExperimentConfig:
             raise ValueError(f"mode {self.mode!r} does not read solver (only duel does)")
         if self.queries_per_round is not None and self.mode != "parallel":
             raise ValueError(f"mode {self.mode!r} does not read queries_per_round (only parallel does)")
-        for n in self.n:
-            GroundConfig(n, self.r)  # raises on n above MAX_GROUND_SIZE or 2*r > n
         if self.mode == "duel":
             if self.r != 1:
                 raise ValueError("duel requires r = 1")
@@ -105,10 +104,9 @@ class ExperimentConfig:
             raise ValueError(f"verify is exhaustive and capped at n = {EXHAUSTIVE_PAIR_CAP}")
         # With dummy elements (2r not dividing n) the minimizer is not unique,
         # so verify's unique-minimizer check would fail on correct instances.
-        if self.mode in ("verify", "parallel", "bench"):
-            for n in self.n:
-                if not GroundConfig(n, self.r).divides_evenly:
-                    raise ValueError(f"mode {self.mode!r} requires 2*r | n, got r={self.r}, n={n}")
+        for ground in grounds:
+            if self.mode in ("verify", "parallel", "bench") and not ground.divides_evenly:
+                raise ValueError(f"mode {self.mode!r} requires 2*r | n, got r={self.r}, n={ground.n}")
 
     def to_json(self) -> dict:
         return {**asdict(self), "n": list(self.n)}

@@ -93,21 +93,18 @@ class GroundConfig:
         return tuple(reversed(factors))
 
 
+@dataclass(frozen=True, slots=True)
 class Subset:
     """Immutable subset of ``{0, .., size-1}`` stored as an integer bit mask."""
 
-    __slots__ = ("bits", "size")
+    size: int
+    bits: int = 0
 
-    def __init__(self, size: int, bits: int = 0):
-        if not 0 <= size <= MAX_GROUND_SIZE:
-            raise ValueError(f"size must be in 0..{MAX_GROUND_SIZE}, got {size}")
-        if bits < 0 or bits >> size:
-            raise ValueError(f"bits {bits:#x} out of range for size {size}")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Subset is immutable")
+    def __post_init__(self) -> None:
+        if not 0 <= self.size <= MAX_GROUND_SIZE:
+            raise ValueError(f"size must be in 0..{MAX_GROUND_SIZE}, got {self.size}")
+        if self.bits < 0 or self.bits >> self.size:
+            raise ValueError(f"bits {self.bits:#x} out of range for size {self.size}")
 
     @classmethod
     def from_indices(cls, size: int, indices: Iterable[int]) -> "Subset":
@@ -147,16 +144,6 @@ class Subset:
 
     def __bool__(self) -> bool:
         return self.bits != 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subset)
-            and self.size == other.size
-            and self.bits == other.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.size, self.bits))
 
     def __repr__(self) -> str:
         return f"Subset({self.size}, {{{', '.join(map(str, self.indices()))}}})"

@@ -114,6 +114,11 @@ class TestConfigValidation:
         {"mode": "verify", "n": [6], "trials": 0},
         {"mode": "parallel", "n": [8], "queries_per_round": 0},
         {"mode": "verify", "n": [14]},
+        {"mode": "verify", "n": [0]},
+        {"mode": "verify", "n": [True]},
+        {"mode": "verify", "n": [6.0]},
+        {"mode": "verify", "n": [6], "r": True},
+        {"mode": "verify", "n": [6], "r": -1},
     ])
     def test_from_json_rejects_malformed(self, data):
         with pytest.raises(ValueError):
@@ -539,6 +544,11 @@ class TestCli:
             assert cli_main(["verify", "--n", "6", "--trials", "1", "--seed", str(seed)]) == 2
             captured = capsys.readouterr()
             assert captured.err == f"error: seed must be below 2**64, got {seed}\n" and captured.out == ""
+
+    def test_zero_half_width_exits_2_with_the_ground_rule(self, capsys):
+        assert cli_main(["verify", "--n", "6", "--r", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: layer half-width must be positive, got 0\n" and captured.out == ""
 
     def test_ground_size_above_capacity_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"

@@ -173,6 +173,15 @@ class TestAlgebra:
         s = subset(3, 0)
         with pytest.raises(AttributeError):
             s.bits = 7
+        with pytest.raises(AttributeError):
+            s.size = 4
+        assert not hasattr(s, "__dict__")
+        # The hash is the (size, bits) pair's, so set and dict order, and with
+        # them every report, do not depend on how Subset spells its hash.
+        for n, bits in ((0, 0), (5, 0b10110), (1024, (1 << 1024) - 1)):
+            assert hash(Subset(n, bits)) == hash((n, bits))
+        assert Subset(3, 1) != (3, 1)
+        assert Subset(3, 1) == Subset.from_indices(3, [0]) == Subset.from_json(3, [0])
 
     def test_json_round_trip(self):
         s = subset(8, 0, 2, 5)
