@@ -1,7 +1,10 @@
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from layeredsfm import verify
 from layeredsfm.family import (
     containment_score,
     evaluate_closed_form,
@@ -144,7 +147,7 @@ class TestDiamondScan:
 
 
 def _triple_loop_diamonds(ints, n):
-    # The diamond scan as a loop over S, i and j, the reference for the slice scan.
+    # The diamond scan as a loop over S, i and j, the reference for the packed-lane scan.
     singletons = [1 << e for e in range(n)]
     for s, v in enumerate(ints):
         ups = [s | b for b in singletons if not s & b]  # S+i for every i outside S
@@ -157,9 +160,8 @@ def _triple_loop_diamonds(ints, n):
 
 
 class TestSliceDiamonds:
-    """The slice scan gives the triple loop's verdict on kernel tables up to
-    n = 12 (runs and strides both serve every axis there) and on the same
-    tables with one entry moved by 1, D/7 or D."""
+    """The diamond scan gives the triple loop's verdict on kernel tables up
+    to n = 12 and on the same tables with one entry moved by 1, D/7 or D."""
 
     @pytest.mark.parametrize("n,r", [(3, 1), (9, 1), (12, 1), (10, 2), (12, 2), (11, 3), (12, 3)])
     def test_matches_the_triple_loop(self, n, r):
@@ -175,6 +177,108 @@ class TestSliceDiamonds:
             assert verdict == _triple_loop_diamonds(moved, n)
             verdicts.add(verdict)
         assert False in verdicts
+
+
+def _lane_edge_tables(n, spread):
+    # Two submodular tables with values exactly {0, spread}, less an offset
+    # that makes them negative: s * [0 in S] (every diamond tight) and
+    # s * [|S & {0, 1}| == 1] (the diamond at S, 0, 1 has slack 2s, where
+    # G_0 runs from +s to -s), then each with +1 at the empty set and -1 at
+    # {0}.  Neither move changes the spread, and each breaks the tight
+    # diamond at the empty set, 0, 1 (modular) or 0, 2 (cut, n >= 3).
+    offset = spread // 2 + 1
+    for base in (lambda s: s & 1, lambda s: (s ^ (s >> 1)) & 1):
+        ints = [spread * base(s) - offset for s in range(1 << n)]
+        yield ints
+        for at, delta in ((0, 1), (1, -1)):
+            moved = list(ints)
+            moved[at] += delta
+            yield moved
+
+
+class TestPackedLanes:
+    """The packed-lane scan against the triple loop where its lane arithmetic
+    is tightest: tiny ground sets, flat and negative tables, and spreads on
+    each side of every lane-byte boundary."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_ground_sets(self, n):
+        rng = SplitMix64(n)
+        tables = [[rng.below(7) - 3 for _ in range(1 << n)] for _ in range(60)]
+        tables += [[v] * (1 << n) for v in (0, -5, 1 << 70)]
+        verdicts = set()
+        for ints in tables:
+            verdict = _diamonds_hold(ints, n)
+            assert verdict == _triple_loop_diamonds(ints, n)
+            verdicts.add(verdict)
+        assert verdicts == ({True, False} if n == 2 else {True})
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_flat_and_negative_tables(self, n):
+        for v in (0, -7, -(1 << 90), 1 << 90):
+            assert _diamonds_hold([v] * (1 << n), n)
+        rng = SplitMix64(40 + n)
+        verdicts = set()
+        for _ in range(40):
+            ints = [-rng.below(5) for _ in range(1 << n)]
+            verdict = _diamonds_hold(ints, n)
+            assert verdict == _triple_loop_diamonds(ints, n)
+            verdicts.add(verdict)
+        assert False in verdicts
+
+    # nb = ceil((bits + 2) / 8) bytes per lane: 2^(8k-2) - 1 fills k bytes,
+    # 2^(8k-2) takes k + 1; 2^(8k-3) sits one bit lower.  k = 9 gives lanes
+    # of 72 and 80 bits.
+    @pytest.mark.parametrize("k", range(1, 10))
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_spreads_at_each_lane_byte_boundary(self, n, k):
+        for spread in (2 ** (8 * k - 3) - 1, 2 ** (8 * k - 3), 2 ** (8 * k - 2) - 1, 2 ** (8 * k - 2)):
+            verdicts = []
+            for ints in _lane_edge_tables(n, spread):
+                assert max(ints) - min(ints) == spread and min(ints) < 0
+                verdict = _diamonds_hold(ints, n)
+                assert verdict == _triple_loop_diamonds(ints, n)
+                verdicts.append(verdict)
+            assert verdicts == [True, False, False] * 2
+
+
+class TestLaneMaskSlot:
+    """The scan's masks are kept for the last (n, lane width) only."""
+
+    def _slot_bytes(self):
+        n, nb, masks = verify._lane_masks
+        return (n, nb), sum(map(sys.getsizeof, masks))
+
+    def test_one_width_is_held_and_a_new_one_replaces_it(self, monkeypatch):
+        monkeypatch.setattr(verify, "_lane_masks", None)
+        insts = [sample_instance(GroundConfig(n, r), 3) for n, r in [(12, 1), (12, 3), (11, 1)]]
+        for inst in insts:
+            _tabulate(inst, inst.config.n)  # lazily built config and table values are not the slot's
+        tracemalloc.start()
+        try:
+            held = []
+            for inst in insts:
+                check_instance_properties(inst)
+                key, slot = self._slot_bytes()
+                n, nb = key
+                # n masks of at most 2^n lanes of nb bytes, and little else.
+                assert slot <= n * (1 << n) * nb
+                assert tracemalloc.get_traced_memory()[0] < slot + 4096
+                held.append((key, slot))
+        finally:
+            tracemalloc.stop()
+        assert held[0][0] == (12, 5) and held[0][1] < 240 * 1024
+        # (12, 3) has narrower lanes and (11, 1) a smaller n: each replaced the slot.
+        assert [key for key, _ in held] == [(12, 5), (12, 2), (11, 4)]
+
+
+class TestScanAgreement:
+    def test_a_diamond_verdict_without_a_failing_pair_raises(self, monkeypatch):
+        fn = lifted_score(4, subset(4, 0, 1), subset(4, 0))
+        assert check_submodular_pairs(fn, 4) is None
+        monkeypatch.setattr(verify, "_diamonds_hold", lambda ints, n: False)
+        with pytest.raises(RuntimeError, match="diamond and pair scans disagree"):
+            check_submodular_pairs(fn, 4)
 
 
 class TestMarginalCheck:
