@@ -79,6 +79,13 @@ class TestPairCheck:
         assert witness is not None
         assert witness.reverify(fn)
 
+    def test_a_diamond_verdict_without_a_failing_pair_raises(self, monkeypatch):
+        fn = lifted_score(4, subset(4, 0, 1), subset(4, 0))
+        assert check_submodular_pairs(fn, 4) is None
+        monkeypatch.setattr(verify, "_diamonds_hold", lambda ints, n: False)
+        with pytest.raises(RuntimeError, match="diamond and pair scans disagree"):
+            check_submodular_pairs(fn, 4)
+
     def test_witness_is_canonical_first(self):
         fn = standalone_submodularizer(6, subset(6, 0, 1, 2, 3), subset(6, 0, 1))
         w1 = check_submodular_pairs(fn, 6)
@@ -270,15 +277,6 @@ class TestLaneMaskSlot:
         assert held[0][0] == (12, 5) and held[0][1] < 240 * 1024
         # (12, 3) has narrower lanes and (11, 1) a smaller n: each replaced the slot.
         assert [key for key, _ in held] == [(12, 5), (12, 2), (11, 4)]
-
-
-class TestScanAgreement:
-    def test_a_diamond_verdict_without_a_failing_pair_raises(self, monkeypatch):
-        fn = lifted_score(4, subset(4, 0, 1), subset(4, 0))
-        assert check_submodular_pairs(fn, 4) is None
-        monkeypatch.setattr(verify, "_diamonds_hold", lambda ints, n: False)
-        with pytest.raises(RuntimeError, match="diamond and pair scans disagree"):
-            check_submodular_pairs(fn, 4)
 
 
 class TestMarginalCheck:
