@@ -10,10 +10,12 @@ exactly 0 and the union of the hidden sets is the unique minimizer.
 
 Two evaluators are provided: the definition's recursion through nested
 building blocks (kept for cross-checking) and a closed form that reads
-:meth:`LayerTable.numerators`, the one evaluator core: it finds
-a query's first divergent layer and prices it, in integers over one
-denominator, for honest answers and batches, transcript replays and verify
-tables alike.  The two evaluators agree exactly on every subset.
+:class:`LayerTable`, the one evaluator core: it finds a query's first
+divergent layer k and its small integer layer price t, the value being
+``f_k * t / D``.  The price is lifted per layer, to a layer code
+(:attr:`~layeredsfm.sets.GroundConfig.code_radix`: small, order-preserving
+ints) for oracle answers, transcripts and replays, or to a numerator over
+D for verify's tables.  The two evaluators agree exactly on every subset.
 """
 
 from __future__ import annotations
@@ -208,36 +210,38 @@ def _divergent_layer(prefix_unions: Sequence[int], mismatch: int) -> int | None:
     return bisect_left(prefix_unions, 1, 0, len(prefix_unions) - 1, key=mismatch.__and__) + 1
 
 
-def _layer_numerator(row: tuple[int, int, int, int, int], s_bits: int) -> int:
-    """Numerator over D of the value at ``s_bits``, for a query that diverges
-    at the layer of :class:`LayerTable` row ``row = (A_k, R_k, pool_k,
-    |pool_k|, f_k)``: ``f_k * (score * 2 * |pool_k| + corr)``.
+def _layer_price(row: tuple[int, int, int, int], s_bits: int) -> int:
+    """The layer price ``t = score * 2 * |pool_k| + corr`` of the value at
+    ``s_bits``, for a query that diverges at the layer of :class:`LayerTable`
+    row ``row = (A_k, R_k, pool_k, |pool_k|)``; ``t`` lies in ``[1, 4 *
+    |pool_k|]``, and the value is ``f_k * t / D``.
 
-    The one home of the layer rule: :meth:`LayerTable.numerators` and the
-    adversary price table rows with it, and the test reference
-    :func:`_layer_value` passes a row with ``f_k = 1``.  Raises ValueError
-    unless the query diverges here.
+    The one home of the layer rule: :meth:`LayerTable.values` lifts its
+    prices per layer, to codes or numerators over D, the adversary
+    prices the candidate block's row with it, and the test reference
+    :func:`_layer_value` divides it by the layer's scale.  Raises
+    ValueError unless the query diverges here.
     """
-    block_bits, hidden_bits, pool_bits, pool_card, factor = row
+    block_bits, hidden_bits, pool_bits, pool_card = row
     sa = s_bits & block_bits
     if sa == hidden_bits:
         raise ValueError("layer does not diverge on this query")
     below = (s_bits & pool_bits).bit_count() - sa.bit_count()  # the block lies inside the pool
-    if sa & ~hidden_bits == 0:
+    if sa | hidden_bits == hidden_bits:
         score, corr = 1, below
-    elif hidden_bits & ~sa == 0:
+    elif sa | hidden_bits == sa:
         score, corr = 1, -below
     else:
         score, corr = 2, 0
-    return factor * (score * 2 * pool_card + corr)
+    return score * 2 * pool_card + corr
 
 
 class LayerTable:
     """The layer lookup over the committed layers 1..k of an instance.
 
-    ``rows[k-1] = (A_k, R_k, pool_k, |pool_k|, f_k)``: layer k's block,
-    hidden set and pool (the elements still unclassified when it opens)
-    as masks, the pool's size, and ``config.layer_factors[k-1]``.
+    ``rows[k-1] = (A_k, R_k, pool_k, |pool_k|)``: layer k's block, hidden
+    set and pool (the elements still unclassified when it opens) as
+    masks, and the pool's size.
     ``prefix_unions[k-1] = A_1 | .. | A_k``, ``hidden_union`` joins the
     committed R's, ``pool`` is the next layer's pool and ``pool_card`` its
     size.  Every layer
@@ -256,7 +260,7 @@ class LayerTable:
 
     def __init__(self, config: GroundConfig):
         self.config = config
-        self.rows: list[tuple[int, int, int, int, int]] = []
+        self.rows: list[tuple[int, int, int, int]] = []
         self.prefix_unions: list[int] = []
         self.hidden_union = 0
         self.pool = (1 << config.effective_size) - 1
@@ -264,9 +268,9 @@ class LayerTable:
         self._hints = (0, 0)
         self._subcube_index: tuple[int, tuple[Callable, list[Callable]]] | None = None
 
-    def next_row(self, block: int, hidden: int) -> tuple[int, int, int, int, int]:
+    def next_row(self, block: int, hidden: int) -> tuple[int, int, int, int]:
         """The row that ``push(block, hidden)`` appends as the next layer."""
-        return block, hidden, self.pool, self.pool_card, self.config.layer_factors[len(self.rows)]
+        return block, hidden, self.pool, self.pool_card
 
     def push(self, block: int, hidden: int) -> None:
         """Commit the next layer's block and hidden set, as masks.
@@ -318,9 +322,13 @@ class LayerTable:
         self._hints = (k, last)
         return k
 
-    def numerators(self, masks: Sequence[int]) -> list[int]:
-        """The values at ``masks`` as numerators over ``config.value_denominator``
-        (0 where every committed layer matches), in integers.
+    def values(self, masks: Sequence[int], lift: Sequence[tuple[int, int]]) -> list[int]:
+        """The values at ``masks``: each mask's layer price t at its first
+        divergent layer k, lifted by ``(shift, scale) = lift[k-1]`` to
+        ``shift + scale * t``; 0 where every committed layer matches.  With
+        ``config.code_lift`` these are layer codes, what the oracles answer
+        and transcripts keep; with ``config.numerator_lift``, numerators over
+        ``config.value_denominator``, verify's tables.
 
         A :class:`~layeredsfm.sets.SingletonBatch` is priced by class
         (:meth:`_singletons`).  On a full table, an aligned sub-cube (a
@@ -333,20 +341,24 @@ class LayerTable:
         rows = self.rows
         if not isinstance(masks, list):
             if isinstance(masks, SingletonBatch):
-                return self._singletons(masks.base, masks.members)
+                return self._singletons(masks.base, masks.members, lift)
             if isinstance(masks, range) and masks.step == 1 and len(rows) == self.config.layer_count:
                 size = len(masks)
                 if size and not size & (size - 1) and not masks.start % size:
-                    return self._subcube(masks.start, size.bit_length() - 1)
+                    return self._subcube(masks.start, size.bit_length() - 1, lift)
         layer_of = self.layer_of
         out = []
         for m in masks:
             k = layer_of(m)
-            out.append(_layer_numerator(rows[k - 1], m) if k else 0)
+            if k:
+                shift, scale = lift[k - 1]
+                out.append(shift + scale * _layer_price(rows[k - 1], m))
+            else:
+                out.append(0)
         return out
 
-    def _singletons(self, base: int, members: int) -> list[int]:
-        """The values at ``base | 1 << e`` for each member ``e``, in increasing ``e``.
+    def _singletons(self, base: int, members: int, lift: Sequence[tuple[int, int]]) -> list[int]:
+        """The lifted values at ``base | 1 << e`` for each member ``e``, in increasing ``e``.
 
         With k the layer of ``base``, a "far" member (outside ``base`` and
         outside A_1..A_k, or outside every committed block when k is None)
@@ -368,11 +380,12 @@ class LayerTable:
             out = [0] * (inside.bit_count() + dummies)
         else:
             row = self.rows[k - 1]
+            shift, scale = lift[k - 1]
             near = inside & (base | self.prefix_unions[k - 1])
             far = inside ^ near
-            out = [_layer_numerator(row, base | (far & -far)) if far else 0] * inside.bit_count()
+            out = [shift + scale * _layer_price(row, base | (far & -far)) if far else 0] * inside.bit_count()
             if dummies:
-                out += [_layer_numerator(row, base)] * dummies
+                out += [shift + scale * _layer_price(row, base)] * dummies
         if near:
             positions, masks = [], []
             while near:
@@ -380,34 +393,34 @@ class LayerTable:
                 positions.append((members & (bit - 1)).bit_count())
                 masks.append(base | bit)
                 near ^= bit
-            for i, num in zip(positions, self.numerators(masks)):
-                out[i] = num
+            for i, value in zip(positions, self.values(masks, lift)):
+                out[i] = value
         return out
 
-    def _subcube(self, start: int, width: int) -> list[int]:
-        """The values at ``range(start, start + 2^width)``, ``start`` a multiple
-        of 2^width, on a full table: the low ``width`` bits are free and the
-        others fixed at ``start``'s.
+    def _subcube(self, start: int, width: int, lift: Sequence[tuple[int, int]]) -> list[int]:
+        """The lifted values at ``range(start, start + 2^width)``, ``start`` a
+        multiple of 2^width, on a full table: the low ``width`` bits are free
+        and the others fixed at ``start``'s.
 
         Built layer by layer from the deepest, with list copies and no
         Python step per mask.  Each layer's free block bits take the next
         coordinates, so the table over layers k..L holds, for each assignment
         of A_k's free bits in turn (submasks in increasing order), one
         segment over the deeper coordinates: the deeper table where the
-        block part equals R_k, and otherwise the layer price of each deeper
-        popcount (plus the fixed bits below A_k).  That price line, from
-        :func:`_layer_numerator` at two sample masks, depends only on whether
-        the block part (which holds nothing below A_k) is a strict subset or
-        superset of R_k or neither, so each such segment is built once per
-        layer.  Free bits outside every block take the top coordinates.  The
-        gathers of :meth:`_subcube_plan` spread each line over the deeper
-        popcounts and map the table to mask order.
+        block part equals R_k, and otherwise the lifted layer price of each
+        deeper popcount (plus the fixed bits below A_k).  That price line,
+        from :func:`_layer_price` at two sample masks and lifted once,
+        depends only on whether the block part (which holds nothing below
+        A_k) is a strict subset or superset of R_k or neither, so each such
+        segment is built once per layer.  Free bits outside every block take
+        the top coordinates.  The gathers of :meth:`_subcube_plan` spread
+        each line over the deeper popcounts and map the table to mask order.
         """
         free = (1 << width) - 1
         index_gather, pop_gathers = self._subcube_plan(width)
         table = [0]  # values over the coordinates taken so far
         depth = 0
-        for row, pop_gather in zip(reversed(self.rows), pop_gathers):
+        for row, (shift, scale), pop_gather in zip(reversed(self.rows), reversed(lift), pop_gathers):
             block, hidden, pool = row[0], row[1], row[2]
             below = pool & ~block
             sample = below & -below  # an element below the block, if there is one
@@ -424,10 +437,10 @@ class LayerTable:
                     kind = (not s_bits & ~hidden, not hidden & ~s_bits)
                     segment = segments.get(kind)
                     if segment is None:
-                        v0 = _layer_numerator(row, s_bits)
-                        slope = _layer_numerator(row, s_bits | sample) - v0
-                        prices = [v0 + slope * (base + c) for c in range(depth + 1)]
-                        segment = segments[kind] = pop_gather(prices)
+                        t0 = _layer_price(row, s_bits)
+                        slope = scale * (_layer_price(row, s_bits | sample) - t0)
+                        v0 = shift + scale * t0 + slope * base
+                        segment = segments[kind] = pop_gather([v0 + slope * c for c in range(depth + 1)])
                     table += segment
                 sub = (sub - loose) & loose
                 if not sub:
@@ -496,20 +509,20 @@ def _layer_value(
     over ``denom * 2 * pool_card``.  No evaluator calls it; tests use it as
     the per-layer reference for the kernel.  Assumes the query diverges here.
     """
-    row = (block_bits, hidden_bits, pool_bits, pool_card, 1)
-    return Fraction(_layer_numerator(row, s_bits), denom * 2 * pool_card)
+    return Fraction(_layer_price((block_bits, hidden_bits, pool_bits, pool_card), s_bits), denom * 2 * pool_card)
 
 
 def evaluate_closed_form(inst: LayeredInstance, s: Subset) -> ExactValue:
     """Value of the instance at ``s`` via the first-divergent-layer formula:
-    the :meth:`LayerTable.numerators` numerator at ``s`` over
+    the :meth:`LayerTable.values` numerator at ``s`` over
     ``config.value_denominator``.  It serves :meth:`HonestOracle.answer`
     and agrees exactly with :func:`evaluate_recursive`.
     """
     if s.size != inst.config.n:
         raise ValueError(f"query must live on the {inst.config.n}-element ground set")
-    (num,) = inst.table.numerators([s.bits])
-    return Fraction(num, inst.config.value_denominator)
+    config = inst.config
+    (num,) = inst.table.values([s.bits], config.numerator_lift)
+    return Fraction(num, config.value_denominator)
 
 
 def evaluate_recursive(inst: LayeredInstance, s: Subset) -> ExactValue:

@@ -300,7 +300,7 @@ def _lucky_hits(inst: LayeredInstance, q_per_round: int, seed: int) -> int:
     """
     rng = SplitMix64(seed)
     lucky = 0
-    for block, hidden, pool, pool_card, _ in inst.table.rows:
+    for block, hidden, pool, pool_card in inst.table.rows:
         # Query S = rng.subset_of(pool) keeps the pool's p-th member when bit p
         # of its draw is set, so test the draw at A_k's and R_k's pool positions.
         a_pos = r_pos = 0
@@ -453,7 +453,6 @@ def run_hiding(config: ExperimentConfig) -> Report:
 
     identical = 0
     mismatch_evidence: dict | None = None
-    big_d = ground.value_denominator
     for _ in range(HIDING_TRIPLES):
         a_bits, r_bits = draw_layer(ground, list(range(ground.effective_size)), rng.sample)
         first = (Subset(n, a_bits), Subset(n, r_bits))
@@ -463,8 +462,9 @@ def run_hiding(config: ExperimentConfig) -> Report:
             s_bits = rng.bits(n)
             if s_bits & a_bits != r_bits:
                 break
-        (va,) = inst_a.table.numerators([s_bits])
-        (vb,) = inst_b.table.numerators([s_bits])
+        # Codes are equal exactly when the values are.
+        (va,) = inst_a.table.values([s_bits], ground.code_lift)
+        (vb,) = inst_b.table.values([s_bits], ground.code_lift)
         if va == vb:
             identical += 1
         elif mismatch_evidence is None:
@@ -472,8 +472,8 @@ def run_hiding(config: ExperimentConfig) -> Report:
                 "query": Subset(n, s_bits).to_json(),
                 "instance_a": inst_a.to_json(),
                 "instance_b": inst_b.to_json(),
-                "value_a": format_value(Fraction(va, big_d)),
-                "value_b": format_value(Fraction(vb, big_d)),
+                "value_a": format_value(ground.code_value(va)),
+                "value_b": format_value(ground.code_value(vb)),
             }
     report.aggregate["exact_hiding_identical"] = identical
     report.aggregate["exact_hiding_triples"] = HIDING_TRIPLES

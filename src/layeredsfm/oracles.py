@@ -10,10 +10,18 @@ computable before the block is chosen and stay exactly consistent with
 every later commit inside U, so the finalized instance replays the whole
 transcript bit for bit while no query ever matched a hidden set before
 its layer was committed.  Both read a :class:`~layeredsfm.family.LayerTable`:
-the instance's, or the one the adversary pushes each commit into.  The
-adversary logs each query as a :class:`QueryRecord` of four ints; a
-:class:`~layeredsfm.sets.Subset` is built from a record's mask only at the
-wire and in a replay mismatch message.
+the instance's, or the one the adversary pushes each commit into.
+
+Every batch is answered in layer codes
+(:attr:`~layeredsfm.sets.GroundConfig.code_radix`): small ints that order
+exactly as the values they spell, so no integer over the common
+denominator D (thousands of bits deep in an n = 1024 instance) is built
+between the kernel and a solver.  ``answer(s)`` returns the value as a
+``Fraction``; an oracle that overrides only ``answer`` reaches the solvers
+through :meth:`_Oracle.answer_batch`, which maps each value to its code.
+The adversary logs each query as a :class:`QueryRecord` of four ints; a
+:class:`~layeredsfm.sets.Subset` and the value ``"p/q"`` are built from a
+record only at the wire and in a replay mismatch message.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from typing import NamedTuple, Sequence
 from .family import (
     LayerTable,
     LayeredInstance,
-    _layer_numerator,
+    _layer_price,
     draw_layer,
     evaluate_closed_form,
     lowest_first,
@@ -46,15 +54,14 @@ class ReplayMismatchError(RuntimeError):
     """A transcript value disagrees with the finalized instance (internal bug)."""
 
 
-# Records replayed per kernel call.  The numerators of one chunk are held at
-# once; those of a whole n = 512 duel (6,399) would add about 1.1 MB of peak RSS.
+# Records replayed per kernel call: the codes of one chunk are held at once.
 _REPLAY_CHUNK = 256
 
 
 class QueryRecord(NamedTuple):
     """One answered query: 1-based sequence number, round tag, the query as a
-    mask over the ground set, and the value's numerator over
-    ``D = config.value_denominator``.
+    mask over the ground set, and the value's layer code
+    (:attr:`~layeredsfm.sets.GroundConfig.code_radix`).
     Four ints, since a transcript keeps one per query (6,399 in a duel at
     n = 512), which the adversary builds with ``tuple.__new__``, at tuple
     cost: the keyword ``__new__`` of a named tuple is a Python-level call.
@@ -64,22 +71,22 @@ class QueryRecord(NamedTuple):
     index: int
     round: int
     mask: int
-    num: int
+    code: int
 
-    def to_json(self, n: int, value_denominator: int) -> dict:
+    def to_json(self, config: GroundConfig) -> dict:
         return {
             "index": self.index,
             "round": self.round,
-            "query": Subset(n, self.mask).to_json(),
-            "value": format_value(Fraction(self.num, value_denominator)),
+            "query": Subset(config.n, self.mask).to_json(),
+            "value": format_value(config.code_value(self.code)),
         }
 
 
 class Transcript:
     """Ordered, round-tagged log of (query, value) pairs for one interaction.
 
-    Values are kept as integer numerators over ``D = config.value_denominator``;
-    the JSON form prints each as the reduced ``"p/q"`` of its value.
+    Values are kept as layer codes; the JSON form prints each as the
+    reduced ``"p/q"`` of its value.
     """
 
     def __init__(self, config: GroundConfig):
@@ -97,40 +104,39 @@ class Transcript:
         return len(self.records)
 
     def replay(self, inst: LayeredInstance) -> None:
-        """Re-derive every recorded value from ``inst``'s layer table, in
-        integers, ``_REPLAY_CHUNK`` records at a time; raise on any mismatch.
-        An instance of another config raises ValueError."""
+        """Re-derive every recorded code from ``inst``'s layer table,
+        ``_REPLAY_CHUNK`` records at a time; raise on any mismatch.  Codes
+        are equal exactly when the values are.  An instance of another
+        config raises ValueError."""
         if inst.config != self.config:
             raise ValueError(f"cannot replay a transcript of {self.config} against an instance of {inst.config}")
         records = self.records
         for start in range(0, len(records), _REPLAY_CHUNK):
             chunk = records[start : start + _REPLAY_CHUNK]
-            for rec, actual in zip(chunk, inst.table.numerators([rec.mask for rec in chunk])):
-                if actual != rec.num:
-                    big_d = self.config.value_denominator
+            for rec, actual in zip(chunk, inst.table.values([rec.mask for rec in chunk], self.config.code_lift)):
+                if actual != rec.code:
                     raise ReplayMismatchError(
                         f"record {rec.index}: query {Subset(self.config.n, rec.mask).indices()} was answered "
-                        f"{format_value(Fraction(rec.num, big_d))} but the instance evaluates to "
-                        f"{format_value(Fraction(actual, big_d))}"
+                        f"{_spelled(self.config, rec.code)} but the instance evaluates to "
+                        f"{_spelled(self.config, actual)}"
                     )
 
     def to_json(self) -> dict:
-        n, big_d = self.config.n, self.config.value_denominator
+        config = self.config
         return {
-            "config": {"n": n, "r": self.config.r},
-            "records": [rec.to_json(n, big_d) for rec in self.records],
+            "config": {"n": config.n, "r": config.r},
+            "records": [rec.to_json(config) for rec in self.records],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "Transcript":
         """Inverse of :meth:`to_json`; malformed input raises ValueError,
-        and so does a value that no instance can take: one outside [0, 2]
-        or not a multiple of ``1/D``."""
+        and so does a value that is no layer price
+        (:meth:`~layeredsfm.sets.GroundConfig.numerator_code`)."""
         try:
             check_json_keys(data, ("config", "records"), "transcript")
             check_json_keys(data["config"], ("n", "r"), "transcript config")
             config = GroundConfig(n=data["config"]["n"], r=data["config"]["r"])
-            big_d = config.value_denominator
             out = cls(config)
             for rec in data["records"]:
                 check_json_keys(rec, ("index", "round", "query", "value"), "transcript record")
@@ -138,22 +144,39 @@ class Transcript:
                 if not all(type(v) is int and v >= 1 for v in (index, round_)):  # no bools
                     raise ValueError(f"record index and round must be positive integers, "
                                      f"got {index!r} and {round_!r}")
-                value = parse_value(rec["value"])
-                num, rest = divmod(value.numerator * big_d, value.denominator)
-                if rest or not 0 <= num <= 2 * big_d:
-                    raise ValueError(f"record {index} value {rec['value']!r} is not a "
-                                     f"multiple of 1/{big_d} in [0, 2]")
+                code = _value_code(config, parse_value(rec["value"]))
+                if code is None:
+                    raise ValueError(f"record {index} value {rec['value']!r} is no value of a layer")
                 out.append(
                     QueryRecord(
                         index=index,
                         round=round_,
                         mask=Subset.from_json(config.n, rec["query"]).bits,
-                        num=num,
+                        code=code,
                     )
                 )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed transcript JSON: {exc!r}") from exc
         return out
+
+
+def _spelled(config: GroundConfig, code: int) -> str:
+    """The value ``code`` spells, as ``"p/q"``, or the code where it spells none."""
+    try:
+        return format_value(config.code_value(code))
+    except ValueError:
+        return f"code {code!r}, no value"
+
+
+def _value_code(config: GroundConfig, value: Fraction | int) -> int | None:
+    """The layer code of ``value``, or None when no layer takes it."""
+    num, rest = divmod(value.numerator * config.value_denominator, value.denominator)
+    if rest:
+        return None
+    try:
+        return config.numerator_code(num)
+    except ValueError:
+        return None
 
 
 def _check_masks(n: int, masks: Sequence[int]) -> None:
@@ -182,8 +205,7 @@ class _Oracle:
     Rounds are opened explicitly with ``begin_round``; queries issued
     before any round was opened fall into an implicit round 1.  Counting
     is synchronized.  Solvers use only ``begin_round`` and ``answer_batch(masks)``
-    (integer numerators over ``config.value_denominator``); ``answer(s)``
-    returns one value as a ``Fraction``.
+    (layer codes); ``answer(s)`` returns one value as a ``Fraction``.
     """
 
     def __init__(self, config: GroundConfig):
@@ -206,24 +228,29 @@ class _Oracle:
 
     def answer_batch(self, masks: Sequence[int]) -> list[int]:
         """Answer ``Subset(n, m)`` for each ``m`` in ``masks``, in order, as
-        numerators over ``D = config.value_denominator``.
+        layer codes.
 
         This default asks :meth:`answer` once per mask, so an oracle that
         overrides only ``answer`` reaches the solvers through it.  A mask
-        outside ``[0, 2^n)`` raises ValueError before any mask is asked; an
-        answer not a multiple of ``1/D`` raises :class:`CorruptedOracleError`.
+        outside ``[0, 2^n)`` raises ValueError before any mask is asked.  An
+        answer that is not an ``int`` (``bool`` excluded) or ``Fraction``,
+        or is no value of a layer, raises :class:`CorruptedOracleError`.
         """
         _check_masks(self.config.n, masks)
-        n, big_d = self.config.n, self.config.value_denominator
+        config = self.config
         out = []
         for m in masks:
-            value = self.answer(Subset(n, m))
-            num, rest = divmod(value.numerator * big_d, value.denominator)
-            if rest:
+            value = self.answer(Subset(config.n, m))
+            if type(value) is not int and not isinstance(value, Fraction):
                 raise CorruptedOracleError(
-                    f"answer {format_value(value)} to query mask 0x{m:x} is not a multiple of 1/{big_d}"
+                    f"answer {value!r} to query mask 0x{m:x} is a {type(value).__name__}, not an int or Fraction"
                 )
-            out.append(num)
+            code = _value_code(config, value)
+            if code is None:
+                raise CorruptedOracleError(
+                    f"answer {format_value(value)} to query mask 0x{m:x} is no value of a layer"
+                )
+            out.append(code)
         return out
 
 
@@ -246,8 +273,9 @@ class HonestOracle(_Oracle):
         return value
 
     def answer_batch(self, masks: Sequence[int]) -> list[int]:
-        """The values at ``masks`` as numerators over ``config.value_denominator``,
-        in integers: no ``Subset`` and no ``Fraction`` per query.
+        """The values at ``masks`` as layer codes, from the table's small
+        layer prices: no ``Subset``, no ``Fraction`` and no integer over D
+        per query.
 
         Every mask is checked before any is counted: one outside
         ``[0, 2^n)`` raises ValueError and counts nothing.
@@ -256,7 +284,7 @@ class HonestOracle(_Oracle):
             return []
         _check_masks(self.config.n, masks)
         self._count_queries(len(masks))
-        return self.instance.table.numerators(masks)
+        return self.instance.table.values(masks, self.config.code_lift)
 
 
 @dataclass(frozen=True)
@@ -333,7 +361,8 @@ class HalvingAdversary(_Oracle):
             self._instance = LayeredInstance.from_table(self.table)
 
     def _committed_layer_value(self, layer: int, s_bits: int) -> int:
-        return _layer_numerator(self.table.rows[layer - 1], s_bits)
+        shift, scale = self.config.code_lift[layer - 1]
+        return shift + scale * _layer_price(self.table.rows[layer - 1], s_bits)
 
     def answer(self, s: Subset) -> ExactValue:
         """Answer one query, committing layers only when forced.
@@ -351,12 +380,12 @@ class HalvingAdversary(_Oracle):
         """
         if s.size != self.config.n:
             raise ValueError(f"query must live on the {self.config.n}-element ground set")
-        (num,) = self.answer_batch([s.bits])
-        return Fraction(num, self.config.value_denominator)
+        (code,) = self.answer_batch([s.bits])
+        return self.config.code_value(code)
 
     def answer_batch(self, masks: Sequence[int]) -> list[int]:
         """Answer ``Subset(n, m)`` for each ``m`` in ``masks``, in order, as
-        numerators over ``config.value_denominator``, recording each query
+        layer codes, recording each query
         as :meth:`answer` describes.  A mask outside ``[0, 2^n)`` raises
         ValueError before any mask is counted, recorded or engaged.  The
         batch is counted once; its records take consecutive indices."""
@@ -372,20 +401,20 @@ class HalvingAdversary(_Oracle):
             divergent = table.layer_of(s_bits)
             engaged: int | None = None
             if divergent is not None:
-                num = self._committed_layer_value(divergent, s_bits)
+                code = self._committed_layer_value(divergent, s_bits)
             elif self._instance is not None:
-                num = 0
+                code = 0
             else:
                 engaged = len(self.commits) + 1
-                num = self._engage_active(s_bits)
+                code = self._engage_active(s_bits)
             engaged_layers.append(engaged)
-            append(tuple.__new__(QueryRecord, (index, round_no, s_bits, num)))
-            out.append(num)
+            append(tuple.__new__(QueryRecord, (index, round_no, s_bits, code)))
+            out.append(code)
         return out
 
     def _engage_active(self, s_bits: int) -> int:
-        """Price a query that matches every committed layer, as the layer rule
-        prices the candidate block's row.
+        """Code of a query that matches every committed layer, as the layer
+        rule prices the candidate block's row.
 
         The answer is the honest value under the lowest-index candidate
         block left in the new active set U (hidden = its lowest element).
@@ -413,7 +442,8 @@ class HalvingAdversary(_Oracle):
             block_bits = hidden_bits | (rest & -rest)
             if new_u.bit_count() <= 3:
                 cause = "halving"
-        priced = _layer_numerator(self.table.next_row(block_bits, hidden_bits), s_bits)
+        shift, scale = self.config.code_lift[len(self.commits)]
+        priced = shift + scale * _layer_price(self.table.next_row(block_bits, hidden_bits), s_bits)
         if cause is not None:
             self._commit(block_bits, hidden_bits, cause)
         return priced

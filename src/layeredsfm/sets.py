@@ -8,9 +8,13 @@ commits) follows lowest-index-first order so runs reproduce exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from operator import neg
 from typing import Iterable, Iterator
 
 # Bit-vector capacity; large enough for every experiment in the harness.
@@ -91,6 +95,63 @@ class GroundConfig:
         for layer in range(self.layer_count, 1, -1):
             factors.append(factors[-1] * 8 * self.pool_size(layer))
         return tuple(reversed(factors))
+
+    # -- layer codes ---------------------------------------------------------
+    #
+    # A query first diverging at layer k has value f_k * t / D, where the
+    # layer price t lies in [1, 4 * pool_size(k)]; its layer code is
+    # (L + 1 - k) * M + t with M = code_radix, and a query matching every
+    # layer has code 0.  Every layer-k value is at least f_k and every
+    # layer-(k+1) value at most f_{k+1} * 4 * pool_size(k+1) = f_k / 2, so
+    # codes order exactly as the values they spell.  The quotient
+    # L + 1 - k, the layer's level, is pool_size(k) / (2r).
+
+    @cached_property
+    def code_radix(self) -> int:
+        """``M = 4 * effective_size + 1``, above every layer price."""
+        return 4 * self.effective_size + 1
+
+    @cached_property
+    def code_lift(self) -> tuple[tuple[int, int], ...]:
+        """Per layer k, ``(shift, scale)`` with ``shift + scale * t`` the code of
+        layer price ``t``: ``((L + 1 - k) * M, 1)``."""
+        radix = self.code_radix
+        return tuple(zip(range(self.layer_count * radix, 0, -radix), repeat(1)))
+
+    @cached_property
+    def numerator_lift(self) -> tuple[tuple[int, int], ...]:
+        """Per layer k, ``(shift, scale)`` with ``shift + scale * t`` the numerator
+        over D of layer price ``t``: ``(0, f_k)``."""
+        return tuple(zip(repeat(0), self.layer_factors))
+
+    def code_numerator(self, code: int) -> int:
+        """The numerator over D of the value that ``code`` spells; a code that
+        spells none (negative, level outside 1..L, or price outside
+        ``[1, 4 * pool]``) raises ValueError."""
+        if code == 0:
+            return 0
+        level, t = divmod(code, self.code_radix)
+        if not (1 <= level <= self.layer_count and 0 < t <= 8 * self.r * level):
+            raise ValueError(f"{code!r} is no layer code for n={self.n}, r={self.r}")
+        return self.layer_factors[self.layer_count - level] * t
+
+    def code_value(self, code: int) -> Fraction:
+        """The value that ``code`` spells; ValueError as :meth:`code_numerator`."""
+        return Fraction(self.code_numerator(code), self.value_denominator)
+
+    def numerator_code(self, num: int) -> int:
+        """Inverse of :meth:`code_numerator`: the code of the value ``num / D``.
+        A numerator that is not ``f_k * t`` with ``t`` in ``[1, 4 *
+        pool_size(k)]`` for some layer k, nor 0, raises ValueError."""
+        if num == 0:
+            return 0
+        factors, ell = self.layer_factors, self.layer_count
+        i = bisect_left(factors, -num, key=neg)  # the first layer with f_k <= num
+        if i < ell:
+            t, rest = divmod(num, factors[i])
+            if not rest and t <= 8 * self.r * (ell - i):
+                return (ell - i) * self.code_radix + t
+        raise ValueError(f"{num!r}/D is no value of a layer for n={self.n}, r={self.r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,7 +251,7 @@ class SingletonBatch:
     increasing ``e``: a sized iterable of ints that builds no mask list.
 
     A singleton round asks one of these.  Consumers that iterate it see
-    plain masks; :meth:`LayerTable.numerators` reads ``base`` and
+    plain masks; :meth:`LayerTable.values` reads ``base`` and
     ``members`` and prices the whole batch by class.  A plain class, not a
     ``collections.abc`` type: the kernel type-tests every batch it prices,
     and a test against an ABC is the slower one.

@@ -11,8 +11,11 @@ Three solvers, exercising both sides of the query-complexity picture:
 
 All three drive an oracle handle (honest or adversarial) through its
 ``begin_round`` and ``answer_batch(masks)`` surface only, compare and
-decode the integer numerators it answers over ``D =
-GroundConfig.value_denominator``, and report their own query/round use.
+decode the layer codes it answers
+(:attr:`~layeredsfm.sets.GroundConfig.code_radix`), and report their own
+query/round use.  Codes order as the values they spell, and decoding one
+is a ``divmod`` by the radix and small-integer tests: no integer over the
+common denominator D enters a solve.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from .oracles import CorruptedOracleError
 from .rationals import ExactValue, format_value
 from .sets import EXHAUSTIVE_CAP, GroundConfig, Relation, SingletonBatch, Subset
 
-# Masks per batch of brute force's one round: 4,096 numerators stay small
-# next to the process, where the whole 2^16 round at once would add ~2.4 MB.
+# Masks per batch of brute force's one round: 4,096 codes stay small next
+# to the process, where the whole 2^16 round at once would add ~2.4 MB.
 BRUTE_FORCE_CHUNK = 4096
 
 # Engineering budget for the family-aware solver: queries <= ALPHA * n * log2(n).
@@ -80,44 +83,46 @@ class LayerAnswer(NamedTuple):
     outside_block: int | None
 
 
-def decode_layer_answer(num: int, den: int, pool_size: int, queried_in_pool: int, r: int) -> LayerAnswer:
-    """Invert one oracle value into relation-and-count form.
+def decode_layer_answer(code: int, radix: int, pool_size: int, queried_in_pool: int, r: int) -> LayerAnswer:
+    """Invert one oracle answer into relation-and-count form.
 
-    ``num / den`` (``den > 0``, unreduced) is the value over its layer's
-    scale ``1/d_k``: an answer numerator over D has ``den = D // d_k =
-    config.layer_factors[k-1] * 2 * pool_size``.  The query matches every
-    layer before k and holds ``queried_in_pool`` of the ``pool_size``
-    elements unclassified when layer k opens; at normalized value 1
-    (nothing below the block) that count against r gives the relation.
-    Values no instance can produce raise :class:`CorruptedOracleError`,
-    value 1 with r queried pool elements among them (an exact match).
+    ``code`` is a layer code over ``radix = config.code_radix``:
+    ``divmod(code, radix)`` is the level ``L + 1 - k`` of its layer k and
+    its layer price t (0 for code 0, an exact match everywhere).  The query
+    matches every layer before the decoded one and holds
+    ``queried_in_pool`` of the ``pool_size`` elements unclassified when
+    that layer opens; its level is ``pool_size / (2r)``.  A deeper level
+    (or code 0) is an exact match.  At the level itself t = 4 * pool is
+    incomparable, and t = 2 * pool +- c counts c queried pool elements
+    below the block, strictly inside (+) or outside (-) the hidden set; at
+    c = 0 the count ``queried_in_pool`` against r gives the relation.
+    Codes no instance can produce raise :class:`CorruptedOracleError`: a
+    negative one, a shallower level, a price outside its level's
+    ``[1, 4 * pool]``, c above the pool, or c = 0 with r queried pool
+    elements (an exact match).
     """
-    if den <= 0 or pool_size <= 0:
-        raise ValueError("denominator and pool size must be positive")
-    # x = 4 * pool * v as quotient and remainder over den.  Every value an
-    # instance produces has x in [0, 8 * pool], so this is one short
-    # division, and every case below is a small-integer test on (q, rest).
-    one = 4 * pool_size  # x at v = 1
-    q, rest = divmod(one * num, den)
-    if q < 0 or q > 2 * one or (q == 2 * one and rest):
-        raise CorruptedOracleError(f"normalized value {format_value(Fraction(num, den))} outside [0, 2]")
-    if q == 2 * one:
+    if pool_size <= 0 or pool_size % (2 * r) or radix <= 4 * pool_size:
+        raise ValueError("pool size must be a positive multiple of 2r, and the radix above 4 * pool size")
+    hi, t = divmod(code, radix)
+    level = pool_size // (2 * r)
+    if hi != level:
+        if code == 0 or (0 <= hi < level and 0 < t <= 8 * r * hi):
+            # A deeper layer's value: the residual of an exact match here.
+            return tuple.__new__(LayerAnswer, (Relation.EQUAL, None))
+        raise CorruptedOracleError(f"code {code} is no value at level {level} or below")
+    if t == 4 * pool_size:
         return tuple.__new__(LayerAnswer, (Relation.INCOMPARABLE, None))
-    if q == one and not rest:
+    below = t - 2 * pool_size
+    if below == 0:
         if queried_in_pool == r:
             raise CorruptedOracleError("comparable answer with r queried pool elements would be an exact match")
         rel = Relation.STRICT_SUBSET if queried_in_pool < r else Relation.STRICT_SUPERSET
         return tuple.__new__(LayerAnswer, (rel, 0))
-    if q == 0 or (q == 1 and not rest):
-        # An exact match's residual (deeper layers' value) is at most 1/(4 * pool).
-        return tuple.__new__(LayerAnswer, (Relation.EQUAL, None))
-    # 2 * pool * |v - 1| = |x - 4 * pool| / 2 counts the queried pool elements below the block.
-    twice = q - one
-    if rest or twice % 2 or abs(twice) > 2 * pool_size:
-        raise CorruptedOracleError(f"normalized value {format_value(Fraction(num, den))} matches no layer case")
-    if twice > 0:
-        return tuple.__new__(LayerAnswer, (Relation.STRICT_SUBSET, twice // 2))
-    return tuple.__new__(LayerAnswer, (Relation.STRICT_SUPERSET, -twice // 2))
+    if t <= 0 or abs(below) > pool_size:
+        raise CorruptedOracleError(f"code {code} matches no case of level {level}")
+    if below > 0:
+        return tuple.__new__(LayerAnswer, (Relation.STRICT_SUBSET, below))
+    return tuple.__new__(LayerAnswer, (Relation.STRICT_SUPERSET, -below))
 
 
 def brute_force_minimize(oracle) -> SolverResult:
@@ -133,19 +138,20 @@ def brute_force_minimize(oracle) -> SolverResult:
     n = config.n
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"brute force refused for n={n} (cap is {EXHAUSTIVE_CAP})")
+    # Codes order as the values they spell, so the scan reads codes alone.
     oracle.begin_round()
     best: int | None = None
     best_mask = 0
     total = 1 << n
     for start in range(0, total, BRUTE_FORCE_CHUNK):
         masks = range(start, min(start + BRUTE_FORCE_CHUNK, total))
-        nums = oracle.answer_batch(masks)
-        low = min(nums)
+        codes = oracle.answer_batch(masks)
+        low = min(codes)
         if best is None or low <= best:
-            if nums.count(low) == 1 and low != best:
-                best_mask = masks[nums.index(low)]
+            if codes.count(low) == 1 and low != best:
+                best_mask = masks[codes.index(low)]
             else:
-                tied = [m for m, v in zip(masks, nums) if v == low]
+                tied = [m for m, v in zip(masks, codes) if v == low]
                 if low == best:
                     tied.append(best_mask)
                 # On a tie the least index list wins.
@@ -153,9 +159,13 @@ def brute_force_minimize(oracle) -> SolverResult:
             best = low
         # Free this batch before asking the next, so that only one is ever
         # held: two raise the peak RSS of an n = 16 scan by about 0.1 MB.
-        del nums
+        del codes
     assert best is not None
-    return SolverResult("brute_force", Subset(n, best_mask), Fraction(best, config.value_denominator), total, 1)
+    try:
+        value = config.code_value(best)
+    except ValueError:
+        raise CorruptedOracleError(f"least answer code {best} is no value of a layer") from None
+    return SolverResult("brute_force", Subset(n, best_mask), value, total, 1)
 
 
 def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
@@ -184,10 +194,10 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
     ``pool[i]`` to ``pool[j - 1]``.  Classified elements are deleted from
     the list by index.  With ``base = prefix | T`` Phase A asks
     ``base | W`` and Phase B asks ``base ^ W``, each as a one-mask batch.
-    Each answer is decoded once, by :func:`decode_layer_answer`.  A
+    Each answer code is decoded once, by :func:`decode_layer_answer`.  A
     :class:`Subset` is built only for the returned minimizer.
     """
-    n, r = config.n, config.r
+    n, r, radix = config.n, config.r, config.code_radix
     cap = query_cap(n)
     queries = 0  # every query opens its own round, so this counts rounds too
     begin_round, answer_batch = oracle.begin_round, oracle.answer_batch
@@ -195,11 +205,11 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
     def ask(mask: int) -> int:
         nonlocal queries
         begin_round()
-        [num] = answer_batch([mask])
+        [code] = answer_batch([mask])
         queries += 1
         if queries > cap:
             raise RuntimeError(f"query budget exceeded: {queries} > {cap} at n={n}, r={r}")
-        return num
+        return code
 
     prefix = 0
     elems = list(range(config.effective_size))  # the pool, in increasing order
@@ -207,7 +217,6 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
 
     for layer in range(1, config.layer_count + 1):
         pool_size = len(elems)
-        den = config.layer_factors[layer - 1] * 2 * pool_size  # D // d_k
 
         # Phase A: classify away the block elements outside the hidden set.
         base, accepted = prefix, 0  # base = prefix | T, with |T| = accepted
@@ -216,7 +225,7 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
         while blocks and len(bad) < r:
             i, j = blocks.pop()
             w = pool & ((2 << elems[j - 1]) - (1 << elems[i]))
-            rel = decode_layer_answer(ask(base | w), den, pool_size, accepted + j - i, r).relation
+            rel = decode_layer_answer(ask(base | w), radix, pool_size, accepted + j - i, r).relation
             if rel is Relation.EQUAL or rel is Relation.STRICT_SUBSET:
                 base |= w
                 accepted += j - i
@@ -241,7 +250,7 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
         while blocks and len(hidden) < r:
             i, j = blocks.pop()
             w = pool & ((2 << elems[j - 1]) - (1 << elems[i]))
-            rel = decode_layer_answer(ask(base ^ w), den, pool_size, len(elems) - (j - i), r).relation
+            rel = decode_layer_answer(ask(base ^ w), radix, pool_size, len(elems) - (j - i), r).relation
             if rel is Relation.EQUAL:
                 pass  # W misses the hidden set entirely
             elif rel is Relation.STRICT_SUBSET:
@@ -263,10 +272,9 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
             prefix |= bit
 
     # The prefix matches every layer, so any consistent oracle answers 0.
-    num = ask(prefix)
-    if num != 0:
-        value = format_value(Fraction(num, config.value_denominator))
-        raise CorruptedOracleError(f"minimizer query answered {value}, expected 0")
+    code = ask(prefix)
+    if code != 0:
+        raise CorruptedOracleError(f"minimizer query answered code {code}, expected 0")
     return SolverResult("family_aware", Subset(n, prefix), Fraction(0), queries, queries)
 
 
@@ -278,18 +286,17 @@ _SINGLETON_CLASSES = {
 }
 
 
-def _singleton_class(num: int, den: int, pool_size: int, layer: int, r: int) -> str:
-    """Class of pool element e from the normalized value ``num / den`` of
-    prefix + {e} at ``layer``, where prefix matches every earlier layer.
-    A value no singleton query produces raises :class:`CorruptedOracleError`.
+def _singleton_class(code: int, radix: int, pool_size: int, layer: int, r: int) -> str:
+    """Class of pool element e from the answer code of prefix + {e} at
+    ``layer``, where prefix matches every earlier layer.  A code no
+    singleton query produces raises :class:`CorruptedOracleError`.
     """
-    ans = decode_layer_answer(num, den, pool_size, 1, r)
+    ans = decode_layer_answer(code, radix, pool_size, 1, r)
     if ans.relation is Relation.EQUAL and r == 1:
         return "hidden"  # at r = 1 the hidden element's query is an exact match
     label = _SINGLETON_CLASSES.get((ans.relation, ans.outside_block))
     if label is None:
-        value = format_value(Fraction(num, den))
-        raise CorruptedOracleError(f"layer {layer}: normalized singleton value {value} matches no class")
+        raise CorruptedOracleError(f"layer {layer}: singleton answer code {code} matches no class")
     return label
 
 
@@ -308,7 +315,7 @@ def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
     hidden and r off-block elements are read off the run offsets and
     deleted from the list.
     """
-    n, r = config.n, config.r
+    n, r, radix = config.n, config.r, config.code_radix
     queries = 0
     prefix = 0
     elems = list(range(config.effective_size))  # the pool, in increasing order
@@ -316,9 +323,8 @@ def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
 
     for layer in range(1, config.layer_count + 1):
         pool_size = len(elems)
-        den = config.layer_factors[layer - 1] * 2 * pool_size  # D // d_k
         oracle.begin_round()
-        nums = oracle.answer_batch(SingletonBatch(prefix, pool))
+        codes = oracle.answer_batch(SingletonBatch(prefix, pool))
         queries += pool_size
         # Elements with the same answer share a class: decode each distinct
         # answer once, in order of first appearance.  ``groupby`` compares
@@ -328,11 +334,11 @@ def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
         hidden: list[int] = []  # positions in ``elems``, increasing
         near: list[int] = []  # hidden and off-block positions, increasing
         start = 0
-        for num, run in groupby(nums):
+        for code, run in groupby(codes):
             stop = start + len(list(run))
-            label = labels.get(num)
+            label = labels.get(code)
             if label is None:
-                label = labels[num] = _singleton_class(num, den, pool_size, layer, r)
+                label = labels[code] = _singleton_class(code, radix, pool_size, layer, r)
             if label != "deeper":
                 near += range(start, stop)
                 if label == "hidden":

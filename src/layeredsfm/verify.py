@@ -5,7 +5,10 @@ F(S+i) + F(S+j) >= F(S+i+j) + F(S), which on the Boolean lattice is
 equivalent to the pairwise inequality and costs O(n^2 * 2^n) instead of
 O(4^n).  The diamonds are compared in packed lanes: the table, less its
 minimum, is one int of 2^n lanes of ``w = 8 * nb`` bits, with ``nb`` the
-fewest bytes that hold the spread and two spare bits.  The marginal gains
+fewest bytes that hold the spread and two spare bits.  A table whose
+entries are non-negative and fit their lanes (every instance's) is packed
+as it is and its minimum taken off every lane in one subtraction; another
+is offset entry by entry.  The marginal gains
 along one axis, biased by 2^(w-2), and their differences along a second
 axis, biased by 2^(w-1), then stay inside [0, 2^w) in every lane, so no
 borrow crosses a lane, and a pair of axes is checked in a shift, a
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -90,7 +94,8 @@ def _instance_prices(inst: LayeredInstance, n: int) -> tuple[Callable[[Sequence[
     as numerators over ``D = config.value_denominator``, read from its layer table."""
     if n != inst.config.n:
         raise ValueError(f"cannot evaluate an instance on {inst.config.n} elements over {n}")
-    return inst.table.numerators, inst.config.value_denominator
+    config = inst.config
+    return partial(inst.table.values, lift=config.numerator_lift), config.value_denominator
 
 
 def _tabulate(fn: SetFunction | LayeredInstance, n: int) -> tuple[list[int], int]:
@@ -125,31 +130,40 @@ def _high_bits(n: int, nb: int) -> list[int]:
     return masks
 
 
-def _pack(ints: list[int], lo: int, nb: int) -> int:
-    """``sum((v - lo) << (8 * nb * S))`` over the table: one ``nb``-byte lane
-    per entry, built 512 entries at a time."""
-    offset = (-lo).__add__
+def _pack(ints: list[int], nb: int, offset: int = 0) -> int:
+    """``sum((v + offset) << (8 * nb * S))`` over the table: one ``nb``-byte
+    lane per entry, built 512 entries at a time."""
     packed = bytearray()
     for start in range(0, len(ints), 512):
-        packed += b"".join(map(int.to_bytes, map(offset, ints[start : start + 512]), repeat(nb), repeat("little")))
+        chunk = ints[start : start + 512]
+        lanes = map(offset.__add__, chunk) if offset else chunk
+        packed += b"".join(map(int.to_bytes, lanes, repeat(nb), repeat("little")))
     return int.from_bytes(packed, "little")
 
 
-def _diamonds_hold(ints: list[int], n: int) -> bool:
+def _diamonds_hold(ints: list[int], n: int, lo: int | None = None, hi: int | None = None) -> bool:
     """True when F(S+i) + F(S+j) >= F(S+i+j) + F(S) for every S and i != j outside S.
 
     That is, each marginal gain G_i(S) = F(S+i) - F(S) over S not holding i
     is non-increasing along every axis j > i (the pair {i, j} needs one of
     its two axes).  Checked in packed lanes of ``w`` bits (module docstring).
+    ``lo`` and ``hi``, the table's minimum and maximum, are computed when
+    ``lo`` is not given.
     """
     if n < 2:
         return True
-    lo = min(ints)
-    nb = ((max(ints) - lo).bit_length() + 9) // 8  # the fewest bytes with spread < 2^(w-2)
+    if lo is None:
+        lo, hi = min(ints), max(ints)
+    nb = ((hi - lo).bit_length() + 9) // 8  # the fewest bytes with spread < 2^(w-2)
     w = 8 * nb
     masks = _high_bits(n, nb)
-    packed = _pack(ints, lo, nb)
-    neg = (3 * (masks[0] + (masks[0] << w)) >> 1) - packed  # lane S: 3 * 2^(w-2) - (F(S) - lo)
+    top = masks[0] + (masks[0] << w)  # the top bit of every lane
+    if lo >= 0 and not hi >> w:
+        # No entry is below lo, so taking lo off every lane at once borrows across none.
+        packed = _pack(ints, nb) - lo * (top >> (w - 1))
+    else:
+        packed = _pack(ints, nb, -lo)
+    neg = (3 * top >> 1) - packed  # lane S: 3 * 2^(w-2) - (F(S) - lo)
     for i in range(n - 1):
         m = masks[i]
         xt = (packed >> (w << i)) + neg  # lane S: G_i(S) + 3 * 2^(w-2), in (2^(w-1), 2^w)
@@ -162,12 +176,13 @@ def _diamonds_hold(ints: list[int], n: int) -> bool:
     return True
 
 
-def _first_violating_pair(ints: list[int], den: int, n: int) -> ViolationWitness | None:
-    """Exhaustive verdict over a :func:`_tabulate` table: None when every
-    diamond holds, else the first violating pair in increasing encoding.
-    A failed diamond with no failing pair raises ``RuntimeError``: the two
-    scans disagree, so one of them is wrong."""
-    if _diamonds_hold(ints, n):
+def _first_violating_pair(ints: list[int], den: int, n: int, lo: int, hi: int) -> ViolationWitness | None:
+    """Exhaustive verdict over a :func:`_tabulate` table with minimum ``lo``
+    and maximum ``hi``: None when every diamond holds, else the first
+    violating pair in increasing encoding.  A failed diamond with no
+    failing pair raises ``RuntimeError``: the two scans disagree, so one of
+    them is wrong."""
+    if _diamonds_hold(ints, n, lo, hi):
         return None
     size = 1 << n
     for x in range(size):
@@ -199,7 +214,7 @@ def check_submodular_pairs(
     """
     if n <= EXHAUSTIVE_PAIR_CAP:
         ints, den = _tabulate(fn, n)
-        return _first_violating_pair(ints, den, n)
+        return _first_violating_pair(ints, den, n, min(ints), max(ints))
 
     if isinstance(fn, LayeredInstance):
         price, den = _instance_prices(fn, n)
@@ -283,11 +298,11 @@ def check_function_properties(
     if n > EXHAUSTIVE_PAIR_CAP:
         raise ValueError(f"exhaustive verification capped at n={EXHAUSTIVE_PAIR_CAP}")
     ints, den = _tabulate(fn, n)  # F(S) = ints[S] / den, den > 0
-    lowest = min(ints)
-    range_ok = 0 <= lowest and max(ints) <= 2 * den
+    lowest, highest = min(ints), max(ints)
+    range_ok = 0 <= lowest and highest <= 2 * den
     minimizer = ints.index(lowest)  # the first of the argmin set
     unique_min_ok = ints.count(lowest) == 1 and minimizer == predicted_min.bits
-    witness = _first_violating_pair(ints, den, n)
+    witness = _first_violating_pair(ints, den, n, lowest, highest)
     return PropertyReport(
         range_ok=range_ok,
         unique_min_ok=unique_min_ok,

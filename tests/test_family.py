@@ -13,7 +13,7 @@ from layeredsfm.family import (
     LayeredInstance,
     LayerTable,
     _divergent_layer,
-    _layer_numerator,
+    _layer_price,
     block_value,
     canonical_instance,
     containment_score,
@@ -225,7 +225,7 @@ class TestEvaluators:
                 assert first_divergent_layer(inst, s) == k
                 queries.append(s)
         den = cfg.value_denominator
-        for s, num in zip(queries, inst.table.numerators([s.bits for s in queries])):
+        for s, num in zip(queries, _numerators(inst.table, [s.bits for s in queries])):
             assert evaluate_recursive(inst, s) == Fraction(num, den)
 
     def test_closed_form_equals_recursion_with_dummies(self):
@@ -359,25 +359,27 @@ class TestLayerTable:
     @pytest.mark.parametrize("n,r", [(4, 1), (11, 3), (16, 2), (64, 1)])
     def test_rows_hold_each_layer(self, n, r):
         inst = sample_instance(GroundConfig(n, r), n)
-        table, factors = inst.table, inst.config.layer_factors
+        table = inst.table
         assert len(table.rows) == inst.config.layer_count
         seen = hidden = 0
         for k in range(1, inst.config.layer_count + 1):
             a, h, pool = inst.blocks[k - 1], inst.hidden_sets[k - 1], inst.pools[k - 1]
             assert pool.bits == (1 << inst.config.effective_size) - 1 & ~seen
-            assert table.rows[k - 1] == (a.bits, h.bits, pool.bits, len(pool), factors[k - 1])
+            assert table.rows[k - 1] == (a.bits, h.bits, pool.bits, len(pool))
             seen, hidden = seen | a.bits, hidden | h.bits
             assert table.prefix_unions[k - 1] == seen
         assert table.hidden_union == hidden
 
 
 def _assert_aligned_subcubes_match_the_mask_loop(table):
-    # Every range of 2^b masks starting at a multiple of 2^b, b = 0..n.
+    # Every range of 2^b masks starting at a multiple of 2^b, b = 0..n, in
+    # numerators over D and in layer codes.
     n = table.config.n
-    reference = table.numerators(list(range(1 << n)))
-    for b in range(n + 1):
-        for start in range(0, 1 << n, 1 << b):
-            assert table.numerators(range(start, start + (1 << b))) == reference[start : start + (1 << b)]
+    for lift in (table.config.numerator_lift, table.config.code_lift):
+        reference = table.values(list(range(1 << n)), lift)
+        for b in range(n + 1):
+            for start in range(0, 1 << n, 1 << b):
+                assert table.values(range(start, start + (1 << b)), lift) == reference[start : start + (1 << b)]
 
 
 @st.composite
@@ -412,7 +414,7 @@ class TestSubcubeNumerators:
         table = sample_instance(GroundConfig(16, 2), 16).table
         for start in range(0, 1 << 16, 1 << 12):
             chunk = range(start, start + (1 << 12))
-            assert table.numerators(chunk) == table.numerators(list(chunk)), start
+            assert _numerators(table, chunk) == _numerators(table, list(chunk)), start
             if not start:
                 cached = table._subcube_index
             assert table._subcube_index is cached
@@ -422,7 +424,7 @@ class TestSubcubeNumerators:
         table = sample_instance(GroundConfig(14, 1), 3).table
         for width, start in [(12, 1 << 12), (8, 3 << 8), (12, 0), (12, 3 << 12), (8, 0), (3, 8)]:
             masks = range(start, start + (1 << width))
-            assert table.numerators(masks) == table.numerators(list(masks)), (width, start)
+            assert _numerators(table, masks) == _numerators(table, list(masks)), (width, start)
             held_width, (index_gather, _) = table._subcube_index
             assert held_width == width
             assert sorted(index_gather(range(1 << width))) == list(range(1 << width))
@@ -437,13 +439,14 @@ class TestSubcubeNumerators:
         n, r, seed, width, start = case
         table = sample_instance(GroundConfig(n, r), seed).table
         masks = range(start, start + (1 << width))
-        assert table.numerators(masks) == _scan_numerators(table, masks)
+        assert _numerators(table, masks) == _scan_numerators(table, masks)
+        assert _codes(table, masks) == _scan_codes(table, masks)
 
     @pytest.mark.parametrize("masks", [range(1, 5), range(3, 11), range(0, 12), range(5, 6), range(0, 16, 2),
                                        range(15, -1, -1), range(8, 8), range(-4, 0)])
     def test_other_ranges_match_the_mask_loop(self, masks):
         table = sample_instance(GroundConfig(8, 2), 4).table
-        assert table.numerators(masks) == table.numerators(list(masks))
+        assert _numerators(table, masks) == _numerators(table, list(masks))
 
     # 0, 3, 12 and 40 random queries leave 0, 1, 2 and 3 of the 4 layers committed.
     @pytest.mark.parametrize("queries", [0, 3, 12, 40])
@@ -456,14 +459,34 @@ class TestSubcubeNumerators:
         _assert_aligned_subcubes_match_the_mask_loop(table)
 
 
-def _scan_numerators(table, masks):
+def _numerators(table, masks):
+    return table.values(masks, table.config.numerator_lift)
+
+
+def _codes(table, masks):
+    return table.values(masks, table.config.code_lift)
+
+
+def _scan_prices(table, masks):
     # Independent of the mask loop: a linear scan over the rows for the first
-    # layer whose block part differs from its hidden set, priced by that row.
-    out = []
+    # layer k whose block part differs from its hidden set, and that row's
+    # price t; (None, 0) where every committed layer matches.
     for m in masks:
-        row = next((row for row in table.rows if m & row[0] != row[1]), None)
-        out.append(0 if row is None else _layer_numerator(row, m))
-    return out
+        k = next((k for k, row in enumerate(table.rows, start=1) if m & row[0] != row[1]), None)
+        yield k, 0 if k is None else _layer_price(table.rows[k - 1], m)
+
+
+def _scan_numerators(table, masks):
+    """The scanned values as numerators over D: f_k * t."""
+    factors = table.config.layer_factors
+    return [0 if k is None else factors[k - 1] * t for k, t in _scan_prices(table, masks)]
+
+
+def _scan_codes(table, masks):
+    """The scanned values as layer codes, (L + 1 - k) * (4 * effective_size + 1) + t."""
+    cfg = table.config
+    radix = 4 * cfg.effective_size + 1
+    return [0 if k is None else (cfg.layer_count + 1 - k) * radix + t for k, t in _scan_prices(table, masks)]
 
 
 def _mask_at_layer(table, k, rng):
@@ -509,7 +532,8 @@ class TestMaskLoopNumerators:
         rng = SplitMix64(len(order) * n + r)
         masks = [_mask_at_layer(table, k, rng) for k in self.ORDERS[order]]
         assert [table.layer_of(m) for m in masks] == self.ORDERS[order]
-        assert table.numerators(masks) == _scan_numerators(table, masks)
+        assert _numerators(table, masks) == _scan_numerators(table, masks)
+        assert _codes(table, masks) == _scan_codes(table, masks)
 
     @pytest.mark.parametrize("n,r", [(12, 1), (26, 2), (64, 2), (256, 2)])
     def test_singleton_batches_and_random_masks_match_a_linear_scan(self, n, r):
@@ -517,12 +541,13 @@ class TestMaskLoopNumerators:
         table, prefix = inst.table, 0
         for pool, hidden in zip(inst.pools, inst.hidden_sets):
             batch = [prefix | 1 << e for e in pool.indices()]
-            assert table.numerators(batch) == _scan_numerators(table, batch)
-            assert table.numerators(SingletonBatch(prefix, pool.bits)) == _scan_numerators(table, batch)
+            assert _numerators(table, batch) == _scan_numerators(table, batch)
+            assert _numerators(table, SingletonBatch(prefix, pool.bits)) == _scan_numerators(table, batch)
+            assert _codes(table, SingletonBatch(prefix, pool.bits)) == _scan_codes(table, batch)
             prefix |= hidden.bits
         rng = SplitMix64(n)
         masks = [rng.bits(n) for _ in range(200)]
-        assert table.numerators(masks) == _scan_numerators(table, masks)
+        assert _numerators(table, masks) == _scan_numerators(table, masks)
 
     # 0, 3, 12 and 40 random queries leave 0, 1, 2 and 3 of the 4 layers committed.
     @pytest.mark.parametrize("queries", [0, 3, 12, 40])
@@ -536,9 +561,9 @@ class TestMaskLoopNumerators:
         layers = [None] + list(range(1, committed + 1))
         for order in (layers, layers[::-1], layers * 2, layers[::-1] * 2, [None, *layers[1:], None]):
             masks = [_mask_at_layer(table, k, rng) for k in order]
-            assert table.numerators(masks) == _scan_numerators(table, masks)
+            assert _numerators(table, masks) == _scan_numerators(table, masks)
         masks = list(range(256))
-        assert table.numerators(masks) == _scan_numerators(table, masks)
+        assert _numerators(table, masks) == _scan_numerators(table, masks)
 
 
 def _linear_layer(prefix_unions, mismatch):
@@ -623,7 +648,8 @@ class TestHintedLookup:
             order += [k, k + 1] * 3 + [k + 1, k + 1, None, k, k + 1, ell + 1 - k, k]
         for i, k in enumerate(order):
             mask = _mask_at_layer(table, k, rng)
-            assert table.numerators([mask]) == _scan_numerators(table, [mask]), (i, k)
+            assert _codes(table, [mask]) == _scan_codes(table, [mask]), (i, k)
+            assert _numerators(table, [mask]) == _scan_numerators(table, [mask]), (i, k)
             assert table.layer_of(mask) == k, (i, k)
             assert table.layer_of(_mask_at_layer(table, k, rng)) == k, (i, k)
 
@@ -641,7 +667,7 @@ class TestHintedLookup:
             order += [k, min(k + 1, committed)] * 3 + [None, k, 1, committed, k]
         for i, k in enumerate(order):
             mask = _mask_at_layer(table, k, rng)
-            assert table.numerators([mask]) == _scan_numerators(table, [mask]), (i, k)
+            assert _numerators(table, [mask]) == _scan_numerators(table, [mask]), (i, k)
             assert table.layer_of(mask) == k, (i, k)
 
     @pytest.mark.parametrize("n,r", [(26, 2), (128, 1)])
@@ -656,7 +682,7 @@ class TestHintedLookup:
         monkeypatch.setattr(family, "_divergent_layer", lambda *args: searches.append(args) or _divergent_layer(*args))
         for k in order:
             mask = _mask_at_layer(table, k, rng)
-            table.numerators([mask])
+            _numerators(table, [mask])
             before = len(searches)
             assert table.layer_of(mask) == k
             if k is not None:
@@ -672,7 +698,7 @@ class TestHintedLookup:
             # One-mask batches, as one query per round asks, and some longer ones.
             masks = [_mask_at_layer(shared, k, rng)] if i % 3 else [
                 _mask_at_layer(shared, j, rng) for j in (k, order[i - 1], k)]
-            assert shared.numerators(masks) == _rebuilt(shared).numerators(masks) == _scan_numerators(shared, masks)
+            assert _numerators(shared, masks) == _numerators(_rebuilt(shared), masks) == _scan_numerators(shared, masks)
             assert shared.layer_of(masks[0]) == k
 
     def test_a_hint_set_before_later_pushes_prices_correctly(self):
@@ -682,12 +708,12 @@ class TestHintedLookup:
         while len(table.rows) < 2:
             adversary.answer_batch([rng.bits(16)])
         masks = [_mask_at_layer(table, 2, rng), _mask_at_layer(table, 1, rng)]
-        assert table.numerators(masks) == _scan_numerators(table, masks)  # the hints are layers 1 and 2
+        assert _numerators(table, masks) == _scan_numerators(table, masks)  # the hints are layers 1 and 2
         while len(table.rows) < 6:
             adversary.answer_batch([rng.bits(16)])
         for k in [None, 6, 1, 5, 3, 2, 4, 6, None]:
             masks = [_mask_at_layer(table, k, rng)]
-            assert table.numerators(masks) == _scan_numerators(table, masks)
+            assert _numerators(table, masks) == _scan_numerators(table, masks)
             assert table.layer_of(_mask_at_layer(table, k, rng)) == k
 
     def test_two_threads_on_one_honest_oracle_get_the_sequential_answers(self):
@@ -695,7 +721,7 @@ class TestHintedLookup:
         rng = SplitMix64(11)
         shallow = [[_mask_at_layer(inst.table, k % 8 + 1, rng)] for k in range(400)]
         deep = [[_mask_at_layer(inst.table, 64 - k % 8, rng) for _ in range(2)] for k in range(400)]
-        want = {id(b): _scan_numerators(inst.table, b) for b in shallow + deep}
+        want = {id(b): _scan_codes(inst.table, b) for b in shallow + deep}
         oracle, got = HonestOracle(inst), {}
         start = threading.Barrier(2)
 
@@ -732,8 +758,10 @@ def _assert_singleton_batches_match_the_mask_loop(table, seed):
         for members in [0, base, ground, ground & ~base, rng.bits(n), rng.bits(n) & ~base, *pools]:
             batch = SingletonBatch(base, members)
             masks = list(batch)
-            got = _rebuilt(table).numerators(batch)
-            assert got == _rebuilt(table).numerators(masks) == _scan_numerators(table, masks), (k, members)
+            got = _numerators(_rebuilt(table), batch)
+            assert got == _numerators(_rebuilt(table), masks) == _scan_numerators(table, masks), (k, members)
+            got = _codes(_rebuilt(table), batch)
+            assert got == _codes(_rebuilt(table), masks) == _scan_codes(table, masks), (k, members)
 
 
 class TestSingletonBatchNumerators:
@@ -754,6 +782,45 @@ class TestSingletonBatchNumerators:
             adversary.answer_batch([rng.bits(16)])
         assert len(adversary.table.rows) == committed
         _assert_singleton_batches_match_the_mask_loop(adversary.table, committed)
+
+
+def _assert_codes_spell_the_numerators(cfg, codes, nums):
+    """Each code maps to its numerator and back, and codes order as the
+    numerators do: distinct (code, numerator) pairs sorted by code have
+    strictly increasing numerators."""
+    assert [cfg.code_numerator(c) for c in codes] == nums
+    assert [cfg.numerator_code(v) for v in nums] == codes
+    pairs = sorted(set(zip(codes, nums)))
+    assert len({c for c, _ in pairs}) == len({v for _, v in pairs}) == len(pairs)
+    assert all(a[1] < b[1] for a, b in zip(pairs, pairs[1:]))
+
+
+class TestLayerCodes:
+    """The kernel's two lifts of one price: a layer code and a numerator
+    over D spell the same value, and codes order as values."""
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 13) for r in range(1, n // 2 + 1)])
+    def test_every_mask_codes_its_numerator_in_order(self, n, r):
+        cfg = GroundConfig(n, r)
+        table = sample_instance(cfg, 5 * n + r).table
+        masks = range(1 << n)
+        codes, nums = _codes(table, masks), _numerators(table, masks)
+        assert codes == _scan_codes(table, masks)
+        _assert_codes_spell_the_numerators(cfg, codes, nums)
+        # The least code is the minimizer's, 0, and only there when 2r | n.
+        assert codes.index(0) == table.hidden_union and codes.count(0) == 1 << (n - cfg.effective_size)
+
+    @pytest.mark.parametrize("n,r", [(1024, 1), (1024, 14)])
+    def test_deep_masks(self, n, r):
+        cfg = GroundConfig(n, r)
+        table = sample_instance(cfg, n + r).table
+        rng = SplitMix64(r)
+        layers = [None, 1, 2, cfg.layer_count // 4, cfg.layer_count // 2, cfg.layer_count - 1, cfg.layer_count]
+        masks = [_mask_at_layer(table, k, rng) for k in layers for _ in range(40)]
+        codes, nums = _codes(table, masks), _numerators(table, masks)
+        assert codes == _scan_codes(table, masks)
+        _assert_codes_spell_the_numerators(cfg, codes, nums)
+        assert max(c // cfg.code_radix for c in codes) == cfg.layer_count  # layer 1 is the top level
 
 
 class TestExhaustiveScanMemory:

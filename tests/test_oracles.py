@@ -111,7 +111,7 @@ def _linear_scan_value(inst, mask):
     """The value at ``mask``: a linear scan of ``inst.blocks`` and
     ``inst.hidden_sets`` finds the first divergent layer k, and the
     ``Fraction`` reference ``_layer_value`` prices it over d_k.  Shares
-    neither the table's layer search nor its numerators over D."""
+    neither the table's layer search nor its lifts to codes or numerators."""
     cfg = inst.config
     pool = (1 << cfg.effective_size) - 1
     for k, (block, hidden) in enumerate(zip(inst.blocks, inst.hidden_sets), start=1):
@@ -122,15 +122,15 @@ def _linear_scan_value(inst, mask):
 
 
 class TestAnswerBatch:
-    """``answer_batch`` gives the numerators of ``answer`` over one denominator."""
+    """``answer_batch`` gives the layer codes of the values ``answer`` gives."""
 
     @pytest.mark.parametrize("n,r", [(2, 1), (4, 1), (7, 1), (8, 2), (12, 3), (16, 2)])
     def test_matches_answer_exhaustively(self, n, r):
         cfg = GroundConfig(n, r)
         oracle = HonestOracle(sample_instance(cfg, n + r))
-        nums = oracle.answer_batch(range(1 << n))
+        codes = oracle.answer_batch(range(1 << n))
         big_d = cfg.value_denominator
-        assert nums == [oracle.answer(Subset(n, m)) * big_d for m in range(1 << n)]
+        assert codes == [cfg.numerator_code(oracle.answer(Subset(n, m)) * big_d) for m in range(1 << n)]
         assert (oracle.queries, oracle.rounds) == (2 << n, 1)
 
     @pytest.mark.parametrize("n,r", [(1024, 1), (512, 2)])
@@ -140,10 +140,9 @@ class TestAnswerBatch:
         inst = sample_instance(cfg, 7)
         oracle = HonestOracle(inst)
         masks = _deep_masks(inst, 2000, seed=n)
-        nums = oracle.answer_batch(masks)
-        big_d = cfg.value_denominator
-        assert nums == [oracle.answer(Subset(n, m)) * big_d for m in masks]
-        assert nums == [_linear_scan_value(inst, m) * big_d for m in masks]
+        codes = oracle.answer_batch(masks)
+        assert [cfg.code_value(c) for c in codes] == [oracle.answer(Subset(n, m)) for m in masks]
+        assert [cfg.code_value(c) for c in codes] == [_linear_scan_value(inst, m) for m in masks]
         depths = {first_divergent_layer(inst, Subset(n, m)) for m in masks}
         assert None in depths and max(d for d in depths if d is not None) > cfg.layer_count // 2
 
@@ -310,15 +309,15 @@ class TestAnswerBatch:
         batched, looped = HalvingAdversary(cfg), HalvingAdversary(cfg)
         for adv in (batched, looped):
             adv.begin_round()
-        nums = batched.answer_batch(masks[: 3 * n])
+        codes = batched.answer_batch(masks[: 3 * n])
         batched.begin_round()
-        nums += batched.answer_batch(masks[3 * n :])
+        codes += batched.answer_batch(masks[3 * n :])
         values = []
         for i, m in enumerate(masks):
             if i == 3 * n:
                 looped.begin_round()
             values.append(looped.answer(Subset(n, m)))
-        assert nums == [v * cfg.value_denominator for v in values]
+        assert [cfg.code_value(c) for c in codes] == values
         assert batched.transcript.to_json() == looped.transcript.to_json()
         assert batched.engaged_layers == looped.engaged_layers
         assert batched.commits == looped.commits
@@ -334,23 +333,23 @@ def test_the_fraction_reference_refuses_a_layer_the_query_matches():
 
 class TestOneEvaluator:
     """The closed form and ``HonestOracle.answer`` price a query with one
-    :meth:`LayerTable.numerators` call, and never with the ``Fraction``
+    :meth:`LayerTable.values` call, and never with the ``Fraction``
     reference ``_layer_value``."""
 
     @pytest.mark.parametrize("n,r", [(7, 1), (16, 2), (64, 1)])
     def test_single_answers_price_through_the_kernel(self, monkeypatch, n, r):
         calls = Counter()
-        numerators, layer_value = LayerTable.numerators, family._layer_value
+        values, layer_value = LayerTable.values, family._layer_value
 
-        def counting_numerators(self, masks):
-            calls["numerators"] += 1
-            return numerators(self, masks)
+        def counting_values(self, masks, lift):
+            calls["values"] += 1
+            return values(self, masks, lift)
 
         def counting_layer_value(*args):
             calls["_layer_value"] += 1
             return layer_value(*args)
 
-        monkeypatch.setattr(LayerTable, "numerators", counting_numerators)
+        monkeypatch.setattr(LayerTable, "values", counting_values)
         monkeypatch.setattr(family, "_layer_value", counting_layer_value)
         inst = sample_instance(GroundConfig(n, r), n)
         oracle = HonestOracle(inst)
@@ -360,7 +359,7 @@ class TestOneEvaluator:
             for m, value in zip(masks, expected):
                 calls.clear()
                 assert evaluate(Subset(n, m)) == value
-                assert calls == Counter(numerators=1)
+                assert calls == Counter(values=1)
         assert (oracle.queries, oracle.rounds) == (len(masks), 1)
 
 
@@ -454,7 +453,7 @@ class TestAdversaryAnswers:
 
 class _BatchLog(HalvingAdversary):
     """A halving adversary that logs each ``begin_round`` as None and each
-    batch as (masks, answered numerators)."""
+    batch as (masks, answered codes)."""
 
     def __init__(self, config):
         super().__init__(config)
@@ -466,9 +465,9 @@ class _BatchLog(HalvingAdversary):
 
     def answer_batch(self, masks):
         masks = list(masks)
-        nums = super().answer_batch(masks)
-        self.log.append((masks, nums))
-        return nums
+        codes = super().answer_batch(masks)
+        self.log.append((masks, codes))
+        return codes
 
 
 class TestAdversaryBatches:
@@ -499,7 +498,7 @@ class TestAdversaryBatches:
                 answers.append(one_by_one.answer(Subset(16, m)))
                 rounds.append(one_by_one.rounds)
         records = batched.transcript.records
-        assert answers == [Fraction(num, cfg.value_denominator) for _, nums in batches for num in nums]
+        assert answers == [cfg.code_value(code) for _, codes in batches for code in codes]
         assert records == one_by_one.transcript.records
         assert [rec.index for rec in records] == list(range(1, len(answers) + 1))
         assert [rec.round for rec in records] == rounds
@@ -522,9 +521,8 @@ class TestFinalize:
         assert inst.blocks[0] == subset(8, 0, 1)
         assert inst.hidden_sets[0] == subset(8, 0)
         inst2 = adv.transcript  # replay already ran inside finalize
-        big_d = inst.config.value_denominator
         for rec in inst2.records:
-            assert evaluate_closed_form(inst, Subset(8, rec.mask)) == Fraction(rec.num, big_d)
+            assert evaluate_closed_form(inst, Subset(8, rec.mask)) == inst.config.code_value(rec.code)
 
     def test_empty_transcript_canonical(self):
         adv = HalvingAdversary(GroundConfig(6, 1))
@@ -670,7 +668,7 @@ class TestTranscript:
         data = adv.transcript.to_json()
         text = json.dumps(data)
         back = Transcript.from_json(json.loads(text))
-        assert [r.to_json(4, back.config.value_denominator) for r in back.records] == data["records"]
+        assert [r.to_json(back.config) for r in back.records] == data["records"]
 
     def test_replay_names_the_mismatched_record(self):
         cfg = GroundConfig(16, 1)
@@ -682,10 +680,10 @@ class TestTranscript:
         # Another instance answers some recorded query differently.
         with pytest.raises(ReplayMismatchError):
             transcript.replay(sample_instance(cfg, 1))
-        # One value moved by 1/D is caught and named by its record index.
+        # One code moved by 1 is caught and named by its record index.
         i = len(transcript) // 2
         rec = transcript.records[i]
-        transcript.records[i] = rec._replace(num=rec.num + 1)
+        transcript.records[i] = rec._replace(code=rec.code + 1)
         indices = [e for e in range(cfg.n) if rec.mask >> e & 1]
         assert indices  # a query of at least one element
         with pytest.raises(ReplayMismatchError, match=rf"^record {rec.index}: query {re.escape(str(indices))} was answered "):
@@ -702,7 +700,7 @@ class TestTranscript:
         assert len(records) == 511
         for i in (0, 255, 256, 510):
             rec = records[i]
-            records[i] = rec._replace(num=rec.num - 1)
+            records[i] = rec._replace(code=rec.code - 1)
             with pytest.raises(ReplayMismatchError, match=rf"^record {rec.index}: "):
                 adv.transcript.replay(inst)
             records[i] = rec
@@ -719,7 +717,7 @@ class TestTranscript:
 
     def test_record_ordering_enforced(self):
         cfg = GroundConfig(4, 1)
-        one = cfg.value_denominator  # the value 1, as a numerator over D
+        one = cfg.numerator_code(cfg.value_denominator)  # the value 1, as a layer code
         t = Transcript(cfg)
         t.append(QueryRecord(1, 1, 0, one))
         with pytest.raises(ValueError):
@@ -738,9 +736,8 @@ class TestTranscript:
 
 
 def _assert_records_match_fraction_evaluators(transcript, inst):
-    big_d = inst.config.value_denominator
     for rec in transcript.records:
-        value = Fraction(rec.num, big_d)
+        value = inst.config.code_value(rec.code)
         assert value == evaluate_closed_form(inst, Subset(inst.config.n, rec.mask)), rec.index
         assert value == _linear_scan_value(inst, rec.mask), rec.index
         if inst.config.n <= 16:
@@ -748,7 +745,7 @@ def _assert_records_match_fraction_evaluators(transcript, inst):
 
 
 class TestIntegerRecords:
-    """The adversary prices and records in numerators over D; the ``Fraction``
+    """The adversary prices and records in layer codes; the ``Fraction``
     evaluators, run on the finalized instance, agree with every record: the
     closed form (the honest kernel), and two references independent of the
     kernel, a linear scan priced by ``_layer_value`` and (n <= 16) the recursion."""
@@ -772,7 +769,7 @@ class TestIntegerRecords:
         adv = HalvingAdversary(cfg)
         answers = [adv.answer(rng.subset_of(Subset.full(16))) for _ in range(100)]
         inst = adv.finalize(seed)
-        assert answers == [Fraction(rec.num, cfg.value_denominator) for rec in adv.transcript.records]
+        assert answers == [cfg.code_value(rec.code) for rec in adv.transcript.records]
         _assert_records_match_fraction_evaluators(adv.transcript, inst)
 
     @pytest.mark.parametrize("solver,n", [("brute_force", 8), ("family_aware", 32), ("singleton_parallel", 32)])
@@ -782,12 +779,11 @@ class TestIntegerRecords:
         cfg = GroundConfig(n, 1)
         adv = HalvingAdversary(cfg)
         SOLVERS[solver](adv, cfg)
-        big_d = cfg.value_denominator
         for rec in adv.transcript.records:
-            want = QueryRecord(index=rec.index, round=rec.round, mask=rec.mask, num=rec.num)
+            want = QueryRecord(index=rec.index, round=rec.round, mask=rec.mask, code=rec.code)
             assert type(rec) is QueryRecord
-            assert rec._fields == ("index", "round", "mask", "num")
+            assert rec._fields == ("index", "round", "mask", "code")
             assert tuple(rec) == tuple(want) and all(type(v) is int for v in rec)
             assert rec == want and hash(rec) == hash(want) and repr(rec) == repr(want)
-            assert rec._replace(num=0) == want._replace(num=0)
-            assert rec.to_json(n, big_d) == want.to_json(n, big_d)
+            assert rec._replace(code=0) == want._replace(code=0)
+            assert rec.to_json(cfg) == want.to_json(cfg)

@@ -1,4 +1,5 @@
 import functools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,6 +50,73 @@ class TestGroundConfig:
         for k, d in enumerate(scale_denominators(cfg), start=1):
             assert cfg.value_denominator % (d * 2 * cfg.pool_size(k)) == 0
             assert cfg.layer_factors[k - 1] == cfg.value_denominator // (d * 2 * cfg.pool_size(k))
+
+    def test_layer_codes(self):
+        # (10, 2): L = 2, effective size 8, M = 33; layer 1 sits at level 2.
+        cfg = GroundConfig(10, 2)
+        assert cfg.code_radix == 33
+        assert cfg.code_lift == ((2 * 33, 1), (33, 1))
+        assert cfg.numerator_lift == ((0, 32), (0, 1))
+        assert cfg.code_numerator(0) == 0 and cfg.numerator_code(0) == 0
+        assert cfg.code_numerator(2 * 33 + 5) == 32 * 5 and cfg.numerator_code(32 * 5) == 2 * 33 + 5
+        assert cfg.code_value(33 + 16) == Fraction(16, cfg.value_denominator)
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 13) for r in range(1, n // 2 + 1)])
+    def test_codes_spell_every_layer_value_in_order(self, n, r):
+        # Every code of every level, in increasing order, maps to a strictly
+        # larger numerator (f_k * t, t in [1, 4 * pool_size(k)]) and back.
+        cfg = GroundConfig(n, r)
+        previous = 0
+        assert cfg.code_numerator(0) == 0
+        for level in range(1, cfg.layer_count + 1):
+            k = cfg.layer_count + 1 - level
+            for t in range(1, 4 * cfg.pool_size(k) + 1):
+                code = level * cfg.code_radix + t
+                num = cfg.code_numerator(code)
+                assert num == cfg.layer_factors[k - 1] * t > previous
+                assert cfg.numerator_code(num) == code
+                previous = num
+        assert previous == 2 * cfg.value_denominator
+
+    @pytest.mark.parametrize("n,r", [(1024, 1), (1024, 14), (1000, 3)])
+    def test_deep_levels_do_not_overlap(self, n, r):
+        # The top of each level lies below the bottom of the next one up.
+        cfg = GroundConfig(n, r)
+        radix = cfg.code_radix
+        for level in range(1, cfg.layer_count + 1):
+            k = cfg.layer_count + 1 - level
+            low, high = level * radix + 1, level * radix + 4 * cfg.pool_size(k)
+            assert cfg.code_numerator(low) == cfg.layer_factors[k - 1]
+            assert cfg.numerator_code(cfg.code_numerator(high)) == high
+            if level < cfg.layer_count:  # f_(k-1) = 2 * f_k * 4 * pool_size(k)
+                assert 2 * cfg.code_numerator(high) == cfg.code_numerator(low + radix)
+            for code in (low - 1, high + 1):
+                with pytest.raises(ValueError, match="is no layer code"):
+                    cfg.code_numerator(code)
+
+    @pytest.mark.parametrize("n,r", [(4, 1), (6, 1)])
+    def test_numerator_code_rejects_every_non_price(self, n, r):
+        # Every multiple of 1/D in [0, 2], and a step past either end: the
+        # layer prices map to codes, every other numerator raises.
+        cfg = GroundConfig(n, r)
+        prices = {0} | {f * t for k, f in enumerate(cfg.layer_factors, start=1)
+                        for t in range(1, 4 * cfg.pool_size(k) + 1)}
+        rejected = 0
+        for num in range(-1, 2 * cfg.value_denominator + 2):
+            if num in prices:
+                assert cfg.code_numerator(cfg.numerator_code(num)) == num
+            else:
+                with pytest.raises(ValueError, match="is no value of a layer"):
+                    cfg.numerator_code(num)
+                rejected += 1
+        assert rejected == 2 * cfg.value_denominator + 3 - len(prices)
+
+    # (4, 1), M = 17: a negative code, level 0 but not 0, price 0 at a
+    # level, a price past 4 * pool (8 at level 1), levels past L = 2.
+    @pytest.mark.parametrize("code", [-1, 1, 16, 17, 17 + 9, 3 * 17 + 1, 10**40])
+    def test_code_numerator_rejects_codes_that_spell_nothing(self, code):
+        with pytest.raises(ValueError, match="is no layer code"):
+            GroundConfig(4, 1).code_numerator(code)
 
     def test_even_division(self):
         cfg = GroundConfig(8, 2)

@@ -143,6 +143,21 @@ class TestBruteForce:
         with pytest.raises(CorruptedOracleError):
             brute_force_minimize(OffLattice(two_layer_instance))
 
+    def test_a_least_code_that_spells_no_value_raises(self):
+        # A batch-only oracle's answers reach brute force unchecked; the
+        # least one is read back as a value, and a code that spells none raises.
+        class Junk:
+            config = GroundConfig(3, 1)
+
+            def begin_round(self):
+                pass
+
+            def answer_batch(self, masks):
+                return [-1] * len(masks)
+
+        with pytest.raises(CorruptedOracleError, match="^least answer code -1 is no value of a layer$"):
+            brute_force_minimize(Junk())
+
     def test_value_and_minimizer_match_per_query_scan(self):
         for n, r in [(7, 1), (12, 3), (13, 2)]:
             cfg = GroundConfig(n, r)
@@ -154,9 +169,9 @@ class TestBruteForce:
             assert (res.minimizer, res.min_value) == (want, low)
 
 
-def _normalized(value, layer_scale):
-    """``value / layer_scale`` as the unreduced pair the decoder takes."""
-    return value.numerator * layer_scale.denominator, value.denominator * layer_scale.numerator
+def _code(cfg, layer, t):
+    """The layer code of price ``t`` at ``layer``, written out: (L + 1 - k) * M + t."""
+    return (cfg.layer_count + 1 - layer) * (4 * cfg.effective_size + 1) + t
 
 
 def _reference_decode(value, layer_scale, pool_size, queried_in_pool, r):
@@ -183,117 +198,146 @@ def _reference_decode(value, layer_scale, pool_size, queried_in_pool, r):
     return LayerAnswer(relation=rel, outside_block=int(count))
 
 
+def _assert_decodes_as_its_value(cfg, code, layer, queried):
+    """``code`` decodes at ``layer`` as the Fraction reference decodes the
+    value it spells, or, where it spells none or the reference raises,
+    raises CorruptedOracleError.  Returns whether it decoded."""
+    pool, r = cfg.pool_size(layer), cfg.r
+    try:
+        want = _reference_decode(cfg.code_value(code), Fraction(1, scale_denominators(cfg)[layer - 1]),
+                                 pool, queried, r)
+    except (ValueError, CorruptedOracleError):
+        with pytest.raises(CorruptedOracleError):
+            decode_layer_answer(code, cfg.code_radix, pool, queried, r)
+        return False
+    assert decode_layer_answer(code, cfg.code_radix, pool, queried, r) == want, (code, layer, queried)
+    return True
+
+
 class TestDecode:
+    @pytest.mark.parametrize("n,r", [(4, 1), (8, 1), (12, 3)])
+    def test_every_code_decodes_as_its_value_or_raises(self, n, r):
+        # Totality: every int in [-1, (L + 1) * M], at every layer and count.
+        cfg = GroundConfig(n, r)
+        outcomes = Counter()
+        for code in range(-1, (cfg.layer_count + 1) * cfg.code_radix + 1):
+            for layer in range(1, cfg.layer_count + 1):
+                for queried in range(cfg.pool_size(layer) + 1):
+                    outcomes[_assert_decodes_as_its_value(cfg, code, layer, queried)] += 1
+        assert outcomes[True] and outcomes[False]
+
     @pytest.mark.parametrize("n,r,layer", [(6, 1, 2), (16, 2, 3), (1024, 1, 400), (1024, 1, 512)])
     def test_matches_fraction_reference(self, n, r, layer):
-        # The value set of one layer (normalized): 2, 1 +- c/(2 pool) for
-        # c <= pool, and exact-match residuals (the next layer's values over
-        # 8 pool); plus values just off it and counts above the pool.
+        # Every price at the decoded level, the two levels below it and the
+        # one above, plus 0 and the ends of the range, against the reference.
         cfg = GroundConfig(n, r)
-        pool = cfg.pool_size(layer)
-        scale = Fraction(1, scale_denominators(cfg)[layer - 1])
-        sides = [1 + Fraction(c, 2 * pool) for c in range(-pool - 2, pool + 3)]
-        deeper = max(pool - 2 * r, 1)
-        residuals = [(1 + Fraction(c, 2 * deeper)) / (8 * pool) for c in range(-deeper, deeper + 1)]
-        exact = [Fraction(0), Fraction(2), Fraction(1, 4 * pool), *sides, *residuals]
-        eps = Fraction(1, 64 * pool * pool)
-        outcomes = []
-        for v, queried in itertools.product(exact, (r - 1, r, r + 1)):
-            for w in (v, v - eps, v + eps):
-                value = w * scale
-                try:
-                    want = _reference_decode(value, scale, pool, queried, r)
-                except CorruptedOracleError as exc:
-                    with pytest.raises(CorruptedOracleError) as got:
-                        decode_layer_answer(*_normalized(value, scale), pool, queried, r)
-                    assert str(got.value) == str(exc)
-                    outcomes.append(False)
-                else:
-                    assert decode_layer_answer(*_normalized(value, scale), pool, queried, r) == want
-                    outcomes.append(True)
-        assert any(outcomes) and not all(outcomes)
+        level = cfg.layer_count + 1 - layer
+        codes = [-1, 0, (cfg.layer_count + 1) * cfg.code_radix]
+        codes += [hi * cfg.code_radix + t for hi in range(max(level - 2, 0), level + 2) for t in range(cfg.code_radix)]
+        outcomes = Counter()
+        for code in codes:
+            for queried in (r - 1, r, r + 1):
+                outcomes[_assert_decodes_as_its_value(cfg, code, layer, queried)] += 1
+        assert outcomes[True] and outcomes[False]
 
     def test_strict_subset_with_count(self):
-        ans = decode_layer_answer(9, 8, 4, 1, 1)
+        cfg = GroundConfig(4, 1)  # layer 1: pool 4, normalized value t / 8
+        ans = decode_layer_answer(_code(cfg, 1, 9), cfg.code_radix, 4, 1, 1)
         assert ans.relation is Relation.STRICT_SUBSET
         assert ans.outside_block == 1
 
     def test_incomparable(self):
-        ans = decode_layer_answer(2, 1, 4, 1, 1)
+        cfg = GroundConfig(4, 1)
+        ans = decode_layer_answer(_code(cfg, 1, 16), cfg.code_radix, 4, 1, 1)
         assert ans.relation is Relation.INCOMPARABLE
         assert ans.outside_block is None
 
     def test_exact_match_is_unique_zero_region(self):
-        ans = decode_layer_answer(0, 1, 4, 1, 1)
+        cfg = GroundConfig(4, 1)
+        ans = decode_layer_answer(0, cfg.code_radix, 4, 1, 1)
         assert ans.relation is Relation.EQUAL
-        ans = decode_layer_answer(1, 32, 4, 1, 1)
+        # Layer 2's price 4 is 1/32 normalized at layer 1: a residual.
+        ans = decode_layer_answer(_code(cfg, 2, 4), cfg.code_radix, 4, 1, 1)
         assert ans.relation is Relation.EQUAL
 
     def test_rejects_residual_above_exact_match_bound(self):
-        # An exact match's residual is at most 1/(4 * pool): 1/32 at pool 8.
-        assert decode_layer_answer(1, 32, 8, 1, 1).relation is Relation.EQUAL
-        for v in (Fraction(1, 31), Fraction(1, 3)):
+        # At layer 1 of (8, 1) (pool 8) an exact match's residual is a layer-2
+        # price, at most 4 * 6 = 24; a price above it, or a small price at
+        # layer 1 itself, is no residual.
+        cfg = GroundConfig(8, 1)
+        assert decode_layer_answer(_code(cfg, 2, 24), cfg.code_radix, 8, 1, 1).relation is Relation.EQUAL
+        for code in (_code(cfg, 2, 25), _code(cfg, 1, 1), _code(cfg, 1, 0)):
             with pytest.raises(CorruptedOracleError):
-                decode_layer_answer(v.numerator, v.denominator, 8, 1, 1)
+                decode_layer_answer(code, cfg.code_radix, 8, 1, 1)
 
-    @pytest.mark.parametrize("den,pool_size", [(0, 4), (-8, 4), (8, 0), (8, -4)])
-    def test_rejects_a_non_positive_denominator_or_pool(self, den, pool_size):
+    @pytest.mark.parametrize("radix,pool_size,r", [(0, 4, 1), (-8, 4, 1), (17, 0, 1), (17, -4, 1), (16, 4, 1),
+                                                   (17, 3, 1), (17, 2, 2)])
+    def test_rejects_a_bad_radix_or_pool(self, radix, pool_size, r):
         # A caller's error, not an oracle's, so not CorruptedOracleError.
-        with pytest.raises(ValueError, match="denominator and pool size must be positive"):
-            decode_layer_answer(1, den, pool_size, 1, 1)
+        with pytest.raises(ValueError, match="pool size must be a positive multiple of 2r"):
+            decode_layer_answer(1, radix, pool_size, 1, r)
 
     def test_strict_superset_with_count(self):
-        ans = decode_layer_answer(7, 8, 4, 3, 1)
+        cfg = GroundConfig(4, 1)
+        ans = decode_layer_answer(_code(cfg, 1, 7), cfg.code_radix, 4, 3, 1)
         assert ans.relation is Relation.STRICT_SUPERSET
         assert ans.outside_block == 1
 
     def test_ambiguous_comparable_disambiguates(self):
-        # Normalized value 1 (nothing below the block): the pool count decides.
-        assert decode_layer_answer(1, 1, 4, 0, 1) == (Relation.STRICT_SUBSET, 0)
-        assert decode_layer_answer(1, 1, 4, 2, 1) == (Relation.STRICT_SUPERSET, 0)
+        # Price 2 * pool (normalized value 1, nothing below the block): the pool count decides.
+        cfg = GroundConfig(4, 1)
+        code = _code(cfg, 1, 8)
+        assert decode_layer_answer(code, cfg.code_radix, 4, 0, 1) == (Relation.STRICT_SUBSET, 0)
+        assert decode_layer_answer(code, cfg.code_radix, 4, 2, 1) == (Relation.STRICT_SUPERSET, 0)
         with pytest.raises(CorruptedOracleError):
-            decode_layer_answer(1, 1, 4, 1, 1)
+            decode_layer_answer(code, cfg.code_radix, 4, 1, 1)
 
     def test_pool_count_decides_only_the_comparable_case(self):
-        # At r = 2, pool 8: value 1 against r queried pool elements would be an
-        # exact match; every other value decodes the same at every count.
-        assert decode_layer_answer(1, 1, 8, 1, 2) == LayerAnswer(Relation.STRICT_SUBSET, 0)
-        assert decode_layer_answer(1, 1, 8, 3, 2) == LayerAnswer(Relation.STRICT_SUPERSET, 0)
+        # At r = 2, pool 8: price 16 against r queried pool elements would be an
+        # exact match; every other code decodes the same at every count.
+        cfg = GroundConfig(8, 2)
+        radix = cfg.code_radix
+        assert decode_layer_answer(_code(cfg, 1, 16), radix, 8, 1, 2) == LayerAnswer(Relation.STRICT_SUBSET, 0)
+        assert decode_layer_answer(_code(cfg, 1, 16), radix, 8, 3, 2) == LayerAnswer(Relation.STRICT_SUPERSET, 0)
         with pytest.raises(CorruptedOracleError, match="exact match"):
-            decode_layer_answer(1, 1, 8, 2, 2)
-        for num, decided in [(17, LayerAnswer(Relation.STRICT_SUBSET, 1)), (0, LayerAnswer(Relation.EQUAL, None)),
-                             (15, LayerAnswer(Relation.STRICT_SUPERSET, 1)),
-                             (32, LayerAnswer(Relation.INCOMPARABLE, None))]:
+            decode_layer_answer(_code(cfg, 1, 16), radix, 8, 2, 2)
+        for code, decided in [(_code(cfg, 1, 17), LayerAnswer(Relation.STRICT_SUBSET, 1)),
+                              (0, LayerAnswer(Relation.EQUAL, None)),
+                              (_code(cfg, 1, 15), LayerAnswer(Relation.STRICT_SUPERSET, 1)),
+                              (_code(cfg, 1, 32), LayerAnswer(Relation.INCOMPARABLE, None))]:
             for queried in range(9):
-                assert decode_layer_answer(num, 16, 8, queried, 2) == decided, (num, queried)
+                assert decode_layer_answer(code, radix, 8, queried, 2) == decided, (code, queried)
 
     def test_scaled_layers(self):
-        # Same cases one layer deeper: everything shrinks by the scale factor
-        # (n=6, layer 2: scale 1/48, pool of 4).
-        scale = Fraction(1, 48)
-        ans = decode_layer_answer(*_normalized(Fraction(5, 4) * scale, scale), 4, 2, 1)
+        # Same cases one layer deeper (n=6, layer 2: pool of 4): price 10 is
+        # normalized value 5/4, two queried elements below the block.
+        cfg = GroundConfig(6, 1)
+        ans = decode_layer_answer(_code(cfg, 2, 10), cfg.code_radix, 4, 2, 1)
         assert ans.relation is Relation.STRICT_SUBSET
         assert ans.outside_block == 2
 
-    @pytest.mark.parametrize("v", [Fraction(5, 2), Fraction(-1, 8), Fraction(7, 4), Fraction(19, 16)])
-    def test_rejects_values_no_instance_produces(self, v):
+    # (4, 1), M = 17: at layer 2 (pool 2) a price above 4 * pool; at layer 1
+    # (pool 4) a count above the pool, price 0, a negative code, a level
+    # above every layer's, and a layer-2 code whose price is above 4 * 2.
+    @pytest.mark.parametrize("code,pool", [(17 + 9, 2), (2 * 17 + 14, 4), (2 * 17, 4), (-1, 4), (3 * 17 + 8, 4),
+                                           (17 + 9, 4)])
+    def test_rejects_codes_no_instance_produces(self, code, pool):
         with pytest.raises(CorruptedOracleError):
-            decode_layer_answer(v.numerator, v.denominator, 4, 0, 1)
+            decode_layer_answer(code, GroundConfig(4, 1).code_radix, pool, 0, 1)
 
     @pytest.mark.parametrize("n,r,seed", [(6, 1, 0), (8, 2, 1), (10, 1, 2)])
     def test_round_trip_against_real_instances(self, n, r, seed):
-        # Decoding the value of any query reproduces the true relation and
+        # Decoding the code of any query reproduces the true relation and
         # the true count of queried elements below the block.
         cfg = GroundConfig(n, r)
         inst = sample_instance(cfg, seed)
-        for s in enumerate_subsets(n):
+        codes = HonestOracle(inst).answer_batch(range(1 << n))
+        for s, code in zip(enumerate_subsets(n), codes):
             k = first_divergent_layer(inst, s)
             if k is None:
                 continue
             pool = inst.pools[k - 1]
-            ans = decode_layer_answer(
-                *_normalized(evaluate_closed_form(inst, s), inst.layer_scale(k)), len(pool), len(s & pool), r
-            )
+            ans = decode_layer_answer(code, cfg.code_radix, len(pool), len(s & pool), r)
             block = inst.blocks[k - 1]
             from layeredsfm.sets import relate
 
@@ -303,21 +347,21 @@ class TestDecode:
                 assert ans.outside_block == len((s & pool) - block)
 
     @pytest.mark.parametrize("n,r,seed", [(6, 1, 0), (8, 2, 1), (12, 3, 2)])
-    def test_answer_numerators_decode_as_values(self, n, r, seed):
-        # The solvers' pair: a numerator over D against D // d_k = f_k * 2 * pool_k.
+    def test_answer_codes_decode_as_values(self, n, r, seed):
+        # The solvers' pair: an answer code against the radix decodes as the
+        # reference decodes the value over the layer's scale 1/d_k.
         cfg = GroundConfig(n, r)
         inst = sample_instance(cfg, seed)
-        nums = HonestOracle(inst).answer_batch(range(1 << n))
-        for m, num in enumerate(nums):
+        codes = HonestOracle(inst).answer_batch(range(1 << n))
+        for m, code in enumerate(codes):
             s = Subset(n, m)
             k = first_divergent_layer(inst, s)
             if k is None:
                 continue
             pool, queried = len(inst.pools[k - 1]), len(s & inst.pools[k - 1])
-            assert cfg.layer_factors[k - 1] * 2 * pool * scale_denominators(cfg)[k - 1] == cfg.value_denominator
-            got = decode_layer_answer(num, cfg.layer_factors[k - 1] * 2 * pool, pool, queried, r)
-            assert got == decode_layer_answer(
-                *_normalized(evaluate_closed_form(inst, s), inst.layer_scale(k)), pool, queried, r)
+            assert inst.layer_scale(k) == Fraction(1, scale_denominators(cfg)[k - 1])
+            got = decode_layer_answer(code, cfg.code_radix, pool, queried, r)
+            assert got == _reference_decode(evaluate_closed_form(inst, s), inst.layer_scale(k), pool, queried, r)
 
 
 class TestLayerAnswer:
@@ -354,21 +398,21 @@ class TestDecodedAnswersAreNamedTuples:
         assert ans._replace(outside_block=7) == want._replace(outside_block=7)
         assert ans._asdict() == want._asdict()
 
-    @pytest.mark.parametrize("pool", [1, 2, 6, 1008])
+    @pytest.mark.parametrize("pool", [2, 4, 6, 1008])
     def test_every_decoder_case(self, pool):
-        f = 3
-        den = f * 2 * pool
+        radix = 4 * 1024 + 1
+        level = pool // 2  # r = 1
         cases = [
-            (4 * pool * f, Relation.INCOMPARABLE, None),  # v = 2
-            (2 * pool * f, None, 0),  # v = 1: the pool count against r decides
+            (level * radix + 4 * pool, Relation.INCOMPARABLE, None),  # v = 2
+            (level * radix + 2 * pool, None, 0),  # v = 1: the pool count against r decides
             (0, Relation.EQUAL, None),
-            (f // 2, Relation.EQUAL, None),  # an exact match's residual
-            *(((2 * pool + c) * f, Relation.STRICT_SUBSET, c) for c in range(1, pool + 1)),
-            *(((2 * pool - c) * f, Relation.STRICT_SUPERSET, c) for c in range(1, pool + 1)),
+            *(((level - 1) * radix + 1, Relation.EQUAL, None),) * (level > 1),  # an exact match's residual
+            *((level * radix + 2 * pool + c, Relation.STRICT_SUBSET, c) for c in range(1, pool + 1)),
+            *((level * radix + 2 * pool - c, Relation.STRICT_SUPERSET, c) for c in range(1, pool + 1)),
         ]
-        for num, relation, count in cases:
+        for code, relation, count in cases:
             for queried, comparable in ((0, Relation.STRICT_SUBSET), (2, Relation.STRICT_SUPERSET)):
-                ans = decode_layer_answer(num, den, pool, queried, 1)
+                ans = decode_layer_answer(code, radix, pool, queried, 1)
                 self._assert_named_tuple(ans, relation or comparable, count)
 
     def test_every_family_aware_answer(self, monkeypatch):
@@ -377,7 +421,8 @@ class TestDecodedAnswersAreNamedTuples:
         monkeypatch.setattr(solvers, "decode_layer_answer",
                             lambda *args: calls.append((args, decode(*args))) or calls[-1][1])
         family_aware_minimize(HonestOracle(sample_instance(cfg, 9)), cfg)
-        assert any(num == den for (num, den, *_), _ in calls)  # the comparable case, decided by the count
+        # The comparable case, price 2 * pool at the decoded level, decided by the count.
+        assert any(divmod(code, radix) == (pool // (2 * r), 2 * pool) for (code, radix, pool, _, r), _ in calls)
         assert {ans.relation for _, ans in calls} >= {Relation.EQUAL, Relation.STRICT_SUBSET}
         for _, ans in calls:
             assert ans.relation is not None
@@ -386,43 +431,30 @@ class TestDecodedAnswersAreNamedTuples:
 
 @st.composite
 def _decoder_inputs(draw):
-    """``(num, den, pool)``: on-lattice layer values over ``den = f * 2 * pool``,
-    exact-match residuals, values one numerator unit off either, and
-    arbitrary pairs; optionally reduced or scaled by a common factor."""
-    pool = draw(st.integers(1, 1024))
-    f = draw(st.one_of(st.integers(1, 64), st.integers(1, 1 << 200)))
-    den = f * 2 * pool
-    num = draw(st.one_of(
-        st.integers(-2 * pool - 2, 2 * pool + 2).map(lambda c: (2 * pool + c) * f),
-        st.integers(-2, f // 2 + 2),
+    """``(cfg, layer, code)``: a config of up to 40 layers (dummies or not),
+    a layer, and a code at or next to that layer's level, any price and one
+    past either end, or an arbitrary int."""
+    r = draw(st.integers(1, 3))
+    ell = draw(st.integers(1, 40))
+    cfg = GroundConfig(2 * r * ell + draw(st.integers(0, 2 * r - 1)), r)
+    layer = draw(st.integers(1, ell))
+    level = ell + 1 - layer
+    code = draw(st.one_of(
+        st.builds(lambda hi, t: hi * cfg.code_radix + t, st.integers(level - 2, level + 1),
+                  st.integers(-1, cfg.code_radix)),
         st.integers(-(1 << 40), 1 << 40),
+        st.just(0),
     ))
-    num += draw(st.sampled_from([0, 0, -1, 1]))
-    if draw(st.booleans()):
-        den = draw(st.integers(1, 1 << 64))
-    shape = draw(st.sampled_from(["as is", "reduced", "scaled"]))
-    if shape == "reduced":
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
-    elif shape == "scaled":
-        k = draw(st.integers(2, 1 << 32))
-        num, den = num * k, den * k
-    return num, den, pool
+    return cfg, layer, code
 
 
 @settings(max_examples=2000, deadline=None)
-@given(_decoder_inputs(), st.integers(0, 4), st.integers(1, 3))
-def test_decoder_matches_fraction_reference(args, queried, r):
-    # The same LayerAnswer, or the same exception type and text.
-    num, den, pool = args
-    try:
-        want = _reference_decode(Fraction(num, den), Fraction(1), pool, queried, r)
-    except CorruptedOracleError as exc:
-        with pytest.raises(CorruptedOracleError) as got:
-            decode_layer_answer(num, den, pool, queried, r)
-        assert str(got.value) == str(exc)
-    else:
-        assert decode_layer_answer(num, den, pool, queried, r) == want
+@given(_decoder_inputs(), st.integers(0, 4))
+def test_decoder_matches_fraction_reference(args, queried):
+    # The same LayerAnswer, or CorruptedOracleError where the reference
+    # raises or the code spells no value.
+    cfg, layer, code = args
+    _assert_decodes_as_its_value(cfg, code, layer, queried)
 
 
 class TestFamilyAware:
@@ -575,18 +607,20 @@ class TestSingletonParallel:
     def test_r1_hidden_window_is_the_exact_match_residual(self, v, label):
         # Pool 8 at scale 1: the exact-match residual window is [0, 1/32].
         assert _reference_classify_singleton(v, 1, 8, 1) == label
-        assert _solver_label(v.numerator, v.denominator, 8, 1) == label
+        assert _solver_label(GroundConfig(8, 1), v) == label
 
     @pytest.mark.parametrize("first,second", [(-3, -5), (-5, -3), (3, 5), (5, 3)])
     def test_the_first_bad_answer_in_the_batch_is_named(self, first, second):
         # Layer 1 of n = 8 has scale 1, so each value is its own normalized
-        # value: c/D with c < 0 lies below [0, 2], and 2 + c/D with c > 0 above it.
+        # value: c/D with c < 0 lies below [0, 2], and 2 + c/D with c > 0
+        # above it.  No layer takes either, and the batch names the first.
         cfg = GroundConfig(8, 1)
         inst = sample_instance(cfg, 3)
         big_d = cfg.value_denominator
         bad = [Fraction(c, big_d) + (2 if c > 0 else 0) for c in (first, second)]
         oracle = _Rewrite(inst, {0b1: bad[0], 0b10: bad[1]})
-        with pytest.raises(CorruptedOracleError, match=re.escape(f"normalized value {format_value(bad[0])} outside")):
+        message = f"answer {format_value(bad[0])} to query mask 0x1 is no value of a layer"
+        with pytest.raises(CorruptedOracleError, match=f"^{re.escape(message)}$"):
             singleton_parallel_minimize(oracle, cfg)
 
 
@@ -635,8 +669,8 @@ def _reference_family_aware(oracle, config):
         nonlocal queries
         oracle.begin_round()
         queries += 1
-        [num] = oracle.answer_batch([s.bits])
-        value = Fraction(num, config.value_denominator)
+        [code] = oracle.answer_batch([s.bits])
+        value = config.code_value(code)
         if queries > budget:
             raise RuntimeError(f"query budget exceeded: {queries} > {budget:.0f} at n={n}, r={r}")
         return value
@@ -715,10 +749,10 @@ def _reference_singleton_parallel(oracle, config):
         rounds += 1
         classes = {"hidden": [], "off_block": [], "deeper": []}
         elements = pool.indices()
-        nums = oracle.answer_batch([prefix.bits | 1 << e for e in elements])
-        for e, num in zip(elements, nums):
+        codes = oracle.answer_batch([prefix.bits | 1 << e for e in elements])
+        for e, code in zip(elements, codes):
             queries += 1
-            value = Fraction(num, config.value_denominator)
+            value = config.code_value(code)
             label = _reference_classify_singleton(value, denom, pool_size, r)
             if label is None:
                 raise CorruptedOracleError(
@@ -875,6 +909,19 @@ class TestFamilyAwareErrorExits:
             family_aware_minimize(_Rewrite(inst, values), inst.config)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, None, "1/2", True])
+    def test_an_answer_of_another_type_raises(self, inst, bad):
+        # The sequential batch default takes int (not bool) and Fraction
+        # answers only, and names the type of any other.
+        message = f"answer {bad!r} to query mask 0x3 is a {type(bad).__name__}, not an int or Fraction"
+        with pytest.raises(CorruptedOracleError, match=f"^{re.escape(message)}$"):
+            family_aware_minimize(_Rewrite(inst, {0b11: bad}), inst.config)
+
+    def test_int_answers_are_values(self, inst):
+        # {0, 1} and the minimizer {1} answered as the ints of their honest values.
+        honest = family_aware_minimize(HonestOracle(inst), inst.config)
+        assert family_aware_minimize(_Rewrite(inst, {0b11: 1, 0b10: 0}), inst.config) == honest
+
     def test_nonzero_final_answer_raises(self):
         # The last query is the recovered minimizer, which matches every layer.
         cfg = GroundConfig(16, 2)
@@ -966,25 +1013,43 @@ def _reference_classify_singleton(value, denom, pool_size, r):
     return None
 
 
-def _solver_label(num, den, pool_size, r, layer=1):
-    """The solver's class for normalized value num/den, None where it raises."""
+def _code_label(cfg, code, layer=1):
+    """The solver's class for answer ``code`` at ``layer``, None where it raises."""
     try:
-        return _singleton_class(num, den, pool_size, layer, r)
+        return _singleton_class(code, cfg.code_radix, cfg.pool_size(layer), layer, cfg.r)
     except CorruptedOracleError:
         return None
 
 
+def _solver_label(cfg, value, layer=1):
+    """The solver's class for answer ``value`` at ``layer``, None where it
+    raises: at the decoder, or before it, where no layer takes the value."""
+    num, rest = divmod(value.numerator * cfg.value_denominator, value.denominator)
+    try:
+        code = cfg.numerator_code(num) if not rest else None
+    except ValueError:
+        code = None
+    return None if code is None else _code_label(cfg, code, layer)
+
+
 class TestSingletonClassification:
     @pytest.mark.parametrize("r", [1, 2, 3])
-    @pytest.mark.parametrize("d", [1, 64])
-    def test_decoder_labels_match_reference_on_a_grid(self, r, d):
-        # Numerators over D = q * d, normalized over D // d = q, across [-1, 3].
+    @pytest.mark.parametrize("layer", [1, 2])
+    def test_decoder_labels_match_reference_on_a_grid(self, r, layer):
+        # Every int in [-1, (L + 1) * M] as the answer at a layer with pool 2r,
+        # 4r or 8r: the reference's label of the value it spells, None where
+        # it spells none.
         for pool in (2 * r, 4 * r, 8 * r):
-            q = 8 * pool * pool
+            cfg = GroundConfig(pool + 2 * r * (layer - 1), r)
+            assert cfg.pool_size(layer) == pool
+            denom = scale_denominators(cfg)[layer - 1]
             labels = Counter()
-            for num in range(-q, 3 * q + 1):
-                want = _reference_classify_singleton(Fraction(num, q * d), d, pool, r)
-                assert _solver_label(num, q, pool, r) == want, (num, q, pool)
+            for code in range(-1, (cfg.layer_count + 1) * cfg.code_radix + 1):
+                try:
+                    want = _reference_classify_singleton(cfg.code_value(code), denom, pool, r)
+                except ValueError:
+                    want = None
+                assert _code_label(cfg, code, layer) == want, (code, pool)
                 labels[want] += 1
             assert set(labels) == {"off_block", "hidden", "deeper", None}
 
@@ -1035,7 +1100,7 @@ class TestOneRoundOneBatch:
         cfg = GroundConfig(256, 2)
         inst = sample_instance(cfg, 3)
         calls = []
-        price = family._layer_numerator
+        price = family._layer_price
 
         def counted(row, s_bits):
             calls[-1] += 1
@@ -1046,7 +1111,7 @@ class TestOneRoundOneBatch:
                 calls.append(0)
                 super().begin_round()
 
-        monkeypatch.setattr(family, "_layer_numerator", counted)
+        monkeypatch.setattr(family, "_layer_price", counted)
         result = singleton_parallel_minimize(Rounds(inst), cfg)
         assert result.minimizer == true_minimizer(inst)
         assert len(calls) == cfg.layer_count
@@ -1097,21 +1162,20 @@ def _bisecting_family_aware(oracle, config):
     def ask(mask):
         nonlocal queries
         oracle.begin_round()
-        [num] = oracle.answer_batch([mask])
+        [code] = oracle.answer_batch([mask])
         queries += 1
         if queries > budget:
             raise RuntimeError(f"query budget exceeded: {queries} > {budget:.0f} at n={n}, r={r}")
-        return num
+        return code
 
     prefix = 0
     pool = (1 << config.effective_size) - 1
 
     for layer in range(1, config.layer_count + 1):
         pool_size = pool.bit_count()
-        den = config.layer_factors[layer - 1] * 2 * pool_size
 
-        def decode(num, queried_in_pool):
-            return decode_layer_answer(num, den, pool_size, queried_in_pool, r)
+        def decode(code, queried_in_pool):
+            return decode_layer_answer(code, config.code_radix, pool_size, queried_in_pool, r)
 
         accepted = 0
         bad = 0
@@ -1160,10 +1224,9 @@ def _bisecting_family_aware(oracle, config):
         prefix |= hidden
         pool = accepted & ~hidden
 
-    num = ask(prefix)
-    if num != 0:
-        value = format_value(Fraction(num, config.value_denominator))
-        raise CorruptedOracleError(f"minimizer query answered {value}, expected 0")
+    code = ask(prefix)
+    if code != 0:
+        raise CorruptedOracleError(f"minimizer query answered code {code}, expected 0")
     return SolverResult("family_aware", Subset(n, prefix), Fraction(0), queries, queries)
 
 
@@ -1233,7 +1296,11 @@ class TestRunSplitMatchesMaskBisection:
                 result = _same_run([make(), make()])
                 if isinstance(result, str):  # "[layer k: ]<first word> ..."
                     errors.add(result.split(": ", 1)[-1].split()[0])
-        assert {"found", "removal", "normalized", "minimizer"} <= errors
+        assert {"found", "removal", "code", "answer", "minimizer"} <= errors
+
+
+class _FreshInt(int):
+    """An int answer that is a new object, small or not."""
 
 
 class _FreshInts(HonestOracle):
@@ -1245,7 +1312,7 @@ class _FreshInts(HonestOracle):
         self.batches = []
 
     def answer_batch(self, masks):
-        self.batches.append([(v ^ 1) ^ 1 for v in super().answer_batch(masks)])
+        self.batches.append([_FreshInt(v) for v in super().answer_batch(masks)])
         return self.batches[-1]
 
 
@@ -1286,9 +1353,9 @@ class TestSingletonRunWalk:
             fresh = singleton_parallel_minimize(oracle, cfg)
             assert fresh == singleton_parallel_minimize(HonestOracle(inst), cfg)
             assert fresh.minimizer == true_minimizer(inst)
-            # Outside CPython's small-int cache no two answers are one object.
-            large = [v for nums in oracle.batches for v in nums if not -5 <= v <= 256]
-            assert len({id(v) for v in large}) == len(large) > cfg.n
+            # No two answers are one object, small codes included.
+            answers = [v for codes in oracle.batches for v in codes]
+            assert len({id(v) for v in answers}) == len(answers) > cfg.n
 
     @pytest.mark.parametrize("n,r", [(64, 1), (64, 2), (64, 4), (23, 2)])
     def test_an_off_block_answer_inside_a_far_run_is_counted(self, n, r):

@@ -82,7 +82,7 @@ class TestPairCheck:
     def test_a_diamond_verdict_without_a_failing_pair_raises(self, monkeypatch):
         fn = lifted_score(4, subset(4, 0, 1), subset(4, 0))
         assert check_submodular_pairs(fn, 4) is None
-        monkeypatch.setattr(verify, "_diamonds_hold", lambda ints, n: False)
+        monkeypatch.setattr(verify, "_diamonds_hold", lambda ints, n, lo, hi: False)
         with pytest.raises(RuntimeError, match="diamond and pair scans disagree"):
             check_submodular_pairs(fn, 4)
 
@@ -247,6 +247,33 @@ class TestPackedLanes:
                 assert verdict == _triple_loop_diamonds(ints, n)
                 verdicts.append(verdict)
             assert verdicts == [True, False, False] * 2
+
+
+class TestRawPacking:
+    """A non-negative table whose entries fit their lanes is packed as it is,
+    its minimum taken off every lane at once; a table with a large minimum
+    and a small spread does not fit and is offset entry by entry.  Either
+    way the verdict is the triple loop's, with the range given or not."""
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("lo", [0, 1, 5, (1 << 16) - 3, 1 << 90])
+    def test_non_negative_tables(self, n, lo):
+        for spread in (1, 63, 64, 1 << 14, (1 << 22) - 1):
+            for ints in _lane_edge_tables(n, spread):
+                shift = lo - min(ints)
+                ints = [v + shift for v in ints]
+                want = _triple_loop_diamonds(ints, n)
+                assert _diamonds_hold(ints, n) == want
+                assert _diamonds_hold(ints, n, min(ints), max(ints)) == want
+
+    def test_instance_tables(self):
+        # Instance tables are non-negative with minimum 0: the raw path.
+        for n, r in [(8, 1), (10, 2), (12, 3)]:
+            ints, _ = _tabulate(sample_instance(GroundConfig(n, r), n), n)
+            assert min(ints) == 0
+            assert _diamonds_hold(ints, n, 0, max(ints)) and _triple_loop_diamonds(ints, n)
+            ints[3] += 1  # F({0, 1}) up by one: the diamond at S = {} fails
+            assert not _diamonds_hold(ints, n, 0, max(ints)) and not _triple_loop_diamonds(ints, n)
 
 
 class TestLaneMaskSlot:

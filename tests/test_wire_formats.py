@@ -100,7 +100,8 @@ def test_config_parser_is_total(data):
     assert ExperimentConfig.from_json(config.to_json()) == config
 
 
-# Every value of an n = 4, r = 1 instance is a multiple of 1/_D4 in [0, 2].
+# Every value of an n = 4, r = 1 instance is a multiple of 1/_D4 in [0, 2]:
+# a layer price t in [1, 16] times f_1 = 16, or t in [1, 8] times f_2 = 1.
 _D4 = GroundConfig(4, 1).value_denominator
 
 
@@ -129,6 +130,8 @@ def _record(**changes):
     (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(value=f"1/{3 * _D4}")]}),
     (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(value=f"-1/{_D4}")]}),
     (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(value=f"{2 * _D4 + 1}/{_D4}")]}),
+    (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(value=f"{2 * _D4 - 1}/{_D4}")]}),
+    (Transcript.from_json, {"config": {"n": 4, "r": 1}, "records": [_record(value=f"9/{_D4}")]}),
     (LayeredInstance.from_json, {**VALID_INSTANCES[0], "extra": 1}),
     (LayeredInstance.from_json, {"n": 4, "r": 1, "layers": [{"A": [0, 1], "R": [0], "x": 0},
                                                             {"A": [2, 3], "R": [2]}]}),
@@ -139,7 +142,7 @@ def _record(**changes):
         "instance-bool-and-unsorted-indices", "instance-unsorted-block", "instance-duplicate-index",
         "record-without-round", "record-str-index", "record-str-query", "record-bool-round",
         "transcript-without-config", "record-value-off-lattice", "record-value-negative",
-        "record-value-above-two", "instance-extra-key", "instance-layer-extra-key",
+        "record-value-above-two", "record-value-no-layer-price", "record-value-between-layers", "instance-extra-key", "instance-layer-extra-key",
         "transcript-extra-key", "transcript-config-extra-key", "record-extra-key"])
 def test_malformed_input_raises_value_error(parse, data):
     with pytest.raises(ValueError):
@@ -155,10 +158,10 @@ def test_valid_documents_round_trip():
         assert ExperimentConfig.from_json(data).to_json() == data
 
 
-@pytest.mark.parametrize("value", ["0", "2", f"1/{_D4}", f"{2 * _D4 - 1}/{_D4}", f"2/{2 * _D4}"])
+@pytest.mark.parametrize("value", ["0", "2", f"1/{_D4}", f"8/{_D4}", f"{2 * _D4 - 16}/{_D4}", f"2/{2 * _D4}"])
 def test_transcript_values_on_the_lattice_parse(value):
-    # Both ends of [0, 2] and any multiple of 1/D between them are accepted;
-    # an unreduced text parses to its reduced value.
+    # Both ends of [0, 2] and layer prices between them are accepted; an
+    # unreduced text parses to its reduced value.
     data = {"config": {"n": 4, "r": 1}, "records": [_record(value=value)]}
     (rec,) = Transcript.from_json(data).records
-    assert Fraction(rec.num, _D4) == Fraction(value)
+    assert GroundConfig(4, 1).code_value(rec.code) == Fraction(value)
