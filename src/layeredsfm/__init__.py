@@ -38,7 +38,7 @@ from .oracles import (
     ReplayMismatchError,
     Transcript,
 )
-from .rationals import ExactValue, format_value, parse_value
+from .rationals import format_value, parse_value
 from .rng import SplitMix64
 from .sets import (
     EXHAUSTIVE_CAP,
@@ -73,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EXHAUSTIVE_CAP",
-    "ExactValue",
     "ExperimentConfig",
     "GroundConfig",
     "HalvingAdversary",

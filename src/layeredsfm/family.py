@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .rationals import ExactValue, format_value
+from .rationals import format_value
 from .rng import SplitMix64
 from .sets import GroundConfig, Relation, SingletonBatch, Subset, check_json_keys, relate
 
@@ -36,7 +36,7 @@ ZERO = Fraction(0)
 INNER_BOUND = Fraction(2)
 
 
-def containment_score(block: Subset, hidden: Subset, s_in_block: Subset) -> ExactValue:
+def containment_score(block: Subset, hidden: Subset, s_in_block: Subset) -> Fraction:
     """Score a block query: 0 on exact match, 1 strictly inside/outside, 2 otherwise.
 
     ``hidden`` and ``s_in_block`` must both lie inside ``block``.
@@ -53,7 +53,7 @@ def containment_score(block: Subset, hidden: Subset, s_in_block: Subset) -> Exac
     return Fraction(1)
 
 
-def submodularizer(universe: Subset, block: Subset, hidden: Subset, s: Subset) -> ExactValue:
+def submodularizer(universe: Subset, block: Subset, hidden: Subset, s: Subset) -> Fraction:
     """Signed count of queried elements below the block.
 
     Positive (+|S below block|) when the block part of the query sits
@@ -79,10 +79,10 @@ def block_value(
     universe: Subset,
     block: Subset,
     hidden: Subset,
-    inner_bound: ExactValue,
-    inner: Callable[[Subset], ExactValue],
+    inner_bound: Fraction,
+    inner: Callable[[Subset], Fraction],
     s: Subset,
-) -> ExactValue:
+) -> Fraction:
     """One layer of the construction over ``universe``.
 
     Returns ``containment_score + submodularizer/(2|universe|)`` plus, only
@@ -146,7 +146,7 @@ class LayeredInstance:
         self.hidden_sets = [Subset(config.n, row[1]) for row in rows]
         self.pools = [Subset(config.n, row[2]) for row in rows]
 
-    def layer_scale(self, layer: int) -> ExactValue:
+    def layer_scale(self, layer: int) -> Fraction:
         """``1/d_k = f_k * 2 * pool_size(k) / D``, the scale of layer ``layer``'s score (1-based)."""
         config = self.config
         return Fraction(2 * config.pool_size(layer) * config.layer_factors[layer - 1], config.value_denominator)
@@ -504,7 +504,7 @@ def first_divergent_layer(inst: LayeredInstance, s: Subset) -> int | None:
 
 def _layer_value(
     block_bits: int, hidden_bits: int, pool_bits: int, pool_card: int, denom: int, s_bits: int
-) -> ExactValue:
+) -> Fraction:
     """Scaled score of one divergent layer, given raw masks, as a ``Fraction``
     over ``denom * 2 * pool_card``.  No evaluator calls it; tests use it as
     the per-layer reference for the kernel.  Assumes the query diverges here.
@@ -512,7 +512,7 @@ def _layer_value(
     return Fraction(_layer_price((block_bits, hidden_bits, pool_bits, pool_card), s_bits), denom * 2 * pool_card)
 
 
-def evaluate_closed_form(inst: LayeredInstance, s: Subset) -> ExactValue:
+def evaluate_closed_form(inst: LayeredInstance, s: Subset) -> Fraction:
     """Value of the instance at ``s`` via the first-divergent-layer formula:
     the :meth:`LayerTable.values` numerator at ``s`` over
     ``config.value_denominator``.  It serves :meth:`HonestOracle.answer`
@@ -525,7 +525,7 @@ def evaluate_closed_form(inst: LayeredInstance, s: Subset) -> ExactValue:
     return Fraction(num, config.value_denominator)
 
 
-def evaluate_recursive(inst: LayeredInstance, s: Subset) -> ExactValue:
+def evaluate_recursive(inst: LayeredInstance, s: Subset) -> Fraction:
     """Value of the instance at ``s`` by the definition's recursion through block values.
 
     Layer k is a :func:`block_value` over the pool of still-unclassified

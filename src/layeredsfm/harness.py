@@ -24,7 +24,7 @@ from .family import (
     true_minimizer,
 )
 from .oracles import HalvingAdversary, HonestOracle
-from .rationals import ExactValue, format_value
+from .rationals import format_value
 from .rng import SplitMix64
 from .sets import EXHAUSTIVE_CAP, GroundConfig, Subset, check_json_keys, scatter
 from .solvers import (
@@ -94,10 +94,7 @@ class ExperimentConfig:
         if self.queries_per_round is not None and self.mode != "parallel":
             raise ValueError(f"mode {self.mode!r} does not read queries_per_round (only parallel does)")
         if self.mode == "duel":
-            if self.r != 1:
-                raise ValueError("duel requires r = 1")
-            if self.n[0] % 2 != 0:
-                raise ValueError("duel requires an even n")
+            HalvingAdversary(grounds[0])  # raises unless the adversary can duel at this n and r
             if self.solver == "brute_force" and self.n[0] > EXHAUSTIVE_CAP:
                 raise ValueError(f"duel with brute_force asks all 2^n subsets and is capped at n = {EXHAUSTIVE_CAP}")
         if self.mode == "verify" and self.n[0] > EXHAUSTIVE_PAIR_CAP:
@@ -191,7 +188,7 @@ def _summary(values: list[int]) -> dict:
 
 def run_verify(
     config: ExperimentConfig,
-    eval_factory: Callable[[LayeredInstance], Callable[[Subset], ExactValue]] | None = None,
+    eval_factory: Callable[[LayeredInstance], Callable[[Subset], Fraction]] | None = None,
 ) -> Report:
     """Exhaustively check range/minimizer/submodularity on sampled instances.
 

@@ -18,7 +18,9 @@ exactly as the values they spell, so no integer over the common
 denominator D (thousands of bits deep in an n = 1024 instance) is built
 between the kernel and a solver.  ``answer(s)`` returns the value as a
 ``Fraction``; an oracle that overrides only ``answer`` reaches the solvers
-through :meth:`_Oracle.answer_batch`, which maps each value to its code.
+through :meth:`_Oracle.answer_batch`.  Codes and values cross only through
+the two maps of :class:`~layeredsfm.sets.GroundConfig`, ``code_value`` and
+its inverse ``value_code``.
 The adversary logs each query as a :class:`QueryRecord` of four ints; a
 :class:`~layeredsfm.sets.Subset` and the value ``"p/q"`` are built from a
 record only at the wire and in a replay mismatch message.
@@ -41,7 +43,7 @@ from .family import (
     evaluate_closed_form,
     lowest_first,
 )
-from .rationals import ExactValue, format_value, parse_value
+from .rationals import format_value, parse_value
 from .rng import SplitMix64
 from .sets import GroundConfig, SingletonBatch, Subset, check_json_keys
 
@@ -131,8 +133,8 @@ class Transcript:
     @classmethod
     def from_json(cls, data: dict) -> "Transcript":
         """Inverse of :meth:`to_json`; malformed input raises ValueError,
-        and so does a value that is no layer price
-        (:meth:`~layeredsfm.sets.GroundConfig.numerator_code`)."""
+        and so does a value that no layer takes
+        (:meth:`~layeredsfm.sets.GroundConfig.value_code`)."""
         try:
             check_json_keys(data, ("config", "records"), "transcript")
             check_json_keys(data["config"], ("n", "r"), "transcript config")
@@ -144,15 +146,12 @@ class Transcript:
                 if not all(type(v) is int and v >= 1 for v in (index, round_)):  # no bools
                     raise ValueError(f"record index and round must be positive integers, "
                                      f"got {index!r} and {round_!r}")
-                code = _value_code(config, parse_value(rec["value"]))
-                if code is None:
-                    raise ValueError(f"record {index} value {rec['value']!r} is no value of a layer")
                 out.append(
                     QueryRecord(
                         index=index,
                         round=round_,
                         mask=Subset.from_json(config.n, rec["query"]).bits,
-                        code=code,
+                        code=config.value_code(parse_value(rec["value"])),
                     )
                 )
         except (KeyError, TypeError) as exc:
@@ -166,17 +165,6 @@ def _spelled(config: GroundConfig, code: int) -> str:
         return format_value(config.code_value(code))
     except ValueError:
         return f"code {code!r}, no value"
-
-
-def _value_code(config: GroundConfig, value: Fraction | int) -> int | None:
-    """The layer code of ``value``, or None when no layer takes it."""
-    num, rest = divmod(value.numerator * config.value_denominator, value.denominator)
-    if rest:
-        return None
-    try:
-        return config.numerator_code(num)
-    except ValueError:
-        return None
 
 
 def _check_masks(n: int, masks: Sequence[int]) -> None:
@@ -245,12 +233,12 @@ class _Oracle:
                 raise CorruptedOracleError(
                     f"answer {value!r} to query mask 0x{m:x} is a {type(value).__name__}, not an int or Fraction"
                 )
-            code = _value_code(config, value)
-            if code is None:
+            try:
+                out.append(config.value_code(value))
+            except ValueError:
                 raise CorruptedOracleError(
                     f"answer {format_value(value)} to query mask 0x{m:x} is no value of a layer"
-                )
-            out.append(code)
+                ) from None
         return out
 
 
@@ -267,7 +255,7 @@ class HonestOracle(_Oracle):
         super().__init__(inst.config)
         self.instance = inst
 
-    def answer(self, s: Subset) -> ExactValue:
+    def answer(self, s: Subset) -> Fraction:
         value = evaluate_closed_form(self.instance, s)  # a bad query raises before it is counted
         self._count_queries()
         return value
@@ -364,7 +352,7 @@ class HalvingAdversary(_Oracle):
         shift, scale = self.config.code_lift[layer - 1]
         return shift + scale * _layer_price(self.table.rows[layer - 1], s_bits)
 
-    def answer(self, s: Subset) -> ExactValue:
+    def answer(self, s: Subset) -> Fraction:
         """Answer one query, committing layers only when forced.
 
         A query that diverges at a committed layer is priced from committed

@@ -5,7 +5,7 @@ instances take values with denominators near ``(8n)^(n/2)``, far outside
 floating-point range, so comparisons and equality are exact throughout;
 no float ever enters a value computation.
 
-``ExactValue`` is the standard-library ``Fraction``: arbitrary-precision
+Values are the standard-library ``Fraction``: arbitrary-precision
 numerator/denominator, always stored reduced with a positive denominator,
 which is exactly the representation contract this package needs.  This
 module owns the serialization format: the reduced decimal string ``"p/q"``
@@ -17,18 +17,16 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-ExactValue = Fraction
-
 # ASCII digits only: ``\d`` would also match other Unicode decimal digits.
 _VALUE_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))$|^(-?[0-9]+)$")
 
 
-def format_value(v: ExactValue) -> str:
+def format_value(v: Fraction) -> str:
     """Render a value as ``"p/q"`` (or ``"p"`` for integers), reduced."""
     return str(Fraction(v))
 
 
-def parse_value(text: str) -> ExactValue:
+def parse_value(text: str) -> Fraction:
     """Parse ``"[-]p"`` or ``"[-]p/q"`` with decimal integers and q > 0.
 
     Round-trips with :func:`format_value`: ``parse_value(format_value(v)) == v``.

@@ -4,6 +4,8 @@ Elements are plain indices 0..n-1.  A :class:`Subset` is an immutable bit
 vector over those indices; every operation is exact and total.  Any
 "arbitrary" choice made elsewhere in the package (dummy elements, canonical
 commits) follows lowest-index-first order so runs reproduce exactly.
+:class:`GroundConfig` is the one home of the layer-code format, with one
+map each way between codes and values: ``code_value`` and ``value_code``.
 """
 
 from __future__ import annotations
@@ -124,34 +126,31 @@ class GroundConfig:
         over D of layer price ``t``: ``(0, f_k)``."""
         return tuple(zip(repeat(0), self.layer_factors))
 
-    def code_numerator(self, code: int) -> int:
-        """The numerator over D of the value that ``code`` spells; a code that
-        spells none (negative, level outside 1..L, or price outside
-        ``[1, 4 * pool]``) raises ValueError."""
+    def code_value(self, code: int) -> Fraction:
+        """The value that ``code`` spells; a code that spells none (negative,
+        level outside 1..L, or price outside ``[1, 4 * pool]``) raises
+        ValueError."""
         if code == 0:
-            return 0
+            return Fraction(0)
         level, t = divmod(code, self.code_radix)
         if not (1 <= level <= self.layer_count and 0 < t <= 8 * self.r * level):
             raise ValueError(f"{code!r} is no layer code for n={self.n}, r={self.r}")
-        return self.layer_factors[self.layer_count - level] * t
+        return Fraction(self.layer_factors[self.layer_count - level] * t, self.value_denominator)
 
-    def code_value(self, code: int) -> Fraction:
-        """The value that ``code`` spells; ValueError as :meth:`code_numerator`."""
-        return Fraction(self.code_numerator(code), self.value_denominator)
-
-    def numerator_code(self, num: int) -> int:
-        """Inverse of :meth:`code_numerator`: the code of the value ``num / D``.
-        A numerator that is not ``f_k * t`` with ``t`` in ``[1, 4 *
-        pool_size(k)]`` for some layer k, nor 0, raises ValueError."""
-        if num == 0:
+    def value_code(self, value: Fraction | int) -> int:
+        """Inverse of :meth:`code_value`: the code of ``value``.  A value that
+        is not ``f_k * t / D`` with ``t`` in ``[1, 4 * pool_size(k)]`` for
+        some layer k, nor 0, raises ValueError."""
+        if not value:
             return 0
+        num, rest = divmod(value.numerator * self.value_denominator, value.denominator)
         factors, ell = self.layer_factors, self.layer_count
         i = bisect_left(factors, -num, key=neg)  # the first layer with f_k <= num
-        if i < ell:
+        if i < ell and not rest:
             t, rest = divmod(num, factors[i])
             if not rest and t <= 8 * self.r * (ell - i):
                 return (ell - i) * self.code_radix + t
-        raise ValueError(f"{num!r}/D is no value of a layer for n={self.n}, r={self.r}")
+        raise ValueError(f"{value!s} is no value of a layer for n={self.n}, r={self.r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,7 +27,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .oracles import CorruptedOracleError
-from .rationals import ExactValue, format_value
+from .rationals import format_value
 from .sets import EXHAUSTIVE_CAP, GroundConfig, Relation, SingletonBatch, Subset
 
 # Masks per batch of brute force's one round: 4,096 codes stay small next
@@ -55,7 +55,7 @@ class SolverResult:
 
     solver: str
     minimizer: Subset
-    min_value: ExactValue
+    min_value: Fraction
     queries: int
     rounds: int
 
@@ -146,6 +146,8 @@ def brute_force_minimize(oracle) -> SolverResult:
     for start in range(0, total, BRUTE_FORCE_CHUNK):
         masks = range(start, min(start + BRUTE_FORCE_CHUNK, total))
         codes = oracle.answer_batch(masks)
+        if len(codes) != len(masks):
+            raise CorruptedOracleError(f"a batch of {len(masks)} masks was answered with {len(codes)} codes")
         low = min(codes)
         if best is None or low <= best:
             if codes.count(low) == 1 and low != best:
@@ -205,7 +207,11 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
     def ask(mask: int) -> int:
         nonlocal queries
         begin_round()
-        [code] = answer_batch([mask])
+        codes = answer_batch([mask])
+        try:
+            [code] = codes
+        except ValueError:
+            raise CorruptedOracleError(f"a batch of 1 mask was answered with {len(codes)} codes") from None
         queries += 1
         if queries > cap:
             raise RuntimeError(f"query budget exceeded: {queries} > {cap} at n={n}, r={r}")
@@ -325,6 +331,8 @@ def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
         pool_size = len(elems)
         oracle.begin_round()
         codes = oracle.answer_batch(SingletonBatch(prefix, pool))
+        if len(codes) != pool_size:
+            raise CorruptedOracleError(f"a batch of {pool_size} masks was answered with {len(codes)} codes")
         queries += pool_size
         # Elements with the same answer share a class: decode each distinct
         # answer once, in order of first appearance.  ``groupby`` compares

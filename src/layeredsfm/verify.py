@@ -5,10 +5,9 @@ F(S+i) + F(S+j) >= F(S+i+j) + F(S), which on the Boolean lattice is
 equivalent to the pairwise inequality and costs O(n^2 * 2^n) instead of
 O(4^n).  The diamonds are compared in packed lanes: the table, less its
 minimum, is one int of 2^n lanes of ``w = 8 * nb`` bits, with ``nb`` the
-fewest bytes that hold the spread and two spare bits.  A table whose
-entries are non-negative and fit their lanes (every instance's) is packed
-as it is and its minimum taken off every lane in one subtraction; another
-is offset entry by entry.  The marginal gains
+fewest bytes that hold the spread and two spare bits.  An instance's table
+has minimum 0 and is packed as it is; another is shifted once by its
+minimum first.  The marginal gains
 along one axis, biased by 2^(w-2), and their differences along a second
 axis, biased by 2^(w-1), then stay inside [0, 2^w) in every lane, so no
 borrow crosses a lane, and a pair of axes is checked in a shift, a
@@ -37,13 +36,13 @@ from .family import (
     submodularizer,
     true_minimizer,
 )
-from .rationals import ExactValue, format_value
+from .rationals import format_value
 from .rng import SplitMix64
 from .sets import GroundConfig, Subset, scatter
 
 EXHAUSTIVE_PAIR_CAP = 12
 
-SetFunction = Callable[[Subset], ExactValue]
+SetFunction = Callable[[Subset], Fraction]
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,8 @@ class ViolationWitness:
     x: Subset
     y: Subset
     element: int | None
-    lhs: ExactValue
-    rhs: ExactValue
+    lhs: Fraction
+    rhs: Fraction
 
     def to_json(self) -> dict:
         return {
@@ -130,14 +129,12 @@ def _high_bits(n: int, nb: int) -> list[int]:
     return masks
 
 
-def _pack(ints: list[int], nb: int, offset: int = 0) -> int:
-    """``sum((v + offset) << (8 * nb * S))`` over the table: one ``nb``-byte
+def _pack(ints: list[int], nb: int) -> int:
+    """``sum(v << (8 * nb * S))`` over a non-negative table: one ``nb``-byte
     lane per entry, built 512 entries at a time."""
     packed = bytearray()
     for start in range(0, len(ints), 512):
-        chunk = ints[start : start + 512]
-        lanes = map(offset.__add__, chunk) if offset else chunk
-        packed += b"".join(map(int.to_bytes, lanes, repeat(nb), repeat("little")))
+        packed += b"".join(map(int.to_bytes, ints[start : start + 512], repeat(nb), repeat("little")))
     return int.from_bytes(packed, "little")
 
 
@@ -148,21 +145,20 @@ def _diamonds_hold(ints: list[int], n: int, lo: int | None = None, hi: int | Non
     is non-increasing along every axis j > i (the pair {i, j} needs one of
     its two axes).  Checked in packed lanes of ``w`` bits (module docstring).
     ``lo`` and ``hi``, the table's minimum and maximum, are computed when
-    ``lo`` is not given.
+    ``lo`` is not given.  A table whose minimum is 0 (every instance's) is
+    packed as it is; any other is shifted by ``lo`` first.
     """
     if n < 2:
         return True
     if lo is None:
         lo, hi = min(ints), max(ints)
+    if lo:
+        ints = list(map((-lo).__add__, ints))
     nb = ((hi - lo).bit_length() + 9) // 8  # the fewest bytes with spread < 2^(w-2)
     w = 8 * nb
     masks = _high_bits(n, nb)
     top = masks[0] + (masks[0] << w)  # the top bit of every lane
-    if lo >= 0 and not hi >> w:
-        # No entry is below lo, so taking lo off every lane at once borrows across none.
-        packed = _pack(ints, nb) - lo * (top >> (w - 1))
-    else:
-        packed = _pack(ints, nb, -lo)
+    packed = _pack(ints, nb)
     neg = (3 * top >> 1) - packed  # lane S: 3 * 2^(w-2) - (F(S) - lo)
     for i in range(n - 1):
         m = masks[i]
@@ -322,7 +318,7 @@ def check_block_properties(
     universe: Subset,
     block: Subset,
     hidden: Subset,
-    inner_bound: ExactValue,
+    inner_bound: Fraction,
     inner: SetFunction,
 ) -> PropertyReport:
     """Exhaustively verify one building block over ``universe``.

@@ -788,8 +788,8 @@ def _assert_codes_spell_the_numerators(cfg, codes, nums):
     """Each code maps to its numerator and back, and codes order as the
     numerators do: distinct (code, numerator) pairs sorted by code have
     strictly increasing numerators."""
-    assert [cfg.code_numerator(c) for c in codes] == nums
-    assert [cfg.numerator_code(v) for v in nums] == codes
+    assert [cfg.code_value(c) * cfg.value_denominator for c in codes] == nums
+    assert [cfg.value_code(Fraction(v, cfg.value_denominator)) for v in nums] == codes
     pairs = sorted(set(zip(codes, nums)))
     assert len({c for c, _ in pairs}) == len({v for _, v in pairs}) == len(pairs)
     assert all(a[1] < b[1] for a, b in zip(pairs, pairs[1:]))

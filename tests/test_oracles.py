@@ -129,8 +129,7 @@ class TestAnswerBatch:
         cfg = GroundConfig(n, r)
         oracle = HonestOracle(sample_instance(cfg, n + r))
         codes = oracle.answer_batch(range(1 << n))
-        big_d = cfg.value_denominator
-        assert codes == [cfg.numerator_code(oracle.answer(Subset(n, m)) * big_d) for m in range(1 << n)]
+        assert codes == [cfg.value_code(oracle.answer(Subset(n, m))) for m in range(1 << n)]
         assert (oracle.queries, oracle.rounds) == (2 << n, 1)
 
     @pytest.mark.parametrize("n,r", [(1024, 1), (512, 2)])
@@ -717,7 +716,7 @@ class TestTranscript:
 
     def test_record_ordering_enforced(self):
         cfg = GroundConfig(4, 1)
-        one = cfg.numerator_code(cfg.value_denominator)  # the value 1, as a layer code
+        one = cfg.value_code(Fraction(1))  # the value 1, as a layer code
         t = Transcript(cfg)
         t.append(QueryRecord(1, 1, 0, one))
         with pytest.raises(ValueError):

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from layeredsfm.rationals import ExactValue, format_value, parse_value
+from layeredsfm.rationals import format_value, parse_value
 from layeredsfm.rng import SplitMix64
 
 
 def test_exact_value_is_reduced_with_positive_denominator():
-    v = ExactValue(2, -4)
+    v = Fraction(2, -4)
     assert (v.numerator, v.denominator) == (-1, 2)
 
 

@@ -57,8 +57,10 @@ class TestGroundConfig:
         assert cfg.code_radix == 33
         assert cfg.code_lift == ((2 * 33, 1), (33, 1))
         assert cfg.numerator_lift == ((0, 32), (0, 1))
-        assert cfg.code_numerator(0) == 0 and cfg.numerator_code(0) == 0
-        assert cfg.code_numerator(2 * 33 + 5) == 32 * 5 and cfg.numerator_code(32 * 5) == 2 * 33 + 5
+        big_d = cfg.value_denominator
+        assert cfg.code_value(0) == 0 and cfg.value_code(Fraction(0)) == 0
+        assert cfg.code_value(2 * 33 + 5) == Fraction(32 * 5, big_d)
+        assert cfg.value_code(Fraction(32 * 5, big_d)) == 2 * 33 + 5
         assert cfg.code_value(33 + 16) == Fraction(16, cfg.value_denominator)
 
     @pytest.mark.parametrize("n,r", [(n, r) for n in range(2, 13) for r in range(1, n // 2 + 1)])
@@ -67,14 +69,14 @@ class TestGroundConfig:
         # larger numerator (f_k * t, t in [1, 4 * pool_size(k)]) and back.
         cfg = GroundConfig(n, r)
         previous = 0
-        assert cfg.code_numerator(0) == 0
+        assert cfg.code_value(0) == 0
         for level in range(1, cfg.layer_count + 1):
             k = cfg.layer_count + 1 - level
             for t in range(1, 4 * cfg.pool_size(k) + 1):
                 code = level * cfg.code_radix + t
-                num = cfg.code_numerator(code)
+                num = cfg.code_value(code) * cfg.value_denominator
                 assert num == cfg.layer_factors[k - 1] * t > previous
-                assert cfg.numerator_code(num) == code
+                assert cfg.value_code(cfg.code_value(code)) == code
                 previous = num
         assert previous == 2 * cfg.value_denominator
 
@@ -86,13 +88,13 @@ class TestGroundConfig:
         for level in range(1, cfg.layer_count + 1):
             k = cfg.layer_count + 1 - level
             low, high = level * radix + 1, level * radix + 4 * cfg.pool_size(k)
-            assert cfg.code_numerator(low) == cfg.layer_factors[k - 1]
-            assert cfg.numerator_code(cfg.code_numerator(high)) == high
+            assert cfg.code_value(low) * cfg.value_denominator == cfg.layer_factors[k - 1]
+            assert cfg.value_code(cfg.code_value(high)) == high
             if level < cfg.layer_count:  # f_(k-1) = 2 * f_k * 4 * pool_size(k)
-                assert 2 * cfg.code_numerator(high) == cfg.code_numerator(low + radix)
+                assert 2 * cfg.code_value(high) == cfg.code_value(low + radix)
             for code in (low - 1, high + 1):
                 with pytest.raises(ValueError, match="is no layer code"):
-                    cfg.code_numerator(code)
+                    cfg.code_value(code)
 
     @pytest.mark.parametrize("n,r", [(4, 1), (6, 1)])
     def test_numerator_code_rejects_every_non_price(self, n, r):
@@ -103,11 +105,12 @@ class TestGroundConfig:
                         for t in range(1, 4 * cfg.pool_size(k) + 1)}
         rejected = 0
         for num in range(-1, 2 * cfg.value_denominator + 2):
+            value = Fraction(num, cfg.value_denominator)
             if num in prices:
-                assert cfg.code_numerator(cfg.numerator_code(num)) == num
+                assert cfg.code_value(cfg.value_code(value)) == value
             else:
                 with pytest.raises(ValueError, match="is no value of a layer"):
-                    cfg.numerator_code(num)
+                    cfg.value_code(value)
                 rejected += 1
         assert rejected == 2 * cfg.value_denominator + 3 - len(prices)
 
@@ -116,7 +119,7 @@ class TestGroundConfig:
     @pytest.mark.parametrize("code", [-1, 1, 16, 17, 17 + 9, 3 * 17 + 1, 10**40])
     def test_code_numerator_rejects_codes_that_spell_nothing(self, code):
         with pytest.raises(ValueError, match="is no layer code"):
-            GroundConfig(4, 1).code_numerator(code)
+            GroundConfig(4, 1).code_value(code)
 
     def test_even_division(self):
         cfg = GroundConfig(8, 2)

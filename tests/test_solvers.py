@@ -13,6 +13,7 @@ from layeredsfm import family, solvers
 from layeredsfm.family import (
     LayeredInstance,
     evaluate_closed_form,
+    evaluate_recursive,
     first_divergent_layer,
     sample_instance,
     true_minimizer,
@@ -157,6 +158,29 @@ class TestBruteForce:
 
         with pytest.raises(CorruptedOracleError, match="^least answer code -1 is no value of a layer$"):
             brute_force_minimize(Junk())
+
+    @pytest.mark.parametrize("n,r", [(6, 1), (8, 1), (8, 2), (9, 2), (12, 3)])
+    def test_a_least_code_above_zero(self, n, r):
+        # The minimizer is answered the table's largest code, so the least
+        # code is another mask's: the least value of the rest by the
+        # recursion, ties to the least index list.
+        cfg = GroundConfig(n, r)
+        inst = sample_instance(cfg, n + r)
+        top = max(inst.table.values(range(1 << n), cfg.code_lift))
+        sunk = true_minimizer(inst).bits
+
+        class Sunk(HonestOracle):
+            def answer_batch(self, masks):
+                codes = super().answer_batch(masks)
+                return [top if m == sunk else code for m, code in zip(masks, codes)]
+
+        rest = [s for s in enumerate_subsets(n) if s.bits != sunk]
+        values = [evaluate_recursive(inst, s) for s in rest]
+        low = min(values)
+        want = min((s for s, v in zip(rest, values) if v == low), key=Subset.indices)
+        res = brute_force_minimize(Sunk(inst))
+        assert (res.minimizer, res.min_value) == (want, low)
+        assert low > 0 or not cfg.divides_evenly
 
     def test_value_and_minimizer_match_per_query_scan(self):
         for n, r in [(7, 1), (12, 3), (13, 2)]:
@@ -1024,12 +1048,11 @@ def _code_label(cfg, code, layer=1):
 def _solver_label(cfg, value, layer=1):
     """The solver's class for answer ``value`` at ``layer``, None where it
     raises: at the decoder, or before it, where no layer takes the value."""
-    num, rest = divmod(value.numerator * cfg.value_denominator, value.denominator)
     try:
-        code = cfg.numerator_code(num) if not rest else None
+        code = cfg.value_code(value)
     except ValueError:
-        code = None
-    return None if code is None else _code_label(cfg, code, layer)
+        return None
+    return _code_label(cfg, code, layer)
 
 
 class TestSingletonClassification:
@@ -1150,6 +1173,50 @@ class TestOffLatticeSweep:
                     solve(_OffLatticeAt(inst, index), cfg)
                 runs += 1
         assert runs >= 5 * cfg.n
+
+
+class _Misfit(HonestOracle):
+    """Honest codes, except that the batch asking mask ``at`` holds its code
+    ``copies`` times: 0 drops it, 2 repeats it."""
+
+    def __init__(self, inst, at, copies):
+        super().__init__(inst)
+        self.at, self.copies = at, copies
+
+    def answer_batch(self, masks):
+        codes = super().answer_batch(masks)
+        for i, m in enumerate(masks):
+            if m == self.at:
+                codes[i : i + 1] = codes[i : i + 1] * self.copies
+                break
+        return codes
+
+
+class TestBatchLength:
+    """Every solver refuses an answer list longer or shorter than its batch."""
+
+    def test_brute_force_refuses_a_batch_without_the_minimizer(self):
+        # Read as it comes, this batch gives the minimizer {0, 5, 7} at
+        # 1/98304; the instance's is {0, 5, 6, 7}.
+        cfg = GroundConfig(8, 1)
+        inst = sample_instance(cfg, 3)
+        assert true_minimizer(inst) == subset(8, 0, 5, 6, 7)
+        with pytest.raises(CorruptedOracleError, match="^a batch of 256 masks was answered with 255 codes$"):
+            brute_force_minimize(_Misfit(inst, true_minimizer(inst).bits, 0))
+
+    # Masks each solver asks: brute force the last of its last batch,
+    # family-aware the whole pool first, singleton-parallel the top pool
+    # element's singleton in round 1.  n = 13 is two brute-force batches.
+    @pytest.mark.parametrize("copies", [0, 2])
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    @pytest.mark.parametrize("n,r", [(8, 1), (13, 2)])
+    def test_every_solver_refuses_a_batch_of_the_wrong_length(self, n, r, name, copies):
+        cfg = GroundConfig(n, r)
+        inst = sample_instance(cfg, 3)
+        at = {"brute_force": (1 << n) - 1, "family_aware": (1 << cfg.effective_size) - 1,
+              "singleton_parallel": 1 << (cfg.effective_size - 1)}[name]
+        with pytest.raises(CorruptedOracleError, match=r"^a batch of \d+ masks? was answered with \d+ codes$"):
+            SOLVERS[name](_Misfit(inst, at, copies), cfg)
 
 
 def _bisecting_family_aware(oracle, config):
