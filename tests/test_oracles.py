@@ -74,21 +74,41 @@ class TestHonestOracle:
             assert oracle.queries == i
 
     def test_concurrent_answers_counted_atomically(self, two_layer_instance):
+        # Four threads open rounds and ask through both entry points while
+        # the interpreter switches threads as often as it can: every count
+        # must land, and the lock must be free at the end.
+        import sys
         import threading
 
         oracle = HonestOracle(two_layer_instance)
         oracle.begin_round()
+        mask = 0b0101
+        want = oracle.instance.table.values([mask], oracle.config.code_lift)
+        start = threading.Barrier(4)
+        wrong = []
 
         def worker():
+            start.wait()
             for _ in range(500):
+                oracle.begin_round()
                 oracle.answer(Subset(4))
+                codes = oracle.answer_batch([mask])
+                if codes != want:
+                    wrong.append(codes)
 
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert (oracle.queries, oracle.rounds) == (2000, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        assert (oracle.queries, oracle.rounds) == (4000, 2001)
+        assert not oracle._lock.locked()
 
 
 def _deep_masks(inst, count, seed):

@@ -295,7 +295,7 @@ class TestDecode:
                 decode_layer_answer(code, cfg.code_radix, 8, 1, 1)
 
     @pytest.mark.parametrize("radix,pool_size,r", [(0, 4, 1), (-8, 4, 1), (17, 0, 1), (17, -4, 1), (16, 4, 1),
-                                                   (17, 3, 1), (17, 2, 2)])
+                                                   (17, 3, 1), (17, 2, 2), (17, 4, 0), (17, 4, -1)])
     def test_rejects_a_bad_radix_or_pool(self, radix, pool_size, r):
         # A caller's error, not an oracle's, so not CorruptedOracleError.
         with pytest.raises(ValueError, match="pool size must be a positive multiple of 2r"):

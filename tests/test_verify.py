@@ -250,10 +250,11 @@ class TestPackedLanes:
 
 
 class TestRawPacking:
-    """A non-negative table whose entries fit their lanes is packed as it is,
-    its minimum taken off every lane at once; a table with a large minimum
-    and a small spread does not fit and is offset entry by entry.  Either
-    way the verdict is the triple loop's, with the range given or not."""
+    """A table whose minimum is 0, as every instance table's is, is packed
+    as it is; any other table, a large minimum with a small spread among
+    them, is shifted by its minimum entry by entry first, so its lanes are
+    sized by the spread alone.  Either way the verdict is the triple
+    loop's, with the range given or not."""
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     @pytest.mark.parametrize("lo", [0, 1, 5, (1 << 16) - 3, 1 << 90])
