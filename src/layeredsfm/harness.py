@@ -26,7 +26,7 @@ from .family import (
 from .oracles import HalvingAdversary, HonestOracle
 from .rationals import format_value
 from .rng import SplitMix64
-from .sets import EXHAUSTIVE_CAP, GroundConfig, Subset, check_json_keys, scatter
+from .sets import EXHAUSTIVE_CAP, GroundConfig, Subset, check_json_keys
 from .solvers import (
     QUERY_BUDGET_ALPHA,
     SOLVERS,
@@ -234,7 +234,7 @@ def run_duel(config: ExperimentConfig) -> Report:
     """
     report = Report(config)
     n = config.n[0]
-    ground = GroundConfig(n, 1)
+    ground = GroundConfig(n, config.r)
     adversary = HalvingAdversary(ground)
     solve = SOLVERS[config.solver]
     result = solve(adversary, ground)
@@ -375,30 +375,21 @@ def run_parallel(config: ExperimentConfig) -> Report:
     return report
 
 
-def _sample_block_pair(rng: SplitMix64, n: int, r: int) -> tuple[int, int]:
-    """Uniform (block, hidden) bit masks: |block| = 2r uniform over the
-    ground set, hidden uniform among its half-size subsets (rejection on
-    popcount, exactly uniform)."""
-    while True:
-        a_bits = rng.bits(n)
-        if a_bits.bit_count() == 2 * r:
-            break
-    while True:
-        picks = rng.bits(2 * r)
-        if picks.bit_count() == r:
-            return a_bits, scatter(picks, a_bits)
-
-
 def run_hiding(config: ExperimentConfig) -> Report:
     """Estimate how rarely a random query matches a random hidden set,
     and check that answers hide everything deeper, exactly.
 
-    Part 1 (Monte Carlo over ``trials`` samples): draw a uniform query
-    (each element kept with probability 1/2) and an independent uniform
-    (block, hidden) pair; count exact matches of the block part.  The
-    estimate must stay under 4*(2r+1)/2^(2r), a ceiling implied by the
-    central-binomial counting bound, and within a factor 2 of the exact
-    prediction (balanced-intersection rate) / C(2r, r).
+    Part 1 (Monte Carlo over ``trials`` samples): draw a uniform hidden
+    set R (r of the block's 2r positions) and a uniform query's part in
+    the block (each position kept with probability 1/2); count exact
+    matches.  No block A is drawn: the query is uniform and independent
+    of (A, R), so for every A its trace S ∩ A, relabelled to positions
+    in A, is a uniform subset of [2r] independent of R, and each sample's
+    (balanced, hit) pair has the same law as with a drawn block.  So
+    Part 1 reads nothing of n.  The estimate must stay under
+    4*(2r+1)/2^(2r), a ceiling implied by the central-binomial counting
+    bound, and within a factor 2 of the exact prediction
+    (balanced-intersection rate) / C(2r, r).
 
     Part 2 (exact, 1000 triples): two instances sharing the first layer
     but with independently sampled deeper layers must answer identically
@@ -414,12 +405,13 @@ def run_hiding(config: ExperimentConfig) -> Report:
     hits = 0
     balanced = 0
     for _ in range(samples):
-        a_bits, r_bits = _sample_block_pair(rng, n, r)
-        s_bits = rng.bits(n)
-        inter = s_bits & a_bits
-        if inter.bit_count() == r:
+        hidden = rng.bits(2 * r)
+        while hidden.bit_count() != r:
+            hidden = rng.bits(2 * r)
+        part = rng.bits(2 * r)
+        if part.bit_count() == r:
             balanced += 1
-            if inter == r_bits:
+            if part == hidden:
                 hits += 1
     rate = Fraction(hits, samples)
     balanced_rate = Fraction(balanced, samples)

@@ -323,6 +323,17 @@ class TestRunHiding:
         assert report.passed
         assert report.aggregate["exact_hiding_identical"] == 1000
 
+    def test_monte_carlo_part_reads_nothing_of_n(self):
+        # Part 1 draws only the block's 2r bits, so one seed gives the same
+        # estimate at every n; n = 64 also shows it never samples n-bit words.
+        keys = ("hits", "balanced_rate", "prediction")
+        seen = set()
+        for n in (2, 8, 16, 64):
+            report = run_hiding(cfg(mode="hiding", n=n, r=1, trials=2_000, seed=4))
+            assert report.passed and report.aggregate["exact_hiding_identical"] == 1000
+            seen.add(tuple(report.aggregate[k] for k in keys))
+        assert len(seen) == 1
+
 
 class TestRunBench:
     def test_sweep(self):

@@ -111,6 +111,61 @@ class TestHonestOracle:
         assert not oracle._lock.locked()
 
 
+class _LockedCounters:
+    """Counters whose every write must hold the counting lock.  A thread race
+    shows a missing lock only rarely; these setters show it on every write.
+    ``_Oracle.__init__`` writes both counters before it makes the lock."""
+
+    def _check_lock(self):
+        lock = self.__dict__.get("_lock")
+        assert lock is None or lock.locked(), "a counter was written without the counting lock"
+
+    @property
+    def queries(self):
+        return self._queries
+
+    @queries.setter
+    def queries(self, value):
+        self._check_lock()
+        self._queries = value
+
+    @property
+    def rounds(self):
+        return self._rounds
+
+    @rounds.setter
+    def rounds(self, value):
+        self._check_lock()
+        self._rounds = value
+
+
+class _LockedHonest(_LockedCounters, HonestOracle):
+    pass
+
+
+class _LockedSequentialHonest(_LockedCounters, HonestOracle):
+    answer_batch = _Oracle.answer_batch
+
+
+class _LockedAdversary(_LockedCounters, HalvingAdversary):
+    pass
+
+
+@pytest.mark.parametrize("make", [
+    lambda inst: _LockedHonest(inst),
+    lambda inst: _LockedSequentialHonest(inst),
+    lambda inst: _LockedAdversary(inst.config),
+], ids=["honest", "honest_through_answer", "adversary"])
+def test_every_count_holds_the_counting_lock(two_layer_instance, make):
+    oracle = make(two_layer_instance)
+    oracle.answer_batch([0b0001, 0b0110])  # implicit round 1
+    oracle.begin_round()
+    oracle.answer(subset(4, 0, 2))
+    oracle.answer_batch([0b0000, 0b0101, 0b1111])
+    assert (oracle.queries, oracle.rounds) == (6, 2)
+    assert not oracle._lock.locked()
+
+
 def _deep_masks(inst, count, seed):
     """Seeded masks that match a random number of leading layers, then
     a random subset of the pool left (so every depth is queried)."""

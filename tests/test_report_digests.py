@@ -40,7 +40,7 @@ REPORTS = [
     (ExperimentConfig("bench", (16,), r=1, seed=7, trials=2),
      "98389a1e586c2398714053d42f9c01895b24ebd160cb4bb215213ce7ffde8411"),
     (ExperimentConfig("hiding", (8,), r=1, seed=11, trials=200),
-     "640652ba000aad82250e6956a76b1485c5c690be878c58e2a9b6342bfd095a8d"),
+     "02575cbacdc50a82cf5fca190273926b3050ea9f424aff28209619d3fdf9e58b"),
 ]
 
 

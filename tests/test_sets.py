@@ -97,7 +97,7 @@ class TestGroundConfig:
                     cfg.code_value(code)
 
     @pytest.mark.parametrize("n,r", [(4, 1), (6, 1)])
-    def test_numerator_code_rejects_every_non_price(self, n, r):
+    def test_value_code_rejects_every_non_price(self, n, r):
         # Every multiple of 1/D in [0, 2], and a step past either end: the
         # layer prices map to codes, every other numerator raises.
         cfg = GroundConfig(n, r)
@@ -117,7 +117,7 @@ class TestGroundConfig:
     # (4, 1), M = 17: a negative code, level 0 but not 0, price 0 at a
     # level, a price past 4 * pool (8 at level 1), levels past L = 2.
     @pytest.mark.parametrize("code", [-1, 1, 16, 17, 17 + 9, 3 * 17 + 1, 10**40])
-    def test_code_numerator_rejects_codes_that_spell_nothing(self, code):
+    def test_code_value_rejects_codes_that_spell_nothing(self, code):
         with pytest.raises(ValueError, match="is no layer code"):
             GroundConfig(4, 1).code_value(code)
 
