@@ -55,7 +55,13 @@ class ExperimentConfig:
     (verify, parallel, bench) or the Monte-Carlo sample count (hiding).
     ``queries_per_round`` feeds the naive random-batch baseline of parallel
     runs and defaults to n^2; ``solver`` names duel's solver.  Any other
-    mode refuses them unless left at their defaults.
+    mode refuses them unless left at their defaults.  So a mode refuses
+    every setting it never reads, with one exception: ``duel`` reads
+    neither ``seed`` nor ``trials`` (the halving adversary and every solver
+    are deterministic), yet accepts and echoes any value of both, so one
+    set of settings serves every mode (perfbench's duel workload sets
+    both).  Two duels that differ only in them report the same apart from
+    ``config``.
     """
 
     mode: str
@@ -88,7 +94,8 @@ class ExperimentConfig:
             raise ValueError("queries_per_round must be positive")
         if not isinstance(self.solver, str) or self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {sorted(SOLVERS)}")
-        # A report echoes every setting, so one its mode never reads is refused.
+        # A report echoes every setting, so one its mode never reads is refused;
+        # duel's seed and trials are the exception (class docstring).
         if self.solver != "family_aware" and self.mode != "duel":
             raise ValueError(f"mode {self.mode!r} does not read solver (only duel does)")
         if self.queries_per_round is not None and self.mode != "parallel":
@@ -234,10 +241,8 @@ def run_duel(config: ExperimentConfig) -> Report:
     """
     report = Report(config)
     n = config.n[0]
-    ground = GroundConfig(n, config.r)
-    adversary = HalvingAdversary(ground)
-    solve = SOLVERS[config.solver]
-    result = solve(adversary, ground)
+    adversary = HalvingAdversary(GroundConfig(n, config.r))
+    result = SOLVERS[config.solver](adversary)
     floor = (n / 2) * math.log2(n / 4)
 
     try:
@@ -258,7 +263,7 @@ def run_duel(config: ExperimentConfig) -> Report:
         "queries": result.queries,
         "rounds": result.rounds,
         "floor": floor,
-        "layers": ground.layer_count,
+        "layers": adversary.config.layer_count,
     }
     above_floor = _above_query_floor(result.queries, n)
     report.check(
@@ -331,7 +336,7 @@ def run_parallel(config: ExperimentConfig) -> Report:
     naive_lucky: dict[int, int] = {}
     for trial, seed in enumerate(rng.spawn_seeds(config.trials)):
         inst = sample_instance(ground, seed)
-        result = singleton_parallel_minimize(HonestOracle(inst), ground)
+        result = singleton_parallel_minimize(HonestOracle(inst))
         good_rounds = result.rounds == ground.layer_count
         found = result.minimizer == true_minimizer(inst)
         good_min = found and result.min_value == 0
@@ -495,7 +500,7 @@ def run_bench(config: ExperimentConfig) -> Report:
         cross_checked = 0
         for trial, seed in enumerate(rng.spawn_seeds(config.trials)):
             inst = sample_instance(ground, seed)
-            result = family_aware_minimize(HonestOracle(inst), ground)
+            result = family_aware_minimize(HonestOracle(inst))
             good = result.minimizer == true_minimizer(inst) and result.min_value == 0
             if good and n <= 16:
                 brute = brute_force_minimize(HonestOracle(inst))

@@ -188,12 +188,13 @@ def _check_masks(n: int, masks: Sequence[int]) -> None:
 
 
 class _Oracle:
-    """Query/round bookkeeping and the batch entry point shared by both oracles.
+    """Query/round bookkeeping, and a sequential ``answer_batch`` default
+    for an oracle that defines only ``answer`` (both oracles override it).
 
     Rounds are opened explicitly with ``begin_round``; queries issued
     before any round was opened fall into an implicit round 1.  Solvers
-    use only ``begin_round`` and ``answer_batch(masks)`` (layer codes);
-    ``answer(s)`` returns one value as a ``Fraction``.
+    use only ``config``, ``begin_round`` and ``answer_batch(masks)``
+    (layer codes); ``answer(s)`` returns one value as a ``Fraction``.
 
     Counting is synchronized: every read-modify-write of ``queries`` and
     ``rounds`` holds ``_lock``, taken as ``acquire()`` and released in a
@@ -466,7 +467,8 @@ class HalvingAdversary(_Oracle):
             n = self.config.n
             self._commit(*draw_layer(self.config, Subset(n, self._active_u).indices(), pick), "finalize")
             if rng is not None:
-                # Untouched layers draw from a child stream, as sample_instance does.
+                # Untouched layers draw from a child stream seeded by the next
+                # word of ``rng``; seeded finalizes are pinned to these draws.
                 pick = SplitMix64(rng.next()).sample
             pool = Subset(n, self.table.pool).indices()
             while self._instance is None:

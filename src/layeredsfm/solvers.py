@@ -9,7 +9,9 @@ Three solvers, exercising both sides of the query-complexity picture:
 * :func:`singleton_parallel_minimize` spends exactly one batched round per
   layer, classifying every remaining element from singleton queries.
 
-All three drive an oracle handle (honest or adversarial) through its
+Every solver is ``solve(oracle) -> SolverResult``: a solve is an
+algorithm plus an oracle, and the ground set is the oracle's.  All three
+drive an oracle handle (honest or adversarial) through its ``config``,
 ``begin_round`` and ``answer_batch(masks)`` surface only, compare and
 decode the layer codes it answers
 (:attr:`~layeredsfm.sets.GroundConfig.code_radix`), and report their own
@@ -28,7 +30,7 @@ from typing import NamedTuple
 
 from .oracles import CorruptedOracleError
 from .rationals import format_value
-from .sets import EXHAUSTIVE_CAP, GroundConfig, Relation, SingletonBatch, Subset
+from .sets import EXHAUSTIVE_CAP, Relation, SingletonBatch, Subset
 
 # Masks per batch of brute force's one round: 4,096 codes stay small next
 # to the process, where the whole 2^16 round at once would add ~2.4 MB.
@@ -187,7 +189,7 @@ def brute_force_minimize(oracle) -> SolverResult:
     return SolverResult("brute_force", Subset(n, best_mask), value, total, 1)
 
 
-def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
+def family_aware_minimize(oracle) -> SolverResult:
     """Recover the minimizer knowing only (n, r), in O(n log n) queries.
 
     Works against any oracle answering consistently with some instance,
@@ -216,6 +218,7 @@ def family_aware_minimize(oracle, config: GroundConfig) -> SolverResult:
     Each answer code is decoded once, by :func:`decode_layer_answer`.  A
     :class:`Subset` is built only for the returned minimizer.
     """
+    config = oracle.config
     n, r, radix = config.n, config.r, config.code_radix
     cap = query_cap(n)
     queries = 0  # every query opens its own round, so this counts rounds too
@@ -323,7 +326,7 @@ def _singleton_class(code: int, radix: int, pool_size: int, layer: int, r: int) 
     return label
 
 
-def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
+def singleton_parallel_minimize(oracle) -> SolverResult:
     """Solve one layer per batched round via singleton queries.
 
     Round k asks prefix + {e} for every unclassified element e as one
@@ -338,6 +341,7 @@ def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
     hidden and r off-block elements are read off the run offsets and
     deleted from the list.
     """
+    config = oracle.config
     n, r, radix = config.n, config.r, config.code_radix
     queries = 0
     prefix = 0
@@ -384,7 +388,7 @@ def singleton_parallel_minimize(oracle, config: GroundConfig) -> SolverResult:
 
 
 SOLVERS = {
-    "brute_force": lambda oracle, config: brute_force_minimize(oracle),
+    "brute_force": brute_force_minimize,
     "family_aware": family_aware_minimize,
     "singleton_parallel": singleton_parallel_minimize,
 }

@@ -138,20 +138,18 @@ def _pack(ints: list[int], nb: int) -> int:
     return int.from_bytes(packed, "little")
 
 
-def _diamonds_hold(ints: list[int], n: int, lo: int | None = None, hi: int | None = None) -> bool:
+def _diamonds_hold(ints: list[int], n: int, lo: int, hi: int) -> bool:
     """True when F(S+i) + F(S+j) >= F(S+i+j) + F(S) for every S and i != j outside S.
 
     That is, each marginal gain G_i(S) = F(S+i) - F(S) over S not holding i
     is non-increasing along every axis j > i (the pair {i, j} needs one of
     its two axes).  Checked in packed lanes of ``w`` bits (module docstring).
-    ``lo`` and ``hi``, the table's minimum and maximum, are computed when
-    ``lo`` is not given.  A table whose minimum is 0 (every instance's) is
-    packed as it is; any other is shifted by ``lo`` first.
+    ``lo`` and ``hi`` are the table's minimum and maximum.  A table whose
+    minimum is 0 (every instance's) is packed as it is; any other is
+    shifted by ``lo`` first.
     """
     if n < 2:
         return True
-    if lo is None:
-        lo, hi = min(ints), max(ints)
     if lo:
         ints = list(map((-lo).__add__, ints))
     nb = ((hi - lo).bit_length() + 9) // 8  # the fewest bytes with spread < 2^(w-2)

@@ -88,7 +88,7 @@ def test_criterion_3_deterministic_query_floor():
         assert floor == (n / 2) * math.log2(n / 4)
         cfg = GroundConfig(n, 1)
         adversary = HalvingAdversary(cfg)
-        result = family_aware_minimize(adversary, cfg)
+        result = family_aware_minimize(adversary)
         instance = adversary.finalize()  # raises on any replay mismatch
         assert result.queries >= floor, (n, result.queries, floor)
         assert result.minimizer == true_minimizer(instance)
@@ -134,7 +134,7 @@ def test_criterion_5_upper_bound():
         worst = 0
         for seed in rng.spawn_seeds(100):
             inst = sample_instance(cfg, seed)
-            result = family_aware_minimize(HonestOracle(inst), cfg)
+            result = family_aware_minimize(HonestOracle(inst))
             assert result.minimizer == true_minimizer(inst), (n, r, seed)
             assert result.min_value == 0
             assert result.queries <= budget, (n, r, seed, result.queries)
@@ -159,7 +159,7 @@ def test_criterion_6_parallel_round_structure():
         rng = SplitMix64(n * 77 + r)
         for seed in rng.spawn_seeds(100):
             inst = sample_instance(cfg, seed)
-            result = singleton_parallel_minimize(HonestOracle(inst), cfg)
+            result = singleton_parallel_minimize(HonestOracle(inst))
             assert result.rounds == cfg.layer_count == n // (2 * r), (n, r, seed)
             assert result.minimizer == true_minimizer(inst), (n, r, seed)
 

@@ -194,6 +194,15 @@ class TestRunDuel:
         assert report.aggregate["floor"] == 128
         assert report.aggregate["queries"] >= 128
 
+    @pytest.mark.parametrize("solver", ["brute_force", "family_aware", "singleton_parallel"])
+    def test_seed_and_trials_change_only_the_config_echo(self, solver):
+        # Duel reads neither seed nor trials but echoes both.
+        first, second = (
+            json.loads(run_duel(cfg(mode="duel", n=16, seed=seed, trials=trials, solver=solver)).to_json_text())
+            for seed, trials in [(0, 10), (12345, 3)]
+        )
+        assert (first.pop("config")["seed"], second.pop("config")["seed"]) == (0, 12345)
+        assert first == second
 
     def test_query_floor_evidence_only_on_failure(self, monkeypatch):
         from layeredsfm.harness import SOLVERS
@@ -208,10 +217,10 @@ class TestRunDuel:
 
         oracles = []
 
-        def one_query(oracle, config):
+        def one_query(oracle):
             oracles.append(oracle)
-            value = oracle.answer(Subset(config.n))
-            return SolverResult("stub", Subset(config.n), value, 1, 1)
+            value = oracle.answer(Subset(oracle.config.n))
+            return SolverResult("stub", Subset(oracle.config.n), value, 1, 1)
 
         monkeypatch.setitem(SOLVERS, "family_aware", one_query)
         failing = floor_entry(run_duel(cfg(mode="duel", n=16)))
@@ -415,7 +424,7 @@ class TestFailingReports:
 
         solve = harness.singleton_parallel_minimize
         monkeypatch.setattr(harness, "singleton_parallel_minimize",
-                            lambda oracle, config: dataclasses.replace(solve(oracle, config), minimizer=Subset(8)))
+                            lambda oracle: dataclasses.replace(solve(oracle), minimizer=Subset(8)))
         report = run_parallel(cfg(mode="parallel", n=8, trials=2, queries_per_round=4))
         assert report.aggregate["rounds_exact"] == 2 and report.aggregate["correct"] == 0
         _failing_entry(report, "all_correct")
@@ -452,7 +461,7 @@ class TestFailingReports:
 
         solve = harness.family_aware_minimize
         monkeypatch.setattr(harness, "family_aware_minimize",
-                            lambda oracle, config: dataclasses.replace(solve(oracle, config), minimizer=Subset(8)))
+                            lambda oracle: dataclasses.replace(solve(oracle), minimizer=Subset(8)))
         report = run_bench(cfg(mode="bench", n=(8,), trials=2))
         assert report.aggregate["per_n"]["8"]["correct"] == 0
         assert report.aggregate["per_n"]["8"]["cross_checked_brute"] == 0

@@ -550,7 +550,7 @@ class TestAdversaryBatches:
         # layers committing mid-batch, it still equals one answer per mask.
         cfg = GroundConfig(16, 1)
         batched = _BatchLog(cfg)
-        singleton_parallel_minimize(batched, cfg)
+        singleton_parallel_minimize(batched)
         batches = [entry for entry in batched.log if entry is not None]
         assert all(len(masks) > 1 for masks, _ in batches)
 
@@ -685,7 +685,7 @@ class TestFinalizeOnePath:
     def test_finalized_instance_shares_the_adversary_table(self):
         cfg = GroundConfig(16, 1)
         adv = HalvingAdversary(cfg)
-        family_aware_minimize(adv, cfg)
+        family_aware_minimize(adv)
         assert len(adv.commits) == adv.config.layer_count
         assert adv.finalize().table is adv.table
 
@@ -747,7 +747,7 @@ class TestTranscript:
     def test_replay_names_the_mismatched_record(self):
         cfg = GroundConfig(16, 1)
         adv = HalvingAdversary(cfg)
-        family_aware_minimize(adv, cfg)
+        family_aware_minimize(adv)
         inst = adv.finalize()
         transcript = Transcript.from_json(json.loads(json.dumps(adv.transcript.to_json())))
         transcript.replay(inst)
@@ -768,7 +768,7 @@ class TestTranscript:
         # either chunk is named.
         cfg = GroundConfig(64, 1)
         adv = HalvingAdversary(cfg)
-        family_aware_minimize(adv, cfg)
+        family_aware_minimize(adv)
         inst = adv.finalize()
         records = adv.transcript.records
         assert len(records) == 511
@@ -784,7 +784,7 @@ class TestTranscript:
     def test_replay_rejects_an_instance_of_another_config(self, other):
         cfg = GroundConfig(16, 1)
         adv = HalvingAdversary(cfg)
-        family_aware_minimize(adv, cfg)
+        family_aware_minimize(adv)
         adv.transcript.replay(adv.finalize())
         with pytest.raises(ValueError, match="cannot replay"):
             adv.transcript.replay(sample_instance(other, 1))
@@ -832,7 +832,7 @@ class TestIntegerRecords:
     def test_duel_records_match_fraction_evaluators(self, solver, n):
         cfg = GroundConfig(n, 1)
         adv = HalvingAdversary(cfg)
-        SOLVERS[solver](adv, cfg)
+        SOLVERS[solver](adv)
         _assert_records_match_fraction_evaluators(adv.transcript, adv.finalize())
 
     @pytest.mark.parametrize("seed", [None, 3])
@@ -852,7 +852,7 @@ class TestIntegerRecords:
         # as the keyword-built QueryRecord of its fields.
         cfg = GroundConfig(n, 1)
         adv = HalvingAdversary(cfg)
-        SOLVERS[solver](adv, cfg)
+        SOLVERS[solver](adv)
         for rec in adv.transcript.records:
             want = QueryRecord(index=rec.index, round=rec.round, mask=rec.mask, code=rec.code)
             assert type(rec) is QueryRecord

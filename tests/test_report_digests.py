@@ -57,6 +57,6 @@ def test_report_bytes(config, digest):
 def test_duel_transcript_bytes(solver, n, digest):
     cfg = GroundConfig(n, 1)
     adversary = HalvingAdversary(cfg)
-    SOLVERS[solver](adversary, cfg)
+    SOLVERS[solver](adversary)
     adversary.finalize()
     assert _sha256(json.dumps(adversary.transcript.to_json(), sort_keys=True)) == digest

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import re
@@ -444,7 +445,7 @@ class TestDecodedAnswersAreNamedTuples:
         calls, decode = [], solvers.decode_layer_answer
         monkeypatch.setattr(solvers, "decode_layer_answer",
                             lambda *args: calls.append((args, decode(*args))) or calls[-1][1])
-        family_aware_minimize(HonestOracle(sample_instance(cfg, 9)), cfg)
+        family_aware_minimize(HonestOracle(sample_instance(cfg, 9)))
         # The comparable case, price 2 * pool at the decoded level, decided by the count.
         assert any(divmod(code, radix) == (pool // (2 * r), 2 * pool) for (code, radix, pool, _, r), _ in calls)
         assert {ans.relation for _, ans in calls} >= {Relation.EQUAL, Relation.STRICT_SUBSET}
@@ -483,7 +484,7 @@ def test_decoder_matches_fraction_reference(args, queried):
 
 class TestFamilyAware:
     def test_two_layer_example(self, two_layer_instance):
-        res = family_aware_minimize(HonestOracle(two_layer_instance), two_layer_instance.config)
+        res = family_aware_minimize(HonestOracle(two_layer_instance))
         assert res.minimizer == subset(4, 0, 2)
         assert res.min_value == 0
         assert res.queries <= 8 * 4 * 2
@@ -493,7 +494,7 @@ class TestFamilyAware:
         cfg = GroundConfig(n, r)
         for seed in range(20):
             inst = sample_instance(cfg, seed)
-            res = family_aware_minimize(HonestOracle(inst), cfg)
+            res = family_aware_minimize(HonestOracle(inst))
             assert res.minimizer == true_minimizer(inst)
             assert res.min_value == 0
             assert res.queries <= 8 * n * math.log2(n)
@@ -502,7 +503,7 @@ class TestFamilyAware:
         cfg = GroundConfig(16, 2)
         for seed in range(100):
             inst = sample_instance(cfg, seed)
-            res = family_aware_minimize(HonestOracle(inst), cfg)
+            res = family_aware_minimize(HonestOracle(inst))
             brute = brute_force_minimize(HonestOracle(inst))
             assert res.minimizer == brute.minimizer == true_minimizer(inst)
             assert res.min_value == brute.min_value == 0
@@ -511,7 +512,7 @@ class TestFamilyAware:
         cfg = GroundConfig(11, 1)  # 2r does not divide n
         for seed in range(10):
             inst = sample_instance(cfg, seed)
-            res = family_aware_minimize(HonestOracle(inst), cfg)
+            res = family_aware_minimize(HonestOracle(inst))
             brute = brute_force_minimize(HonestOracle(inst))
             assert res.minimizer == brute.minimizer == true_minimizer(inst)
 
@@ -519,19 +520,19 @@ class TestFamilyAware:
     def test_adversary_floor(self, n):
         cfg = GroundConfig(n, 1)
         adv = HalvingAdversary(cfg)
-        res = family_aware_minimize(adv, cfg)
+        res = family_aware_minimize(adv)
         inst = adv.finalize()
         assert res.minimizer == true_minimizer(inst)
         assert res.queries >= (n / 2) * math.log2(n / 4)
 
     def test_rounds_do_not_exceed_queries(self, two_layer_instance):
-        res = family_aware_minimize(HonestOracle(two_layer_instance), two_layer_instance.config)
+        res = family_aware_minimize(HonestOracle(two_layer_instance))
         assert 1 <= res.rounds <= res.queries
 
     def test_minimal_ground_set(self):
         cfg = GroundConfig(2, 1)
         inst = LayeredInstance(cfg, [subset(2, 0, 1)], [subset(2, 1)])
-        res = family_aware_minimize(HonestOracle(inst), cfg)
+        res = family_aware_minimize(HonestOracle(inst))
         assert res.minimizer == subset(2, 1)
         assert res.min_value == 0
 
@@ -559,7 +560,7 @@ class TestFamilyAwareHotPath:
 
         sys.setprofile(profile)
         try:
-            result = family_aware_minimize(oracle, cfg)
+            result = family_aware_minimize(oracle)
         finally:
             sys.setprofile(None)
         assert result.queries == 521
@@ -573,7 +574,7 @@ class TestFamilyAwareHotPath:
         oracle = HonestOracle(sample_instance(cfg, 5))
         searches, search = [], family._divergent_layer
         monkeypatch.setattr(family, "_divergent_layer", lambda *args: searches.append(args) or search(*args))
-        result = family_aware_minimize(oracle, cfg)
+        result = family_aware_minimize(oracle)
         assert result.queries == 14455
         assert len(searches) <= 1000
 
@@ -583,21 +584,21 @@ class TestSingletonParallel:
     def test_round_count(self, n, r, expected_rounds):
         cfg = GroundConfig(n, r)
         inst = sample_instance(cfg, 13)
-        res = singleton_parallel_minimize(HonestOracle(inst), cfg)
+        res = singleton_parallel_minimize(HonestOracle(inst))
         assert res.rounds == expected_rounds == cfg.layer_count
         assert res.minimizer == true_minimizer(inst)
 
     def test_query_count_is_sum_of_pool_sizes(self):
         cfg = GroundConfig(12, 2)
         inst = sample_instance(cfg, 3)
-        res = singleton_parallel_minimize(HonestOracle(inst), cfg)
+        res = singleton_parallel_minimize(HonestOracle(inst))
         assert res.queries == sum(cfg.pool_size(k) for k in range(1, cfg.layer_count + 1))
 
     def test_agrees_with_brute_force(self):
         cfg = GroundConfig(4, 1)
         for seed in range(10):
             inst = sample_instance(cfg, seed)
-            par = singleton_parallel_minimize(HonestOracle(inst), cfg)
+            par = singleton_parallel_minimize(HonestOracle(inst))
             brute = brute_force_minimize(HonestOracle(inst))
             assert par.minimizer == brute.minimizer
 
@@ -613,7 +614,7 @@ class TestSingletonParallel:
                 return value + Fraction(1, 3) if len(s) == 1 else value
 
         with pytest.raises(CorruptedOracleError):
-            singleton_parallel_minimize(Corrupted(inst), cfg)
+            singleton_parallel_minimize(Corrupted(inst))
 
     @pytest.mark.parametrize("v", [Fraction(1, 3), Fraction(-1, 5), Fraction(1, 16)])
     def test_r1_hidden_answer_outside_residual_window_detected(self, v):
@@ -622,7 +623,7 @@ class TestSingletonParallel:
         cfg = GroundConfig(8, 1)
         inst = sample_instance(cfg, 3)
         with pytest.raises(CorruptedOracleError):
-            singleton_parallel_minimize(_Rewrite(inst, {inst.hidden_sets[0].bits: v}), cfg)
+            singleton_parallel_minimize(_Rewrite(inst, {inst.hidden_sets[0].bits: v}))
 
     @pytest.mark.parametrize("v,label", [
         (Fraction(1, 64), "hidden"), (Fraction(1, 32), "hidden"),
@@ -645,7 +646,7 @@ class TestSingletonParallel:
         oracle = _Rewrite(inst, {0b1: bad[0], 0b10: bad[1]})
         message = f"answer {format_value(bad[0])} to query mask 0x1 is no value of a layer"
         with pytest.raises(CorruptedOracleError, match=f"^{re.escape(message)}$"):
-            singleton_parallel_minimize(oracle, cfg)
+            singleton_parallel_minimize(oracle)
 
 
 class TestSolversAgree:
@@ -655,8 +656,8 @@ class TestSolversAgree:
         for seed in range(5):
             inst = sample_instance(cfg, seed)
             res_b = brute_force_minimize(HonestOracle(inst))
-            res_f = family_aware_minimize(HonestOracle(inst), cfg)
-            res_p = singleton_parallel_minimize(HonestOracle(inst), cfg)
+            res_f = family_aware_minimize(HonestOracle(inst))
+            res_p = singleton_parallel_minimize(HonestOracle(inst))
             assert res_b.minimizer == res_f.minimizer == res_p.minimizer
             assert res_b.min_value == res_f.min_value == res_p.min_value == 0
 
@@ -665,10 +666,27 @@ class TestSolversAgree:
         # The oracle's counters add up every run it serves; a result reports its own run.
         cfg = GroundConfig(8, 1)
         oracle = HonestOracle(sample_instance(cfg, 0))
-        first = SOLVERS[name](oracle, cfg)
-        second = SOLVERS[name](oracle, cfg)
+        first = SOLVERS[name](oracle)
+        second = SOLVERS[name](oracle)
         assert (second.queries, second.rounds) == (first.queries, first.rounds)
         assert (oracle.queries, oracle.rounds) == (2 * first.queries, 2 * first.rounds)
+
+
+class TestSolverProtocol:
+    """Every solver is ``solve(oracle)``: ``SOLVERS`` holds the module's
+    solver functions themselves, and each reads the ground set off its
+    oracle."""
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_solvers_entry_is_the_one_argument_function(self, name):
+        solve = SOLVERS[name]
+        assert solve is getattr(solvers, f"{name}_minimize")
+        assert len(inspect.signature(solve).parameters) == 1
+        for n, r in [(8, 1), (12, 3), (16, 2)]:
+            inst = sample_instance(GroundConfig(n, r), n + r)
+            result = solve(HonestOracle(inst))
+            assert result.solver == name
+            assert result.minimizer == true_minimizer(inst)
 
 
 def test_solver_result_json(two_layer_instance):
@@ -682,9 +700,10 @@ def test_solver_result_json(two_layer_instance):
     }
 
 
-def _reference_family_aware(oracle, config):
+def _reference_family_aware(oracle):
     """The list-based solver (index-list blocks split by slicing), kept as
     the reference for the bit-mask one."""
+    config = oracle.config
     n, r = config.n, config.r
     budget = 8 * n * math.log2(max(n, 2))
     queries = 0
@@ -760,8 +779,9 @@ def _reference_family_aware(oracle, config):
     return SolverResult("family_aware", prefix, value, queries, queries)
 
 
-def _reference_singleton_parallel(oracle, config):
+def _reference_singleton_parallel(oracle):
     """The list-based singleton-parallel solver, kept as the reference."""
+    config = oracle.config
     n, r = config.n, config.r
     prefix = Subset(n)
     pool = Subset.from_indices(n, range(config.effective_size))
@@ -799,6 +819,7 @@ class _Recording:
 
     def __init__(self, oracle):
         self.oracle = oracle
+        self.config = oracle.config
         self.log = []
 
     def begin_round(self):
@@ -806,14 +827,14 @@ class _Recording:
         self.oracle.begin_round()
 
     def answer_batch(self, masks):
-        self.log.append([(self.oracle.config.n, m) for m in masks])
+        self.log.append([(self.config.n, m) for m in masks])
         return self.oracle.answer_batch(masks)
 
 
-def _run_recorded(solve, oracle, cfg):
+def _run_recorded(solve, oracle):
     recorder = _Recording(oracle)
     try:
-        outcome = solve(recorder, cfg)
+        outcome = solve(recorder)
     except CorruptedOracleError as exc:
         outcome = str(exc)
     return recorder.log, outcome
@@ -837,8 +858,8 @@ class TestMaskSolversMatchListReference:
         cfg = GroundConfig(n, r)
         for seed in range(3):
             inst = sample_instance(cfg, seed)
-            log, result = _run_recorded(solve, HonestOracle(inst), cfg)
-            want_log, want = _run_recorded(reference, HonestOracle(inst), cfg)
+            log, result = _run_recorded(solve, HonestOracle(inst))
+            want_log, want = _run_recorded(reference, HonestOracle(inst))
             assert log == want_log
             assert result == want
             assert result.minimizer == true_minimizer(inst)
@@ -848,8 +869,8 @@ class TestMaskSolversMatchListReference:
     def test_halving_adversary_transcripts(self, solve, reference, n):
         cfg = GroundConfig(n, 1)
         adversary, ref_adversary = HalvingAdversary(cfg), HalvingAdversary(cfg)
-        log, result = _run_recorded(solve, adversary, cfg)
-        want_log, want = _run_recorded(reference, ref_adversary, cfg)
+        log, result = _run_recorded(solve, adversary)
+        want_log, want = _run_recorded(reference, ref_adversary)
         assert log == want_log
         assert result == want
         assert adversary.transcript.to_json() == ref_adversary.transcript.to_json()
@@ -913,7 +934,7 @@ class TestFamilyAwareErrorExits:
         return LayeredInstance(GroundConfig(2, 1), [subset(2, 0, 1)], [subset(2, 1)])
 
     def test_honest_query_sequence(self, inst):
-        log, result = _run_recorded(family_aware_minimize, HonestOracle(inst), inst.config)
+        log, result = _run_recorded(family_aware_minimize, HonestOracle(inst))
         assert [q for batch in log if batch != "round" for q in batch] == [
             (2, 0b11), (2, 0b01), (2, 0), (2, 0b10)]
         assert result.minimizer == subset(2, 1)
@@ -930,7 +951,7 @@ class TestFamilyAwareErrorExits:
     )
     def test_corrupted_answers_raise(self, inst, values, message):
         with pytest.raises(CorruptedOracleError) as exc:
-            family_aware_minimize(_Rewrite(inst, values), inst.config)
+            family_aware_minimize(_Rewrite(inst, values))
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("bad", [0.5, 1.0, None, "1/2", True])
@@ -939,18 +960,18 @@ class TestFamilyAwareErrorExits:
         # answers only, and names the type of any other.
         message = f"answer {bad!r} to query mask 0x3 is a {type(bad).__name__}, not an int or Fraction"
         with pytest.raises(CorruptedOracleError, match=f"^{re.escape(message)}$"):
-            family_aware_minimize(_Rewrite(inst, {0b11: bad}), inst.config)
+            family_aware_minimize(_Rewrite(inst, {0b11: bad}))
 
     def test_int_answers_are_values(self, inst):
         # {0, 1} and the minimizer {1} answered as the ints of their honest values.
-        honest = family_aware_minimize(HonestOracle(inst), inst.config)
-        assert family_aware_minimize(_Rewrite(inst, {0b11: 1, 0b10: 0}), inst.config) == honest
+        honest = family_aware_minimize(HonestOracle(inst))
+        assert family_aware_minimize(_Rewrite(inst, {0b11: 1, 0b10: 0})) == honest
 
     def test_nonzero_final_answer_raises(self):
         # The last query is the recovered minimizer, which matches every layer.
         cfg = GroundConfig(16, 2)
         inst = sample_instance(cfg, 0)
-        last = family_aware_minimize(HonestOracle(inst), cfg).queries
+        last = family_aware_minimize(HonestOracle(inst)).queries
 
         class LastAnswerOff(HonestOracle):
             answer_batch = _Oracle.answer_batch
@@ -960,17 +981,17 @@ class TestFamilyAwareErrorExits:
                 return Fraction(1, cfg.value_denominator) if self.queries == last else value
 
         with pytest.raises(CorruptedOracleError, match="^minimizer query answered "):
-            family_aware_minimize(LastAnswerOff(inst), cfg)
+            family_aware_minimize(LastAnswerOff(inst))
 
     def test_query_budget_is_enforced_at_its_edge(self, monkeypatch):
         cfg = GroundConfig(64, 1)
         inst = sample_instance(cfg, 0)
-        queries = family_aware_minimize(HonestOracle(inst), cfg).queries
+        queries = family_aware_minimize(HonestOracle(inst)).queries
         monkeypatch.setattr(solvers, "query_cap", lambda n: queries)
-        assert family_aware_minimize(HonestOracle(inst), cfg).queries == queries
+        assert family_aware_minimize(HonestOracle(inst)).queries == queries
         monkeypatch.setattr(solvers, "query_cap", lambda n: queries - 1)
         with pytest.raises(RuntimeError, match=f"^query budget exceeded: {queries} > "):
-            family_aware_minimize(HonestOracle(inst), cfg)
+            family_aware_minimize(HonestOracle(inst))
 
     def test_budget_error_names_the_enforced_cap(self, monkeypatch):
         # At n = 5 the float budget 8 * 5 * log2(5) = 92.88 prints as 93, one
@@ -981,7 +1002,7 @@ class TestFamilyAwareErrorExits:
         cfg = GroundConfig(64, 1)
         monkeypatch.setattr(solvers, "query_cap", lambda n: cap)
         with pytest.raises(RuntimeError, match=r"^query budget exceeded: 93 > 92 at n=64, r=1$"):
-            family_aware_minimize(HonestOracle(sample_instance(cfg, 0)), cfg)
+            family_aware_minimize(HonestOracle(sample_instance(cfg, 0)))
 
 
 class TestNoIndexListPath:
@@ -1008,7 +1029,7 @@ class TestNoIndexListPath:
         cfg = GroundConfig(256, 1)
         inst = sample_instance(cfg, 0)
         calls.clear()
-        res = family_aware_minimize(HonestOracle(inst), cfg)
+        res = family_aware_minimize(HonestOracle(inst))
         assert res.minimizer == true_minimizer(inst)
         assert calls == Counter()
 
@@ -1016,7 +1037,7 @@ class TestNoIndexListPath:
         cfg = GroundConfig(256, 1)
         inst = sample_instance(cfg, 0)
         calls.clear()
-        res = singleton_parallel_minimize(HonestOracle(inst), cfg)
+        res = singleton_parallel_minimize(HonestOracle(inst))
         assert res.minimizer == true_minimizer(inst)
         assert calls["from_indices"] == 0
         assert calls["indices"] <= cfg.layer_count
@@ -1104,8 +1125,8 @@ class TestOneRoundOneBatch:
             inst = sample_instance(cfg, seed)
             for name, solve in sorted(SOLVERS.items()):
                 oracle = _BatchOnly(inst)
-                result = solve(oracle, cfg)
-                assert result == solve(HonestOracle(inst), cfg)
+                result = solve(oracle)
+                assert result == solve(HonestOracle(inst))
                 if name == "singleton_parallel":
                     want = [(k, cfg.pool_size(k)) for k in range(1, cfg.layer_count + 1)]
                 elif name == "family_aware":
@@ -1135,7 +1156,7 @@ class TestOneRoundOneBatch:
                 super().begin_round()
 
         monkeypatch.setattr(family, "_layer_price", counted)
-        result = singleton_parallel_minimize(Rounds(inst), cfg)
+        result = singleton_parallel_minimize(Rounds(inst))
         assert result.minimizer == true_minimizer(inst)
         assert len(calls) == cfg.layer_count
         assert 0 < max(calls) <= 2 * cfg.r + 2
@@ -1167,10 +1188,10 @@ class TestOffLatticeSweep:
         runs = 0
         for seed in range(5):
             inst = sample_instance(cfg, seed)
-            queries = solve(HonestOracle(inst), cfg).queries
+            queries = solve(HonestOracle(inst)).queries
             for index in range(1, queries + 1):
                 with pytest.raises(CorruptedOracleError):
-                    solve(_OffLatticeAt(inst, index), cfg)
+                    solve(_OffLatticeAt(inst, index))
                 runs += 1
         assert runs >= 5 * cfg.n
 
@@ -1216,12 +1237,13 @@ class TestBatchLength:
         at = {"brute_force": (1 << n) - 1, "family_aware": (1 << cfg.effective_size) - 1,
               "singleton_parallel": 1 << (cfg.effective_size - 1)}[name]
         with pytest.raises(CorruptedOracleError, match=r"^a batch of \d+ masks? was answered with \d+ codes$"):
-            SOLVERS[name](_Misfit(inst, at, copies), cfg)
+            SOLVERS[name](_Misfit(inst, at, copies))
 
 
-def _bisecting_family_aware(oracle, config):
+def _bisecting_family_aware(oracle):
     """The mask solver that split each block by :func:`_split_mask`,
     kept as the reference for the run-splitting one."""
+    config = oracle.config
     n, r = config.n, config.r
     budget = solvers.query_budget(n)
     queries = 0
@@ -1315,9 +1337,8 @@ class _AnsweredAt(HonestOracle):
 def _same_run(oracles):
     """Run the solver and the bisecting reference on a fresh oracle each;
     both must log the same rounds and masks and end the same way."""
-    cfg = oracles[0].config
-    log, result = _run_recorded(family_aware_minimize, oracles[0], cfg)
-    want_log, want = _run_recorded(_bisecting_family_aware, oracles[1], cfg)
+    log, result = _run_recorded(family_aware_minimize, oracles[0])
+    want_log, want = _run_recorded(_bisecting_family_aware, oracles[1])
     assert log == want_log
     assert result == want
     return result
@@ -1352,7 +1373,7 @@ class TestRunSplitMatchesMaskBisection:
         # (incomparable at layer 1, out of range deeper) or off the lattice.
         cfg = GroundConfig(n, r)
         inst = sample_instance(cfg, 0)
-        queries = family_aware_minimize(HonestOracle(inst), cfg).queries
+        queries = family_aware_minimize(HonestOracle(inst)).queries
         errors = set()
         for index in range(1, queries + 1):
             for make in (
@@ -1417,8 +1438,8 @@ class TestSingletonRunWalk:
         for seed in range(3):
             inst = sample_instance(cfg, seed)
             oracle = _FreshInts(inst)
-            fresh = singleton_parallel_minimize(oracle, cfg)
-            assert fresh == singleton_parallel_minimize(HonestOracle(inst), cfg)
+            fresh = singleton_parallel_minimize(oracle)
+            assert fresh == singleton_parallel_minimize(HonestOracle(inst))
             assert fresh.minimizer == true_minimizer(inst)
             # No two answers are one object, small codes included.
             answers = [v for codes in oracle.batches for v in codes]
@@ -1430,7 +1451,7 @@ class TestSingletonRunWalk:
         inst = sample_instance(cfg, 5)
         message = f"layer 1: classified {r} hidden / {r + 1} off-block, expected {r} each"
         with pytest.raises(CorruptedOracleError, match=f"^{re.escape(message)}$"):
-            singleton_parallel_minimize(_FarAnswerAsOffBlock(inst), cfg)
+            singleton_parallel_minimize(_FarAnswerAsOffBlock(inst))
 
     @pytest.mark.parametrize("n,r", [(64, 2), (256, 1), (256, 2)])
     def test_each_distinct_answer_is_decoded_once(self, monkeypatch, n, r):
@@ -1452,7 +1473,7 @@ class TestSingletonRunWalk:
                 return nums
 
         monkeypatch.setattr(solvers, "decode_layer_answer", counted)
-        result = singleton_parallel_minimize(Rounds(inst), cfg)
+        result = singleton_parallel_minimize(Rounds(inst))
         assert result.minimizer == true_minimizer(inst)
         assert decoded == distinct and max(distinct) <= 3
         # Some round repeats an answer in runs that are not adjacent.
@@ -1471,7 +1492,7 @@ class TestSingletonRunWalk:
                 marks.append(_HashCounted.hashes)
                 return [_HashCounted(v) for v in nums]
 
-        result = singleton_parallel_minimize(Counted(inst), cfg)
+        result = singleton_parallel_minimize(Counted(inst))
         assert result.minimizer == true_minimizer(inst)
         hashes = [b - a for a, b in zip(marks, marks[1:] + [_HashCounted.hashes])]
         assert len(hashes) == cfg.layer_count
